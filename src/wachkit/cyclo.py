@@ -22,7 +22,7 @@ rides along on ``ctx.work`` for the solver modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidInput, VariableMismatch
 from .padic import inv_mod, teichmueller_lift
@@ -30,8 +30,10 @@ from .series import (
     PI,
     PI0,
     PI_TO_PI0_PURE,
+    Substitution,
     TruncationProfile,
     TruncSeries,
+    _ceil_log,
     binomial_power,
     change_coordinates,
     constant_series,
@@ -41,7 +43,6 @@ from .series import (
     series_scale,
     series_sub,
     shift_divide_exact,
-    substitute,
     weierstrass_divide_exact,
     zero_series,
 )
@@ -107,6 +108,13 @@ class CycloContext:
     u: TruncSeries
     v_gamma: TruncSeries
     work: CycloWork
+    # substitutions of the guard-order images phi(pi0), gamma(pi0), each
+    # torsion image and pi0(pi); their power tables are a cache, so they take
+    # no part in equality or repr
+    phi_sub: Substitution = field(compare=False, repr=False)
+    gamma_sub: Substitution = field(compare=False, repr=False)
+    torsion_subs: tuple[Substitution, ...] = field(compare=False, repr=False)
+    pi0_sub: Substitution = field(compare=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -211,12 +219,15 @@ def build_context(
     gamma_pi_w = series_sub(binomial_power(chi, p, N, mpw, var=PI), one)
 
     # images of pi0 back to pure pi0-coordinates; PI_TO_PI0_PURE doubles as
-    # the Gamma_f-invariance assertion
+    # the Gamma_f-invariance assertion.  Both read the powers of pi0(pi) from
+    # one table, built here and dropped with it: no later operation asks for
+    # this order, and the context keeps only the tables its callers use.
+    powers_of_pi0 = Substitution(pi0_in_pi_w)
     phi_pi0_w = change_coordinates(
-        phi_pi0_in_pi, PI_TO_PI0_PURE, pi0_in_pi_w, out_order=mw
+        phi_pi0_in_pi, PI_TO_PI0_PURE, powers_of_pi0, out_order=mw
     )
     gamma_pi0_w = change_coordinates(
-        gamma_pi0_in_pi, PI_TO_PI0_PURE, pi0_in_pi_w, out_order=mw
+        gamma_pi0_in_pi, PI_TO_PI0_PURE, powers_of_pi0, out_order=mw
     )
     if phi_pi0_w.constant_term() != 0 or gamma_pi0_w.constant_term() != 0:
         raise AssertionError("phi/gamma must preserve the maximal ideal")
@@ -266,6 +277,10 @@ def build_context(
         u=u_w.truncate(t_pi0),
         v_gamma=v_w.truncate(t_pi0),
         work=work,
+        phi_sub=Substitution(phi_pi0_w),
+        gamma_sub=Substitution(gamma_pi0_w),
+        torsion_subs=tuple(Substitution(t) for t in torsion_w),
+        pi0_sub=Substitution(pi0_in_pi_w),
     )
 
 
@@ -285,14 +300,6 @@ def get_context(
     return ctx
 
 
-def _ceil_log(p: int, m: int) -> int:
-    k, q = 0, 1
-    while q < m:
-        q *= p
-        k += 1
-    return k
-
-
 def apply_operator(ctx: CycloContext, tag: OperatorTag, f: TruncSeries) -> TruncSeries:
     """Apply phi, gamma, a torsion substitution, or an eigenspace projector.
 
@@ -305,16 +312,14 @@ def apply_operator(ctx: CycloContext, tag: OperatorTag, f: TruncSeries) -> Trunc
     if kind in (OperatorTag.PHI, OperatorTag.GAMMA):
         if f.var != PI0:
             raise VariableMismatch("phi/gamma act on pi0-series")
-        stored = ctx.work.phi_pi0 if kind == OperatorTag.PHI else ctx.work.gamma_pi0
-        return substitute(f, stored.truncate(min(f.order, stored.order)))
+        return (ctx.phi_sub if kind == OperatorTag.PHI else ctx.gamma_sub).apply(f)
     if kind == OperatorTag.TORSION:
         if f.var != PI:
             raise VariableMismatch("torsion substitutions act on pi-series")
         a = tag.index
         if not 1 <= a <= ctx.p - 1:
             raise InvalidInput(f"torsion index {a} outside [1, p-1]")
-        stored = ctx.work.torsion_pi[a - 1]
-        return substitute(f, stored.truncate(min(f.order, stored.order)))
+        return ctx.torsion_subs[a - 1].apply(f)
     if kind == OperatorTag.PROJECTOR:
         i = tag.index
         if not 0 <= i <= ctx.p - 2:
@@ -326,10 +331,7 @@ def apply_operator(ctx: CycloContext, tag: OperatorTag, f: TruncSeries) -> Trunc
 def _torsion_images(ctx: CycloContext, f: TruncSeries) -> list[TruncSeries]:
     if f.var != PI:
         raise VariableMismatch("projectors act on pi-series")
-    out = []
-    for stored in ctx.work.torsion_pi:
-        out.append(substitute(f, stored.truncate(min(f.order, stored.order))))
-    return out
+    return [sub.apply(f) for sub in ctx.torsion_subs]
 
 
 def _projector(ctx: CycloContext, i: int, f: TruncSeries) -> TruncSeries:
@@ -361,11 +363,11 @@ def decompose_gamma_f(
     comps = tuple(_project_from_images(ctx, i, f, images) for i in range(ctx.p - 1))
     if verify:
         a = ctx.primitive_root()
-        stored = ctx.work.torsion_pi[a - 1]
+        sub = ctx.torsion_subs[a - 1]
         omega = ctx.teich[a - 1]
         pn = ctx.pn
         for i, comp in enumerate(comps):
-            moved = substitute(comp, stored.truncate(min(comp.order, stored.order)))
+            moved = sub.apply(comp)
             scaled = series_scale(comp, pow(omega, i, pn)).truncate(moved.order)
             if moved != scaled:
                 raise AssertionError(f"component {i} left its eigenspace")
@@ -379,18 +381,20 @@ def is_gamma_f_invariant(ctx: CycloContext, f_pi: TruncSeries) -> bool:
     substitution for one primitive root is equivalent to invariance under all
     of them.
     """
-    a = ctx.primitive_root()
-    stored = ctx.work.torsion_pi[a - 1]
-    image = substitute(f_pi, stored.truncate(min(f_pi.order, stored.order)))
+    image = ctx.torsion_subs[ctx.primitive_root() - 1].apply(f_pi)
     return image.coeffs == f_pi.coeffs[: image.order]
 
 
 def push_to_pi(ctx: CycloContext, f: TruncSeries) -> TruncSeries:
-    """Express a pi0-series in pi-coordinates (at the pi window)."""
+    """Express a pi0-series in pi-coordinates.
+
+    pi0 has pi-valuation p-1, so a pi0-series of order M fixes its
+    pi-expansion below pi-degree (p-1)*M and no further; that is the order of
+    the result (at most the guard pi order of the context).
+    """
     if f.var != PI0:
         raise VariableMismatch("expected a pi0-series")
-    target = ctx.work.pi0_in_pi if f.order > ctx.profile.M_pi0 else ctx.pi0_in_pi
-    return substitute(f, target)
+    return ctx.pi0_sub.apply(f, (ctx.p - 1) * f.order)
 
 
 def context_to_dict(ctx: CycloContext) -> dict:

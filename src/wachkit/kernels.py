@@ -1,47 +1,91 @@
-"""Kernel dispatch: compiled fast path when available, pure Python otherwise.
+"""Truncated series kernels over Z/p^N on packed big integers.
 
-The compiled extension handles moduli below 2^63 (products go through a
-128-bit intermediate).  Larger moduli, a missing extension, or the
-``WACHKIT_PURE=1`` environment variable route to the pure-Python fallback.
-Both backends implement identical contracts and are cross-checked in the test
-suite.
+Series are plain lists of canonical residues in [0, pn), index k holding the
+coefficient of X^k.  A list is packed into one Python int by Kronecker
+substitution: slot k holds coefficient k in ``width`` whole bytes,
+little-endian.  :func:`slot_width` makes a slot wide enough for any sum of n
+products of canonical residues, so one big-int product (or one linear
+combination of packed powers) computes every slot of an n-term convolution
+with no carry between slots, and unpacking reduces each slot mod pn.  See
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44 (2009), and Brent & Kung, "Fast
+algorithms for manipulating formal power series", J. ACM 25 (1978), for the
+power-table substitution.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _fallback
-
-try:  # pragma: no cover - exercised indirectly
-    from . import _speedups  # type: ignore[attr-defined]
-
-    _HAVE_SPEEDUPS = True
-    _MOD_LIMIT = _speedups.MOD_LIMIT
-except ImportError:  # pragma: no cover
-    _speedups = None
-    _HAVE_SPEEDUPS = False
-    _MOD_LIMIT = 0
+_from_bytes = int.from_bytes
 
 
-def _use_compiled(pn: int) -> bool:
-    if not _HAVE_SPEEDUPS or pn >= _MOD_LIMIT:
-        return False
-    return os.environ.get("WACHKIT_PURE", "") != "1"
+def slot_width(pn: int, n: int) -> int:
+    """Bytes per slot: 2*bitlen(pn) + bitlen(n) + 1 bits, rounded up."""
+    return (2 * pn.bit_length() + n.bit_length() + 8) // 8
 
 
-def backend_name(pn: int) -> str:
-    """Name of the backend that will serve a given modulus."""
-    return "compiled" if _use_compiled(pn) else "pure"
+def pack(coeffs, width: int) -> int:
+    """One int whose slot k holds coeffs[k]; coefficients must be < 2^(8*width)."""
+    return _from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+
+
+def unpack(x: int, width: int, n: int, pn: int) -> list[int]:
+    """Slots 0..n-1 of a nonnegative packed int, each reduced mod pn."""
+    size = n * width
+    buf = (x & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [_from_bytes(buf[i : i + width], "little") % pn for i in range(0, size, width)]
 
 
 def series_mul(a: list, b: list, pn: int, out_len: int) -> list:
-    if _use_compiled(pn):
-        return _speedups.series_mul(a, b, pn, out_len)
-    return _fallback.series_mul(a, b, pn, out_len)
+    """Truncated product of coefficient lists a, b modulo pn."""
+    width = slot_width(pn, out_len)
+    # slot k < out_len sums at most out_len products; carries out of higher
+    # slots only move up, so truncating the operands keeps the low slots exact
+    prod = pack(a[:out_len], width) * pack(b[:out_len], width)
+    return unpack(prod, width, out_len, pn)
 
 
-def series_compose(f: list, g: list, pn: int, out_len: int) -> list:
-    if _use_compiled(pn):
-        return _speedups.series_compose(f, g, pn, out_len)
-    return _fallback.series_compose(f, g, pn, out_len)
+def _powers(g, pn: int, n: int, width: int):
+    """Yield packed g^0, g^1, ... truncated at order n, up to the first that vanishes.
+
+    With g = X^v * u, g^k = X^(kv) * u^k and only u^k mod X^(n-kv) is
+    needed, so each product is taken on operands cut to the shrinking order
+    n - kv and shifted into place.
+    """
+    yield 1
+    v = next((i for i, c in enumerate(g[:n]) if c), n)
+    if v == 0 < n:  # g^k would never vanish: no truncation ends the loop
+        raise ValueError("substitution argument has nonzero constant term")
+    u = pack(g[v:n], width)
+    cur, k, m = u, 1, n - v
+    while m > 0 and cur:
+        yield cur << (8 * width * k * v)
+        k, m = k + 1, m - v
+        if m > 0:
+            mask = (1 << (8 * width * m)) - 1
+            cur = pack(unpack((cur & mask) * (u & mask), width, m, pn), width)
+
+
+def series_compose(f, g, pn: int, out_len: int) -> list:
+    """f(g(X)) truncated to out_len; requires g[0] == 0.
+
+    Sums f_k * g^k over the packed powers of g, built one at a time.
+    """
+    width = slot_width(pn, out_len)
+    terms = (c * t for c, t in zip(f, _powers(g, pn, out_len, width)) if c)
+    return unpack(sum(terms), width, out_len, pn)
+
+
+def power_table(g, pn: int, n: int) -> tuple[int, list[int]]:
+    """(width, packed g^0, g^1, ...) truncated at order n; requires g[0] == 0.
+
+    The table stops at the first power that vanishes mod X^n, so an image of
+    valuation v holds at most about n/v powers.
+    """
+    width = slot_width(pn, n)
+    return width, list(_powers(g, pn, n, width))
+
+
+def compose_table(f, table: list[int], width: int, pn: int, n: int) -> list[int]:
+    """f(g) truncated at order n from g's power table at order n."""
+    # a generator, not a list: one product of n slots is alive at a time
+    return unpack(sum(c * t for c, t in zip(f, table) if c), width, n, pn)

@@ -40,7 +40,6 @@ from .series import (
     series_scale,
     shift_divide_exact,
     shift_multiply,
-    substitute,
     weierstrass_divide_exact,
     weierstrass_divide_q_power,
 )
@@ -58,6 +57,7 @@ from .wach import (
     smat_mul,
     smat_scalar_right,
     smat_sub,
+    smat_substitute,
     smat_truncate,
     solve_gamma_matrix,
     solve_wach,
@@ -305,7 +305,7 @@ def normalize_basis(
     Cm = smat_map(smat_identity(d, p, N, mw), lambda e: series_scale(e, 0))
     prev_window = smat_truncate(Cm, t_order)
     for _ in range(max_iter):
-        phiCm = smat_map(Cm, lambda e: substitute(e, work.phi_pi0))
+        phiCm = smat_substitute(Cm, ctx.phi_sub)
         S = smat_mul(Cp, phiCm)
         S = smat_map(S, lambda e: series_multiply(uq, e))
         S = smat_add(delta, S)
@@ -333,17 +333,12 @@ def normalize_basis(
     )
     # certify the residual on the user window: C_pert*phi(P) = P*A*Q
     residual = smat_sub(
-        smat_mul(smat_truncate(Cp, t_order), _phi_target(P, ctx)),
+        smat_mul(smat_truncate(Cp, t_order), smat_substitute(P, ctx.phi_sub, t_order)),
         smat_mul(P, smat_truncate(AQ, t_order)),
     )
     if not smat_is_zero(residual):
         raise AxiomViolation("normalization residual is nonzero at the user window")
     return P
-
-
-def _phi_target(X: SeriesMat, ctx: CycloContext) -> SeriesMat:
-    f = ctx.phi_pi0
-    return smat_map(X, lambda e: substitute(e, f.truncate(min(e.order, f.order))))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +472,7 @@ def roundtrip_check(
             for i in range(d)
         ]
     )
-    C_pert = smat_mul(smat_mul(P0inv, AQ_w), _phi_work(P0, ctx))
+    C_pert = smat_mul(smat_mul(P0inv, AQ_w), smat_substitute(P0, ctx.phi_sub))
     try:
         P = normalize_basis(C_pert, m, ctx)
         norm_ok = True
@@ -491,11 +486,6 @@ def roundtrip_check(
         checks.append(("resolve_matches", smat_eq(G2, w.G), ""))
 
     return RoundtripReport(tuple(checks))
-
-
-def _phi_work(X: SeriesMat, ctx: CycloContext) -> SeriesMat:
-    f = ctx.work.phi_pi0
-    return smat_map(X, lambda e: substitute(e, f.truncate(min(e.order, f.order))))
 
 
 def _smat_series_inverse(X: SeriesMat) -> SeriesMat:

@@ -94,7 +94,7 @@ class TruncSeries:
         if self.var not in (PI, PI0):
             raise InvalidInput(f"unknown variable tag {self.var!r}")
         pn = self.p**self.N
-        object.__setattr__(self, "coeffs", tuple(c % pn for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple([c % pn for c in self.coeffs]))
 
     @property
     def order(self) -> int:
@@ -153,29 +153,23 @@ def x_series(var: str, p: int, N: int, order: int) -> TruncSeries:
 
 def series_add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     _same_ring(f, g)
-    n = min(f.order, g.order)
-    return TruncSeries(
-        f.var, f.p, f.N, tuple(f.coeffs[k] + g.coeffs[k] for k in range(n))
-    )
+    return TruncSeries(f.var, f.p, f.N, tuple([a + b for a, b in zip(f.coeffs, g.coeffs)]))
 
 
 def series_sub(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     _same_ring(f, g)
-    n = min(f.order, g.order)
-    return TruncSeries(
-        f.var, f.p, f.N, tuple(f.coeffs[k] - g.coeffs[k] for k in range(n))
-    )
+    return TruncSeries(f.var, f.p, f.N, tuple([a - b for a, b in zip(f.coeffs, g.coeffs)]))
 
 
 def series_scale(f: TruncSeries, c: int) -> TruncSeries:
-    return TruncSeries(f.var, f.p, f.N, tuple(c * x for x in f.coeffs))
+    return TruncSeries(f.var, f.p, f.N, tuple([c * x for x in f.coeffs]))
 
 
 def series_multiply(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """Exact truncated product at the shorter of the two windows."""
     _same_ring(f, g)
     n = min(f.order, g.order)
-    out = kernels.series_mul(list(f.coeffs), list(g.coeffs), f.pn, n)
+    out = kernels.series_mul(f.coeffs, g.coeffs, f.pn, n)
     return TruncSeries(f.var, f.p, f.N, tuple(out))
 
 
@@ -217,7 +211,7 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     if g.constant_term() != 0:
         raise NonzeroConstant("substitution argument has nonzero constant term")
     n = min(f.order, g.order)
-    out = kernels.series_compose(list(f.coeffs[:n]), list(g.coeffs), f.pn, n)
+    out = kernels.series_compose(f.coeffs[:n], g.coeffs, f.pn, n)
     return TruncSeries(f.var, f.p, f.N, tuple(out))
 
 
@@ -232,8 +226,65 @@ def substitute(f: TruncSeries, g: TruncSeries) -> TruncSeries:
         raise ProfileMismatch("series over different moduli")
     if g.constant_term() != 0:
         raise NonzeroConstant("substitution argument has nonzero constant term")
-    out = kernels.series_compose(list(f.coeffs), list(g.coeffs), f.pn, g.order)
+    out = kernels.series_compose(f.coeffs, g.coeffs, f.pn, g.order)
     return TruncSeries(g.var, g.p, g.N, tuple(out))
+
+
+# Power tables kept per image.  The library's own calls ask an image for at
+# most three orders (the user window, the guard order and one below it); the
+# cap bounds memory when loaded artifacts bring series of many other lengths.
+_TABLES_KEPT = 4
+
+
+class Substitution:
+    """f |-> f(g) for one fixed image g, by packed power tables.
+
+    The powers g^0, g^1, ... truncated at an order n are packed the first
+    time order n is asked for and kept (the last few orders used); each
+    substitution at that order is then one big-int linear combination and
+    one unpack.  The tables are a cache: they are not pickled, and equality
+    of the objects that hold a Substitution should not look at it.
+    """
+
+    def __init__(self, image: TruncSeries):
+        if image.constant_term() != 0:
+            raise NonzeroConstant("substitution argument has nonzero constant term")
+        self.image = image
+        self._tables: dict[int, tuple[int, list[int]]] = {}
+
+    def __reduce__(self):
+        return (Substitution, (self.image,))
+
+    def _table(self, n: int) -> tuple[int, list[int]]:
+        tables = self._tables
+        entry = tables.pop(n, None)
+        if entry is None:
+            g = self.image
+            entry = kernels.power_table(g.coeffs, g.pn, n)
+            if len(tables) >= _TABLES_KEPT:
+                del tables[next(iter(tables))]  # the least recently used
+        tables[n] = entry
+        return entry
+
+    def powers(self, n: int):
+        """Yield g^0, g^1, ... as coefficient lists of length n, up to the first zero."""
+        width, table = self._table(n)
+        pn = self.image.pn
+        for t in table:
+            yield kernels.unpack(t, width, n, pn)
+
+    def apply(self, f: TruncSeries, order: int | None = None) -> TruncSeries:
+        """f(g) at the operand's order, or at ``order``; never above g's order.
+
+        The result inherits g's variable tag, like :func:`substitute`.
+        """
+        g = self.image
+        if (f.p, f.N) != (g.p, g.N):
+            raise ProfileMismatch("series over different moduli")
+        n = min(f.order if order is None else order, g.order)
+        width, table = self._table(n)
+        out = kernels.compose_table(f.coeffs, table, width, g.pn, n)
+        return TruncSeries(g.var, g.p, g.N, tuple(out))
 
 
 def _ceil_log(p: int, m: int) -> int:
@@ -253,8 +304,10 @@ def binomial_power(
     mod p^K, which must satisfy K >= N + ceil(log_p order): C(n, k) mod p^N
     for k < order depends only on n mod p^K then.  Coefficient k is the
     binomial C(n, k) of the nonnegative integer representative n, built by the
-    exact integer recurrence C(n, k) = C(n, k-1) * (n-k+1) / k and reduced
-    mod p^N as it is emitted.
+    recurrence C(n, k) = C(n, k-1) * (n-k+1) / k on C(n, k) = p^v * unit:
+    each factor's power of p moves v, and its unit part multiplies (or, by
+    its inverse mod p^N, divides) the unit, so every step is exact mod p^N
+    on small integers.
     """
     if isinstance(c, PScalar):
         if c.p != p:
@@ -272,11 +325,20 @@ def binomial_power(
     if order < 1:
         raise InvalidInput("order must be positive")
     pn = p**N
-    coeffs = [1] * order
-    binom = 1  # C(n, k), exact
-    for k in range(1, order):
-        binom = binom * (n - k + 1) // k
-        coeffs[k] = binom % pn
+    coeffs = [0] * order
+    coeffs[0] = 1
+    unit, v = 1, 0  # C(n, k) = p^v * unit
+    for k in range(1, min(order, n + 1)):
+        num, den = n - k + 1, k
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        unit = unit * num * pow(den, -1, pn) % pn
+        if v < N:
+            coeffs[k] = unit * p**v % pn
     return TruncSeries(var, p, N, tuple(coeffs))
 
 
@@ -358,48 +420,50 @@ def shift_multiply(f: TruncSeries, k: int) -> TruncSeries:
 
 
 def _pi_decompose(
-    f: TruncSeries, pi0_in_pi: TruncSeries, out_order: int | None
+    f: TruncSeries, pi0_in_pi: Substitution, out_order: int | None
 ) -> list[TruncSeries]:
     """Coordinates f = sum_j pi^j f_j(pi0), 0 <= j <= p-2.
 
     Strictly triangular back-substitution along the grading d = j + k(p-1):
     pi^j * pi0_in_pi^k has exact pi-valuation d with unit leading coefficient,
     so each residual coefficient determines one unknown with no division by p.
+    Only residual degrees below (p-1)*out_order are read, so the powers of
+    pi0_in_pi are taken from its table at that order.
     """
     p, pn = f.p, f.pn
     m = f.order
     if out_order is None:
         out_order = (m - p + 1) // (p - 1) + 1
-    d_limit = min(m, (p - 2) + (out_order - 1) * (p - 1) + 1)
-    pows: list[list[int]] = [[1] + [0] * (m - 1)]
-    base = list(pi0_in_pi.coeffs[:m]) + [0] * max(0, m - pi0_in_pi.order)
-    for _ in range(1, out_order):
-        pows.append(kernels.series_mul(pows[-1], base, pn, m))
+    d_limit = min(m, (p - 1) * out_order)
     residual = list(f.coeffs)
     out = [[0] * out_order for _ in range(p - 1)]
-    for d in range(d_limit):
-        k, j = divmod(d, p - 1)
-        if k >= out_order:
-            break
-        if residual[d] == 0:
-            continue
-        lead = pows[k][k * (p - 1)]
-        c = (residual[d] * pow(lead, -1, pn)) % pn
-        out[j][k] = c
-        pk = pows[k]
-        for s in range(k * (p - 1), m - j):
-            if pk[s]:
-                residual[j + s] = (residual[j + s] - c * pk[s]) % pn
+    # degree d = k(p-1) + j is solved with the k-th power; one is unpacked
+    # at a time
+    for k, pk in enumerate(pi0_in_pi.powers(d_limit)):
+        for j in range(p - 1):
+            d = k * (p - 1) + j
+            if d >= d_limit:
+                break
+            if residual[d] == 0:
+                continue
+            c = (residual[d] * pow(pk[k * (p - 1)], -1, pn)) % pn
+            out[j][k] = c
+            for s in range(k * (p - 1), d_limit - j):
+                if pk[s]:
+                    residual[j + s] = (residual[j + s] - c * pk[s]) % pn
     return [TruncSeries(PI0, f.p, f.N, tuple(row)) for row in out]
 
 
 def change_coordinates(
     f: TruncSeries,
     direction: str,
-    pi0_in_pi: TruncSeries,
+    pi0_in_pi: TruncSeries | Substitution,
     out_order: int | None = None,
 ):
     """Coordinate change between the pi and pi0 descriptions.
+
+    ``pi0_in_pi`` is the coordinate series, or a :class:`Substitution` of it
+    whose power tables are then shared across calls.
 
     * PI0_TO_PI: substitute pi0_in_pi into a pi0-series; returns a pi-series.
     * PI_TO_PI0: returns the full record (f_0, ..., f_{p-2}) of pi0-series
@@ -407,12 +471,14 @@ def change_coordinates(
     * PI_TO_PI0_PURE: asserts f_j = 0 for j >= 1 and returns f_0, raising
       NotInS0 otherwise.
     """
+    if not isinstance(pi0_in_pi, Substitution):
+        pi0_in_pi = Substitution(pi0_in_pi)
     if direction == PI0_TO_PI:
         if f.var != PI0:
             raise VariableMismatch("expected a pi0-series")
-        if pi0_in_pi.var != PI:
+        if pi0_in_pi.image.var != PI:
             raise VariableMismatch("pi0_in_pi must be a pi-series")
-        return substitute(f, pi0_in_pi)
+        return pi0_in_pi.apply(f, pi0_in_pi.image.order)
     if direction in (PI_TO_PI0, PI_TO_PI0_PURE):
         if f.var != PI:
             raise VariableMismatch("expected a pi-series")

@@ -45,6 +45,7 @@ from .flmod import FLModule, LatticeSub, require_valid
 from .padic import PMatrix, matrix_inverse_mod, pval
 from .series import (
     PI0,
+    Substitution,
     TruncSeries,
     constant_series,
     series_add,
@@ -53,7 +54,6 @@ from .series import (
     series_sub,
     shift_divide_exact,
     shift_multiply,
-    substitute,
     weierstrass_divide_exact,
     weierstrass_divide_q_power,
     zero_series,
@@ -134,6 +134,15 @@ def smat_scalar_right(X: SeriesMat, A: PMatrix) -> SeriesMat:
 
 def smat_map(X: SeriesMat, fn) -> SeriesMat:
     return smat([[fn(e) for e in row] for row in X])
+
+
+def smat_substitute(
+    X: SeriesMat, sub: Substitution, window: int | None = None
+) -> SeriesMat:
+    """Apply a context image entrywise, at each entry's order (at most window)."""
+    if window is None:
+        return smat_map(X, sub.apply)
+    return smat_map(X, lambda e: sub.apply(e, min(e.order, window)))
 
 
 def smat_truncate(X: SeriesMat, order: int) -> SeriesMat:
@@ -295,7 +304,7 @@ def _gamma_stepper(weights: tuple[int, ...], A: PMatrix, ctx: CycloContext):
     def step(G: SeriesMat) -> SeriesMat:
         delta = smat_sub(G, ident)
         E = smat_map(
-            smat_map(delta, lambda e: substitute(e, work.phi_pi0)),
+            smat_substitute(delta, ctx.phi_sub),
             lambda e: _extract_phi_factor(e, p),
         )
         # T_{ij} = q^(r_i) * E_{ij} * q^(p-1-r_j) v^(-r_j)
@@ -371,19 +380,13 @@ def solve_gamma_matrix(
     return G_out, iterations
 
 
-def _gamma_of_smat(X: SeriesMat, ctx: CycloContext) -> SeriesMat:
-    g = ctx.gamma_pi0
-    return smat_map(X, lambda e: substitute(e, g.truncate(min(e.order, g.order))))
-
-
-def _phi_of_smat(X: SeriesMat, ctx: CycloContext) -> SeriesMat:
-    f = ctx.phi_pi0
-    return smat_map(X, lambda e: substitute(e, f.truncate(min(e.order, f.order))))
-
-
 def commutation_residual(C: SeriesMat, G: SeriesMat, ctx: CycloContext) -> SeriesMat:
     """C*phi(G) - G*gamma(C) at the common window."""
-    return smat_sub(smat_mul(C, _phi_of_smat(G, ctx)), smat_mul(G, _gamma_of_smat(C, ctx)))
+    window = ctx.profile.M_pi0
+    return smat_sub(
+        smat_mul(C, smat_substitute(G, ctx.phi_sub, window)),
+        smat_mul(G, smat_substitute(C, ctx.gamma_sub, window)),
+    )
 
 
 def _assert_solution(C: SeriesMat, G: SeriesMat, ctx: CycloContext) -> None:

@@ -1,9 +1,10 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library code paths they check: kernels are
-enumerated exhaustively, series products are recomputed by schoolbook
-convolution on plain ints, and lattice membership is decided by plain
-Z/p^N linear algebra on stacked coefficient vectors.
+enumerated exhaustively, series products and compositions are recomputed by
+schoolbook convolution and Horner's rule on plain ints, and lattice
+membership is decided by plain Z/p^N linear algebra on stacked coefficient
+vectors.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ def schoolbook_mul(a: list[int], b: list[int], pn: int, out_len: int) -> list[in
         for j, bj in enumerate(b):
             if i + j < out_len:
                 out[i + j] = (out[i + j] + ai * bj) % pn
+    return out
+
+
+def horner_compose(f: list[int], g: list[int], pn: int, out_len: int) -> list[int]:
+    """f(g(X)) truncated to out_len by Horner's rule on schoolbook products."""
+    out = [0] * out_len
+    for c in reversed(f):
+        out = schoolbook_mul(out, g[:out_len], pn, out_len)
+        if out_len:
+            out[0] = (out[0] + c) % pn
     return out
 
 

@@ -2,8 +2,7 @@
 
 Every comparison is exact equality of canonical residues at the user window
 (p^16, pi0^16) unless a criterion states otherwise.  Randomized inputs are
-seeded; the timing budgets hold on the pure-Python kernels, with no compiled
-extension.
+seeded; the timing budgets hold on the packed big-integer kernels.
 
 Run with `pytest tests/test_acceptance.py -v -s`.
 """

@@ -90,14 +90,14 @@ class TestUnitIdentities:
         # phi(pi) and gamma(pi) gives the same images
         ctx = contexts[p]
         w = ctx.work
-        window = (p - 1) * w.M_pi0  # pi-degrees an order-M_pi0 pi0-series fixes
+        earned = (p - 1) * w.M_pi0  # pi-degrees an order-M_pi0 pi0-series fixes
         for image, op_pi in ((w.phi_pi0, w.phi_pi), (w.gamma_pi0, w.gamma_pi)):
             composed = substitute(w.pi0_in_pi, op_pi)
             pure = change_coordinates(
                 composed, PI_TO_PI0_PURE, w.pi0_in_pi, out_order=w.M_pi0
             )
             assert pure == image
-            assert push_to_pi(ctx, image).truncate(window) == composed.truncate(window)
+            assert push_to_pi(ctx, image) == composed.truncate(earned)
 
     def test_images_vanish_mod_pi0(self, contexts):
         for ctx in contexts.values():

@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 from oracles import lattice_membership_oracle
-from wachkit.cyclo import get_context
+from wachkit.cyclo import build_context, get_context
 from wachkit.errors import NoConvergence, SingularBasis, ValidationFailed
 from wachkit.flmod import LatticeSub, make_fl, unit_fl
 from wachkit.padic import PMatrix
@@ -156,9 +157,9 @@ class TestSolver:
             m = make_fl(p, 16, (0, p - 2), random_unit_matrix(rng, 2, p, 16))
             w = solve_wach(m, ctx)
             w2 = solve_wach(m, ctx2)
-            from wachkit.wach import _gamma_of_smat, smat_mul
+            from wachkit.wach import smat_mul, smat_substitute
 
-            expected = smat_mul(w.G, _gamma_of_smat(w.G, ctx))
+            expected = smat_mul(w.G, smat_substitute(w.G, ctx.gamma_sub))
             assert smat_eq(w2.G, expected)
 
 
@@ -305,3 +306,15 @@ class TestLatticeStability:
             check_lattice_stability(
                 w, LatticeSub(1, PMatrix(1, 1, (3,), 3, 16), (0,))
             )
+
+
+class TestLargePrime:
+    def test_p17_bootstrap_solve_verify(self):
+        # 17^16 >= 2^63: the first prime whose coefficients outgrow a machine word
+        t0 = time.perf_counter()
+        ctx = build_context(17)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 10.0, f"p = 17 bootstrap took {elapsed:.2f}s"
+        m = make_fl(17, 16, (0, 15), random_unit_matrix(random.Random(17), 2, 17, 16))
+        w = solve_wach(m, ctx)
+        assert verify_wach_axioms(w).ok
