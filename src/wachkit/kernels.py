@@ -11,16 +11,25 @@ Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44 (2009), and Brent & Kung, "Fast
 algorithms for manipulating formal power series", J. ACM 25 (1978), for the
 power-table substitution.
+
+Series matrices are nested lists of coefficient lists.  Their products and
+scalar combinations are accumulated on the packed entries, so an output
+entry costs one unpack however many terms it sums.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 _from_bytes = int.from_bytes
 
 
-def slot_width(pn: int, n: int) -> int:
-    """Bytes per slot: 2*bitlen(pn) + bitlen(n) + 1 bits, rounded up."""
-    return (2 * pn.bit_length() + n.bit_length() + 8) // 8
+def slot_width(pn: int, n: int, factors: int = 2) -> int:
+    """Bytes per slot holding a sum of n products of `factors` residues mod pn.
+
+    That is factors*bitlen(pn) + bitlen(n) + 1 bits, rounded up.
+    """
+    return (factors * pn.bit_length() + n.bit_length() + 8) // 8
 
 
 def pack(coeffs, width: int) -> int:
@@ -89,3 +98,33 @@ def compose_table(f, table: list[int], width: int, pn: int, n: int) -> list[int]
     """f(g) truncated at order n from g's power table at order n."""
     # a generator, not a list: one product of n slots is alive at a time
     return unpack(sum(c * t for c, t in zip(f, table) if c), width, n, pn)
+
+
+def mat_mul(X, Y, pn: int, n: int) -> list[list[list[int]]]:
+    """(X*Y)_ij = sum_k X_ik * Y_kj truncated to n, for series matrices.
+
+    Every operand is packed once, each output entry sums its packed products
+    and is unpacked once: d^2 unpacks for a d x d product instead of d^3.
+    """
+    width = slot_width(pn, len(Y) * n)
+    Xp = [[pack(e[:n], width) for e in row] for row in X]
+    cols = list(zip(*[[pack(e[:n], width) for e in row] for row in Y]))
+    return [[unpack(sum(map(mul, xr, col)), width, n, pn) for col in cols] for xr in Xp]
+
+
+def sandwich_coeffs(A, B, pn: int) -> list[list[list[int]]]:
+    """c with (A*T*B)_ij = sum_(k,l) c[i][j][k*m+l] * T_kl, for scalar A, B.
+
+    A and B are nested lists of residues, T has len(B) = m columns and its
+    entries are flattened row-major; c[i][j][k*m+l] = A_ik * B_lj mod pn.
+    """
+    m = len(B)
+    return [
+        [[a * B[l][j] % pn for a in row for l in range(m)] for j in range(len(B[0]))]
+        for row in A
+    ]
+
+
+def combine(coeffs, packed) -> int:
+    """sum_k coeffs[k] * packed[k] on packed entries, skipping zero scalars."""
+    return sum([c * t for c, t in zip(coeffs, packed) if c])

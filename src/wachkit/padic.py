@@ -17,12 +17,39 @@ The linear algebra is what a local PIR Z/p^N supports exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidInput, NonUnit, ProfileMismatch, SingularModP
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@lru_cache(maxsize=64)
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve primes: exact for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def _check_modulus(p: int, N: int) -> None:
-    if p < 3 or N < 1:
+    if p < 3 or N < 1 or not _is_prime(p):
         raise InvalidInput(f"need an odd prime p >= 3 and N >= 1, got p={p}, N={N}")
 
 
@@ -105,11 +132,6 @@ def teichmueller_lift(a: int, p: int, N: int) -> PScalar:
             return PScalar(x, p, N)
         x = y
     raise AssertionError("Teichmueller iteration failed to stabilize in N steps")
-
-
-def teichmueller_lifts(p: int, N: int) -> tuple[int, ...]:
-    """All lifts omega_a for a = 1..p-1, as plain residues."""
-    return tuple(teichmueller_lift(a, p, N).value for a in range(1, p))
 
 
 @dataclass(frozen=True)

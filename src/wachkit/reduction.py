@@ -3,9 +3,11 @@
 The reduction functor sends a solved module to its constant coefficients
 (C0, G0 = Id).  The filtration of the reduction is recovered from the
 q-divisibility conditions: x lies in Fil^r iff some lift x + sum pi0^k y_k
-has phi-image divisible by q^r, which is a linear system over Z/p^N in
-(x, y) solved by the Howell kernel; the divided Frobenius on Fil^r is the
-constant term of the exact quotient by (X+p)^r.
+has phi-image divisible by q^r.  A term pi0^k y_k (k >= 1) adds
+C*phi(pi0)^k*y_k = C*u^k*pi0^k*q^(k(p-1))*y_k, which q^r divides for every
+r <= p-1, so the condition is that q^r divides C*x: a linear system over
+Z/p^N in x alone, solved by the Howell kernel.  The divided Frobenius on
+Fil^r is the constant term of the exact quotient by (X+p)^r.
 
 normalize_basis is the recognition recursion: given C_pert = A*Q + pi0*(...)
 presenting a module isomorphic to the target, it finds the base change
@@ -22,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import kernels
 from .cyclo import CycloContext
 from .errors import (
     AxiomViolation,
@@ -29,12 +32,15 @@ from .errors import (
     NoConvergence,
     NotCongruent,
     PrecisionExhausted,
+    WachkitError,
 )
 from .flmod import FLModule, require_valid, validate_fl
 from .padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval
 from .series import (
     PI0,
     TruncSeries,
+    lists_to_smat,
+    q_divide_exact,
     series_add,
     series_multiply,
     series_scale,
@@ -55,7 +61,6 @@ from .wach import (
     smat_is_zero,
     smat_map,
     smat_mul,
-    smat_scalar_right,
     smat_sub,
     smat_substitute,
     smat_truncate,
@@ -91,47 +96,31 @@ def reduce_mod_pi0(w: WachModule) -> tuple[PMatrix, PMatrix]:
     return C0, G0
 
 
-def _phi_pi0_powers(ctx: CycloContext, up_to: int) -> list[TruncSeries]:
-    f = ctx.work.phi_pi0
-    pows = [TruncSeries(PI0, ctx.p, ctx.N, (1,) + (0,) * (f.order - 1))]
-    for _ in range(up_to):
-        pows.append(series_multiply(pows[-1], f))
-    return pows
-
-
 def _fil_lattice(w: WachModule, r: int) -> PMatrix:
     """Canonical generators of Fil^r as rows of a Howell form.
 
-    The condition entries are evaluated at the guard order (module entries
-    are exact polynomials on the user window, so zero-padding is exact);
-    at the user window the canonical division junk would pollute the
-    Weierstrass remainders mod p^N and fake near-p^N kernel vectors.
+    Row i2*r + t of the system is the coefficient of (X+p)^t in the
+    Weierstrass remainder of (C*x)_i2 by q^r, linear in the unknowns x (the
+    module docstring says why the lift terms y_k drop out).  The remainders
+    are taken at the guard order (module entries are exact polynomials on
+    the user window, so zero-padding is exact); at the user window the
+    canonical division junk would pollute them mod p^N and fake near-p^N
+    kernel vectors.
     """
     ctx = w.ctx
     p, N = ctx.p, ctx.N
     d = w.rank
-    M0 = ctx.profile.M_pi0
     mw = ctx.work.M_pi0
     if r == 0:
         return PMatrix.identity(d, p, N)
-    phi_pows = _phi_pi0_powers(ctx, M0 - 1)
-    # unknowns: x_0..x_{d-1}, then y_{k,i} for k = 1..M0-1
-    cols = d * M0
-    rows: list[list[int]] = [[0] * cols for _ in range(r * d)]
+    rows: list[list[int]] = [[0] * d for _ in range(r * d)]
     for i2 in range(d):  # ambient coordinate
         for i in range(d):  # unknown index
-            base = _pad(w.C[i2][i], mw)
-            _, rem = weierstrass_divide_q_power(base, r)
+            _, rem = weierstrass_divide_q_power(_pad(w.C[i2][i], mw), r)
             for t in range(r):
                 rows[i2 * r + t][i] = rem[t]
-            for k in range(1, M0):
-                prod = series_multiply(base, phi_pows[k])
-                _, rem = weierstrass_divide_q_power(prod, r)
-                for t in range(r):
-                    rows[i2 * r + t][k * d + i] = rem[t]
-    system = PMatrix.from_lists(rows, p, N)
-    kern = howell_kernel(system)
-    xs = [list(kern.row(i)[:d]) for i in range(kern.rows)]
+    kern = howell_kernel(PMatrix.from_lists(rows, p, N))
+    xs = [list(kern.row(i)) for i in range(kern.rows)]
     xs = [row for row in xs if any(row)]
     if not xs:
         return PMatrix(0, d, (), p, N)
@@ -297,31 +286,34 @@ def normalize_basis(
             for i in range(d)
         ]
     )
-    Ainv = matrix_inverse_mod(A)
     uq = series_multiply(work.u, qpow[p - 1])
-
     delta = smat_map(smat_sub(Cp, AQ), lambda e: _pad(shift_divide_exact(e, 1), mw))
 
-    Cm = smat_map(smat_identity(d, p, N, mw), lambda e: series_scale(e, 0))
-    prev_window = smat_truncate(Cm, t_order)
+    # The loop runs on coefficient lists.  S = delta + u*q^(p-1)*Cp*phi(Cm)
+    # lives at u's order n; u*q^(p-1) is folded into Cp once, so S is one
+    # packed matrix product.  Cm = S*Q^(-1)*A^(-1) at the guard order.
+    n = uq.order
+    pn = ctx.pn
+    CpU = [[kernels.series_mul(uq.coeffs, e.coeffs, pn, n) for e in row] for row in Cp]
+    delta_l = [[e.coeffs[:n] for e in row] for row in delta]
+    ident = PMatrix.identity(d, p, N).to_lists()
+    right = kernels.sandwich_coeffs(ident, matrix_inverse_mod(A).to_lists(), pn)
+    width = kernels.slot_width(pn, d * d)
+    compose = ctx.phi_sub.compose
+
+    Cm = [[[0] * mw for _ in range(d)] for _ in range(d)]
+    prev_window = [[e[:t_order] for e in row] for row in Cm]
     for _ in range(max_iter):
-        phiCm = smat_substitute(Cm, ctx.phi_sub)
-        S = smat_mul(Cp, phiCm)
-        S = smat_map(S, lambda e: series_multiply(uq, e))
-        S = smat_add(delta, S)
-        # multiply by Q^(-1) (exact column divisions), then by A^(-1)
-        S = smat(
-            [
-                [
-                    _pad(weierstrass_divide_exact(S[i][j], weights[j]), mw)
-                    for j in range(d)
-                ]
-                for i in range(d)
-            ]
-        )
-        Cm = smat_scalar_right(S, Ainv)
-        cur_window = smat_truncate(Cm, t_order)
-        if smat_eq(cur_window, prev_window):
+        S = kernels.mat_mul(CpU, [[compose(e, n) for e in row] for row in Cm], pn, n)
+        packed = []
+        for drow, srow in zip(delta_l, S):
+            for r, a, b in zip(weights, drow, srow):
+                # Q^(-1): the exact division of column j by q^(r_j)
+                quot = q_divide_exact([(x + y) % pn for x, y in zip(a, b)], p, pn, r)
+                packed.append(kernels.pack(quot, width))
+        Cm = [[kernels.unpack(kernels.combine(c, packed), width, mw, pn) for c in row] for row in right]
+        cur_window = [[e[:t_order] for e in row] for row in Cm]
+        if cur_window == prev_window:
             break
         prev_window = cur_window
     else:
@@ -329,7 +321,7 @@ def normalize_basis(
 
     P = smat_add(
         smat_identity(d, p, N, t_order),
-        smat_map(cur_window, lambda e: shift_multiply(e, 1).truncate(t_order)),
+        lists_to_smat(PI0, p, N, [[[0] + e[: t_order - 1] for e in row] for row in cur_window]),
     )
     # certify the residual on the user window: C_pert*phi(P) = P*A*Q
     residual = smat_sub(
@@ -477,7 +469,7 @@ def roundtrip_check(
         P = normalize_basis(C_pert, m, ctx)
         norm_ok = True
         detail = ""
-    except Exception as exc:  # report, don't raise: this is a check
+    except WachkitError as exc:  # report, don't raise: this is a check
         norm_ok, detail = False, f"{type(exc).__name__}: {exc}"
     checks.append(("normalize", norm_ok, detail))
 

@@ -38,6 +38,9 @@ from .padic import PScalar, _check_modulus
 PI = "pi"
 PI0 = "pi0"
 
+_new = object.__new__
+_set = object.__setattr__
+
 PI0_TO_PI = "pi0_to_pi"
 PI_TO_PI0 = "pi_to_pi0"
 PI_TO_PI0_PURE = "pi_to_pi0_pure"
@@ -96,6 +99,20 @@ class TruncSeries:
         pn = self.p**self.N
         object.__setattr__(self, "coeffs", tuple([c % pn for c in self.coeffs]))
 
+    @classmethod
+    def _trusted(cls, var: str, p: int, N: int, coeffs: tuple[int, ...]) -> "TruncSeries":
+        """A series whose tag is known and whose coefficients are canonical.
+
+        Skips the reduction of the public constructor, for results the
+        library computed itself; untrusted data goes through ``TruncSeries``.
+        """
+        self = _new(cls)
+        _set(self, "var", var)
+        _set(self, "p", p)
+        _set(self, "N", N)
+        _set(self, "coeffs", coeffs)
+        return self
+
     @property
     def order(self) -> int:
         return len(self.coeffs)
@@ -119,7 +136,7 @@ class TruncSeries:
     def truncate(self, order: int) -> "TruncSeries":
         if order > len(self.coeffs):
             raise InvalidInput("cannot extend a series' valid order")
-        return TruncSeries(self.var, self.p, self.N, self.coeffs[:order])
+        return TruncSeries._trusted(self.var, self.p, self.N, self.coeffs[:order])
 
     def scalar(self, k: int) -> PScalar:
         return PScalar(self.coeff(k), self.p, self.N)
@@ -144,6 +161,11 @@ def constant_series(var: str, c: int, p: int, N: int, order: int) -> TruncSeries
     return TruncSeries(var, p, N, (c,) + (0,) * (order - 1))
 
 
+def lists_to_smat(var: str, p: int, N: int, X) -> tuple[tuple[TruncSeries, ...], ...]:
+    """Series matrix from nested lists of canonical coefficient lists."""
+    return tuple(tuple(TruncSeries._trusted(var, p, N, tuple(e)) for e in row) for row in X)
+
+
 def x_series(var: str, p: int, N: int, order: int) -> TruncSeries:
     coeffs = [0] * order
     if order > 1:
@@ -153,16 +175,23 @@ def x_series(var: str, p: int, N: int, order: int) -> TruncSeries:
 
 def series_add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     _same_ring(f, g)
-    return TruncSeries(f.var, f.p, f.N, tuple([a + b for a, b in zip(f.coeffs, g.coeffs)]))
+    pn = f.pn
+    return TruncSeries._trusted(
+        f.var, f.p, f.N, tuple([(a + b) % pn for a, b in zip(f.coeffs, g.coeffs)])
+    )
 
 
 def series_sub(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     _same_ring(f, g)
-    return TruncSeries(f.var, f.p, f.N, tuple([a - b for a, b in zip(f.coeffs, g.coeffs)]))
+    pn = f.pn
+    return TruncSeries._trusted(
+        f.var, f.p, f.N, tuple([(a - b) % pn for a, b in zip(f.coeffs, g.coeffs)])
+    )
 
 
 def series_scale(f: TruncSeries, c: int) -> TruncSeries:
-    return TruncSeries(f.var, f.p, f.N, tuple([c * x for x in f.coeffs]))
+    pn = f.pn
+    return TruncSeries._trusted(f.var, f.p, f.N, tuple([c * x % pn for x in f.coeffs]))
 
 
 def series_multiply(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -170,7 +199,7 @@ def series_multiply(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     _same_ring(f, g)
     n = min(f.order, g.order)
     out = kernels.series_mul(f.coeffs, g.coeffs, f.pn, n)
-    return TruncSeries(f.var, f.p, f.N, tuple(out))
+    return TruncSeries._trusted(f.var, f.p, f.N, tuple(out))
 
 
 def series_pow(f: TruncSeries, e: int) -> TruncSeries:
@@ -202,7 +231,7 @@ def series_invert_unit(f: TruncSeries) -> TruncSeries:
             if fi:
                 acc += fi * out[k - i]
         out[k] = (-inv0 * acc) % pn
-    return TruncSeries(f.var, f.p, f.N, tuple(out))
+    return TruncSeries._trusted(f.var, f.p, f.N, tuple(out))
 
 
 def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -212,7 +241,7 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
         raise NonzeroConstant("substitution argument has nonzero constant term")
     n = min(f.order, g.order)
     out = kernels.series_compose(f.coeffs[:n], g.coeffs, f.pn, n)
-    return TruncSeries(f.var, f.p, f.N, tuple(out))
+    return TruncSeries._trusted(f.var, f.p, f.N, tuple(out))
 
 
 def substitute(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -227,7 +256,7 @@ def substitute(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     if g.constant_term() != 0:
         raise NonzeroConstant("substitution argument has nonzero constant term")
     out = kernels.series_compose(f.coeffs, g.coeffs, f.pn, g.order)
-    return TruncSeries(g.var, g.p, g.N, tuple(out))
+    return TruncSeries._trusted(g.var, g.p, g.N, tuple(out))
 
 
 # Power tables kept per image.  The library's own calls ask an image for at
@@ -273,6 +302,11 @@ class Substitution:
         for t in table:
             yield kernels.unpack(t, width, n, pn)
 
+    def compose(self, coeffs, n: int) -> list[int]:
+        """f(g) truncated at order n <= g's order, for a coefficient list f."""
+        width, table = self._table(n)
+        return kernels.compose_table(coeffs, table, width, self.image.pn, n)
+
     def apply(self, f: TruncSeries, order: int | None = None) -> TruncSeries:
         """f(g) at the operand's order, or at ``order``; never above g's order.
 
@@ -282,9 +316,7 @@ class Substitution:
         if (f.p, f.N) != (g.p, g.N):
             raise ProfileMismatch("series over different moduli")
         n = min(f.order if order is None else order, g.order)
-        width, table = self._table(n)
-        out = kernels.compose_table(f.coeffs, table, width, g.pn, n)
-        return TruncSeries(g.var, g.p, g.N, tuple(out))
+        return TruncSeries._trusted(g.var, g.p, g.N, tuple(self.compose(f.coeffs, n)))
 
 
 def _ceil_log(p: int, m: int) -> int:
@@ -360,6 +392,47 @@ def _divmod_linear(f: list[int], p_const: int, pn: int) -> tuple[list[int], int]
     return q, r
 
 
+def _q_divide(coeffs: list[int], p: int, pn: int, r: int) -> tuple[list[int], list[int]]:
+    """Quotient by (X + p)^r and the r stage remainders, by r linear divisions."""
+    stages: list[int] = []
+    for _ in range(r):
+        coeffs, c = _divmod_linear(coeffs, p, pn)
+        stages.append(c)
+    return coeffs, stages
+
+
+def _q_remainder(stages: list[int], p: int, pn: int, r: int) -> tuple[int, ...]:
+    """The remainder sum_i c_i * (X+p)^(i-1) of the stages, expanded to degree < r."""
+    rem = [0] * r
+    basis = [1] + [0] * max(0, r - 1)
+    for c in stages:
+        if c:
+            for t in range(r):
+                rem[t] = (rem[t] + c * basis[t]) % pn
+        # multiply basis by (X+p)
+        nxt = [0] * r
+        for t in range(r):
+            if basis[t]:
+                nxt[t] = (nxt[t] + p * basis[t]) % pn
+                if t + 1 < r:
+                    nxt[t + 1] = (nxt[t + 1] + basis[t]) % pn
+        basis = nxt
+    return tuple(rem)
+
+
+def q_divide_exact(coeffs: list[int], p: int, pn: int, r: int) -> list[int]:
+    """Quotient of a canonical coefficient list by (X+p)^r, which must divide it.
+
+    The remainder vanishes iff every stage remainder does, since the
+    (X+p)^(i-1) are monic of distinct degrees; NotDivisible otherwise.
+    """
+    quot, stages = _q_divide(coeffs, p, pn, r)
+    if any(stages):
+        rem = _q_remainder(stages, p, pn, r)
+        raise NotDivisible(f"nonzero remainder {rem} dividing by (X+p)^{r}")
+    return quot
+
+
 def weierstrass_divide_q_power(
     f: TruncSeries, r: int
 ) -> tuple[TruncSeries, tuple[int, ...]]:
@@ -373,28 +446,9 @@ def weierstrass_divide_q_power(
         raise VariableMismatch("Weierstrass division expects a pi0-series")
     if r < 0 or r > f.order:
         raise InvalidInput("division exponent out of range")
-    pn = f.pn
-    cur = list(f.coeffs)
-    rem_stages: list[int] = []
-    for _ in range(r):
-        cur, c = _divmod_linear(cur, f.p, pn)
-        rem_stages.append(c)
-    # remainder = sum of c_i * (X+p)^(i-1), expanded to degree < r
-    rem = [0] * r
-    basis = [1] + [0] * max(0, r - 1)
-    for c in rem_stages:
-        if c:
-            for t in range(r):
-                rem[t] = (rem[t] + c * basis[t]) % pn
-        # multiply basis by (X+p)
-        nxt = [0] * r
-        for t in range(r):
-            if basis[t]:
-                nxt[t] = (nxt[t] + f.p * basis[t]) % pn
-                if t + 1 < r:
-                    nxt[t + 1] = (nxt[t + 1] + basis[t]) % pn
-        basis = nxt
-    return TruncSeries(PI0, f.p, f.N, tuple(cur)), tuple(rem)
+    quot, stages = _q_divide(list(f.coeffs), f.p, f.pn, r)
+    rem = _q_remainder(stages, f.p, f.pn, r)
+    return TruncSeries._trusted(PI0, f.p, f.N, tuple(quot)), rem
 
 
 def weierstrass_divide_exact(f: TruncSeries, r: int) -> TruncSeries:
@@ -411,12 +465,12 @@ def shift_divide_exact(f: TruncSeries, k: int) -> TruncSeries:
         raise InvalidInput("shift out of range")
     if any(f.coeffs[:k]):
         raise NotDivisible("low coefficients are nonzero")
-    return TruncSeries(f.var, f.p, f.N, f.coeffs[k:])
+    return TruncSeries._trusted(f.var, f.p, f.N, f.coeffs[k:])
 
 
 def shift_multiply(f: TruncSeries, k: int) -> TruncSeries:
     """Multiply by X^k; the valid order grows by k (coefficients are known)."""
-    return TruncSeries(f.var, f.p, f.N, (0,) * k + f.coeffs)
+    return TruncSeries._trusted(f.var, f.p, f.N, (0,) * k + f.coeffs)
 
 
 def _pi_decompose(
@@ -451,7 +505,7 @@ def _pi_decompose(
             for s in range(k * (p - 1), d_limit - j):
                 if pk[s]:
                     residual[j + s] = (residual[j + s] - c * pk[s]) % pn
-    return [TruncSeries(PI0, f.p, f.N, tuple(row)) for row in out]
+    return [TruncSeries._trusted(PI0, f.p, f.N, tuple(row)) for row in out]
 
 
 def change_coordinates(

@@ -16,8 +16,9 @@ phi(pi0) = u*pi0*q^(p-1)),
 where v = gamma(q)/q.  Every intermediate stays integral because
 p-1-r_j >= 1 for weights <= p-2.
 
-Precision: the iteration runs at the context's guard order and stops when two
-successive iterates agree on the user window.  Successive differences
+Precision: the iteration runs at the context's guard order, less the one
+order that v^(-1) lacks, and stops when two successive iterates agree on the
+user window.  Successive differences
 contract strictly in the (p, pi0)-adic filtration (the weighted valuation
 min_k (k + v_p(coeff_k)) grows by at least one per step, by the column
 factors q^(p-1-r_j)), so the window stabilizes on the truncation of the true
@@ -31,12 +32,15 @@ C*phi(G) - G*gamma(C) vanishes identically there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
+from . import kernels
 from .cyclo import CycloContext, is_gamma_f_invariant, push_to_pi
 from .errors import (
     AxiomViolation,
     InvalidInput,
     NoConvergence,
+    NotDivisible,
     SingularBasis,
     SingularModP,
     ValidationFailed,
@@ -47,14 +51,14 @@ from .series import (
     PI0,
     Substitution,
     TruncSeries,
+    _same_ring,
     constant_series,
+    lists_to_smat,
+    q_divide_exact,
     series_add,
     series_multiply,
     series_scale,
     series_sub,
-    shift_divide_exact,
-    shift_multiply,
-    weierstrass_divide_exact,
     weierstrass_divide_q_power,
     zero_series,
 )
@@ -88,48 +92,44 @@ def smat_sub(X: SeriesMat, Y: SeriesMat) -> SeriesMat:
 
 
 def smat_mul(X: SeriesMat, Y: SeriesMat) -> SeriesMat:
-    d, m, n = len(X), len(Y), len(Y[0])
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(m):
-                term = series_multiply(X[i][k], Y[k][j])
-                acc = term if acc is None else series_add(acc, term)
-            row.append(acc)
-        out.append(row)
-    return smat(out)
+    """X*Y; entry (i, j) has the shortest order among the X_ik and Y_kj."""
+    ref = X[0][0]
+    for e in (e for M in (X, Y) for row in M for e in row):
+        _same_ring(ref, e)
+    orders = [
+        [min(min(x.order, Y[k][j].order) for k, x in enumerate(row)) for j in range(len(Y[0]))]
+        for row in X
+    ]
+    # one packed product at the largest order: the low slots of an entry
+    # only read operand coefficients below its own order
+    out = kernels.mat_mul(
+        [[e.coeffs for e in row] for row in X],
+        [[e.coeffs for e in row] for row in Y],
+        ref.pn,
+        max(max(row) for row in orders),
+    )
+    return smat(
+        [
+            [TruncSeries._trusted(ref.var, ref.p, ref.N, tuple(e[:n])) for e, n in zip(r, o)]
+            for r, o in zip(out, orders)
+        ]
+    )
 
 
-def smat_scalar_left(A: PMatrix, X: SeriesMat) -> SeriesMat:
-    out = []
-    for i in range(A.rows):
-        row = []
-        for j in range(len(X[0])):
-            acc = zero_series(X[0][0].var, X[0][0].p, X[0][0].N, X[0][0].order)
-            for k in range(A.cols):
-                a = A.at(i, k)
-                if a:
-                    acc = series_add(acc, series_scale(X[k][j], a))
-            row.append(acc)
-        out.append(row)
-    return smat(out)
-
-
-def smat_scalar_right(X: SeriesMat, A: PMatrix) -> SeriesMat:
-    out = []
-    for i in range(len(X)):
-        row = []
-        for j in range(A.cols):
-            acc = zero_series(X[0][0].var, X[0][0].p, X[0][0].N, X[0][0].order)
-            for k in range(A.rows):
-                a = A.at(k, j)
-                if a:
-                    acc = series_add(acc, series_scale(X[i][k], a))
-            row.append(acc)
-        out.append(row)
-    return smat(out)
+def smat_scalar_sandwich(A: PMatrix, X: SeriesMat, B: PMatrix) -> SeriesMat:
+    """A*X*B for scalar matrices A, B, at the shortest order among X's entries."""
+    ref = X[0][0]
+    pn = ref.pn
+    n = min(e.order for row in X for e in row)
+    width = kernels.slot_width(pn, len(X) * len(X[0]))
+    packed = [kernels.pack(e.coeffs[:n], width) for row in X for e in row]
+    coeffs = kernels.sandwich_coeffs(A.to_lists(), B.to_lists(), pn)
+    return lists_to_smat(
+        ref.var,
+        ref.p,
+        ref.N,
+        [[kernels.unpack(kernels.combine(c, packed), width, n, pn) for c in row] for row in coeffs],
+    )
 
 
 def smat_map(X: SeriesMat, fn) -> SeriesMat:
@@ -192,7 +192,7 @@ def smat_is_zero(X: SeriesMat) -> bool:
 def _pad(f: TruncSeries, order: int) -> TruncSeries:
     if f.order >= order:
         return f.truncate(order)
-    return TruncSeries(f.var, f.p, f.N, f.coeffs + (0,) * (order - f.order))
+    return TruncSeries._trusted(f.var, f.p, f.N, f.coeffs + (0,) * (order - f.order))
 
 
 def smat_det(X: SeriesMat) -> TruncSeries:
@@ -259,70 +259,70 @@ def build_phi_matrix(m: FLModule, ctx: CycloContext) -> SeriesMat:
     return smat(rows)
 
 
-def _extract_phi_factor(f: TruncSeries, p: int) -> TruncSeries:
-    """phi(Delta)-entry divided by pi0*q^(p-1), padded back to its window."""
-    order = f.order
-    out = weierstrass_divide_exact(shift_divide_exact(f, 1), p - 1)
-    return _pad(out, order)
-
-
 def _gamma_stepper(weights: tuple[int, ...], A: PMatrix, ctx: CycloContext):
-    """One update of the fixed-point iteration, at the guard order.
+    """One update of the fixed-point iteration, on coefficient lists.
 
-    Returns (step, identity) where step(G) = A*diag(v^-r)*A^-1
-    + pi0*A*Q*E(G)*diag(q^(p-1-r_j) v^-r_j)*A^-1.
+    Returns (step, identity).  Both work on d x d nested lists of canonical
+    coefficient lists at the working order n = min(guard order, order of
+    v^-1), and
+
+        step(G) = K1 + pi0 * A*T*A^(-1),   K1 = A*diag(v^(-r_j))*A^(-1),
+        T_ij = E_ij * F_ij,   E = phi(G - Id) / (pi0*q^(p-1)),
+        F_ij = q^(r_i) * q^(p-1-r_j) * v^(-r_j).
+
+    Each entry of E is one table composition and one exact division; the
+    products E_ij * F_ij stay packed, and A*T*A^(-1) plus K1 and the pi0
+    shift are summed on them, so each output entry is unpacked once.
     """
-    p, N = ctx.p, ctx.N
+    p, pn = ctx.p, ctx.pn
     d = len(weights)
-    Ainv = matrix_inverse_mod(A)
     work = ctx.work
-    mw = work.M_pi0
+    n = min(work.M_pi0, work.v_gamma_inv.order)
+    A_l = A.to_lists()
+    Ainv_l = matrix_inverse_mod(A).to_lists()
 
-    qpow = _q_powers(work.q, p - 1)
-    vinv_pow = [constant_series(PI0, 1, p, N, mw)]
+    vpow = [[1] + [0] * (n - 1)]
     for _ in range(max(weights, default=0)):
-        vinv_pow.append(series_multiply(vinv_pow[-1], work.v_gamma_inv))
+        vpow.append(kernels.series_mul(vpow[-1], work.v_gamma_inv.coeffs, pn, n))
 
-    diag_v = smat(
-        [
-            [
-                vinv_pow[weights[j]]
-                if i == j
-                else zero_series(PI0, p, N, mw)
-                for j in range(d)
-            ]
-            for i in range(d)
+    def q_power(e: int) -> list[int]:  # q^e = (p + pi0)^e by the binomial theorem
+        return [comb(e, k) * p ** (e - k) % pn for k in range(e + 1)] + [0] * (n - e - 1)
+
+    # a slot of A*T*A^(-1) sums d^2*n products of a scalar, E and F, plus K1
+    width = kernels.slot_width(pn, d * d * n + 1, factors=3)
+    factor = {
+        (ri, rj): kernels.pack(kernels.series_mul(q_power(p - 1 + ri - rj), vpow[rj], pn, n), width)
+        for ri in set(weights)
+        for rj in set(weights)
+    }
+    F = [[factor[ri, rj] for rj in weights] for ri in weights]
+    sandwich = kernels.sandwich_coeffs(A_l, Ainv_l, pn)
+    kwidth = kernels.slot_width(pn, d)
+    packed_v = [kernels.pack(vpow[r], kwidth) for r in weights]
+
+    def k1_entry(i: int, j: int) -> list[int]:  # sum_k A_ik * Ainv_kj * v^(-r_k)
+        c = [A_l[i][k] * Ainv_l[k][j] % pn for k in range(d)]
+        return kernels.unpack(kernels.combine(c, packed_v), kwidth, n, pn)
+
+    K1 = [[kernels.pack(k1_entry(i, j), width) for j in range(d)] for i in range(d)]
+    ident = [[[int(i == j)] + [0] * (n - 1) for j in range(d)] for i in range(d)]
+    compose, pack, unpack, combine = ctx.phi_sub.compose, kernels.pack, kernels.unpack, kernels.combine
+    shift = 8 * width
+
+    def step(G: list) -> list:
+        T = []
+        for i, row in enumerate(G):
+            for j, e in enumerate(row):
+                if i == j:
+                    e = [(e[0] - 1) % pn, *e[1:]]
+                f = compose(e, n)
+                if f[0]:
+                    raise NotDivisible("low coefficients are nonzero")
+                T.append(pack(q_divide_exact(f[1:], p, pn, p - 1), width) * F[i][j])
+        return [
+            [unpack(k + (combine(c, T) << shift), width, n, pn) for k, c in zip(krow, crow)]
+            for krow, crow in zip(K1, sandwich)
         ]
-    )
-    K1 = smat_scalar_left(A, smat_scalar_right(diag_v, Ainv))
-    col_factor = [
-        series_multiply(qpow[p - 1 - weights[j]], vinv_pow[weights[j]])
-        for j in range(d)
-    ]
-    ident = smat_identity(d, p, N, mw)
-
-    def step(G: SeriesMat) -> SeriesMat:
-        delta = smat_sub(G, ident)
-        E = smat_map(
-            smat_substitute(delta, ctx.phi_sub),
-            lambda e: _extract_phi_factor(e, p),
-        )
-        # T_{ij} = q^(r_i) * E_{ij} * q^(p-1-r_j) v^(-r_j)
-        T = smat(
-            [
-                [
-                    series_multiply(
-                        series_multiply(qpow[weights[i]], E[i][j]), col_factor[j]
-                    )
-                    for j in range(d)
-                ]
-                for i in range(d)
-            ]
-        )
-        inner = smat_scalar_left(A, smat_scalar_right(T, Ainv))
-        return smat_add(
-            K1, smat_map(inner, lambda e: shift_multiply(e, 1).truncate(mw))
-        )
 
     return step, ident
 
@@ -352,30 +352,30 @@ def solve_gamma_matrix(
     if max_iter is None:
         max_iter = target + 4
 
-    step, ident = _gamma_stepper(weights, A, ctx)
-    mw = ctx.work.M_pi0
-    if initial_guess is None:
-        G = ident
-    else:
-        G = smat_map(initial_guess, lambda e: _pad(e, mw))
-        for i in range(d):
-            for j in range(d):
-                if G[i][j].constant_term() != (1 if i == j else 0):
+    step, G = _gamma_stepper(weights, A, ctx)
+    if initial_guess is not None:
+        n = len(G[0][0])
+        if len(initial_guess) != d or any(len(row) != d for row in initial_guess):
+            raise InvalidInput("initial guess has the wrong shape")
+        G = [[list(e.coeffs[:n]) + [0] * (n - e.order) for e in row] for row in initial_guess]
+        for i, row in enumerate(initial_guess):
+            for j, e in enumerate(row):
+                if (e.var, e.p, e.N) != (PI0, p, ctx.N):
+                    raise InvalidInput("initial guess must be a pi0-matrix over the context")
+                if e.constant_term() != (1 if i == j else 0):
                     raise InvalidInput("initial guess must be Id mod pi0")
 
-    prev_window = smat_truncate(G, target)
-    iterations = 0
-    for n in range(1, max_iter + 1):
+    prev_window = [[e[:target] for e in row] for row in G]
+    for iterations in range(1, max_iter + 1):
         G = step(G)
-        iterations = n
-        cur_window = smat_truncate(G, target)
-        if smat_eq(cur_window, prev_window):
-            G_out = cur_window
+        cur_window = [[e[:target] for e in row] for row in G]
+        if cur_window == prev_window:
             break
         prev_window = cur_window
     else:
         raise NoConvergence(f"no stabilization within {max_iter} iterations")
 
+    G_out = lists_to_smat(PI0, p, ctx.N, cur_window)
     _assert_solution(C, G_out, ctx)
     return G_out, iterations
 
@@ -572,7 +572,7 @@ def check_lattice_stability(w: WachModule, L: LatticeSub) -> StabilityReport:
         Finv = matrix_inverse_mod(L.F)
     except SingularModP as exc:
         raise SingularBasis(str(exc)) from exc
-    X = smat_scalar_left(Finv, smat_scalar_right(w.G, L.F))
+    X = smat_scalar_sandwich(Finv, w.G, L.F)
     p, N = w.ctx.p, w.ctx.N
     violations: list[str] = []
     for j in L.included():

@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from wachkit.padic import PMatrix, howell_form, howell_member
+from wachkit.padic import PMatrix, howell_form, howell_kernel, howell_member
+from wachkit.series import TruncSeries, series_multiply, weierstrass_divide_q_power
+from wachkit.wach import _pad
 
 
 def brute_kernel(A: PMatrix) -> set[tuple[int, ...]]:
@@ -46,6 +48,37 @@ def schoolbook_mul(a: list[int], b: list[int], pn: int, out_len: int) -> list[in
             if i + j < out_len:
                 out[i + j] = (out[i + j] + ai * bj) % pn
     return out
+
+
+def schoolbook_matmul(X, Y, pn: int, out_len: int) -> list:
+    """Product of matrices of coefficient lists, entry by entry and term by term."""
+    out = []
+    for row in X:
+        out_row = []
+        for j in range(len(Y[0])):
+            acc = [0] * out_len
+            for k, x in enumerate(row):
+                term = schoolbook_mul(x, Y[k][j], pn, out_len)
+                acc = [(a + b) % pn for a, b in zip(acc, term)]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def scalar_matmul(A, X, B, pn: int) -> list:
+    """A*X*B for scalar matrices A, B and a matrix X of equal-length coefficient lists."""
+    n = len(X[0][0])
+    return [
+        [
+            [
+                sum(A[i][k] * X[k][l][t] * B[l][j] for k in range(len(X)) for l in range(len(B)))
+                % pn
+                for t in range(n)
+            ]
+            for j in range(len(B[0]))
+        ]
+        for i in range(len(A))
+    ]
 
 
 def horner_compose(f: list[int], g: list[int], pn: int, out_len: int) -> list[int]:
@@ -104,3 +137,39 @@ def lattice_membership_oracle(w, L) -> bool:
         if not howell_member(H, flat):
             return False
     return True
+
+
+def full_fil_lattice(w, r: int) -> PMatrix:
+    """Fil^r from the full lift system in (x, y_1, ..., y_(M-1)).
+
+    x is in Fil^r iff some lift x + sum_k pi0^k y_k has phi-image C*x +
+    sum_k C*phi(pi0)^k*y_k divisible by q^r.  Every unknown gets its column
+    of Weierstrass remainders at the guard order, the Howell kernel of the
+    whole system is projected to x and put in Howell form.
+    """
+    ctx = w.ctx
+    p, N = ctx.p, ctx.N
+    d = w.rank
+    M0 = ctx.profile.M_pi0
+    mw = ctx.work.M_pi0
+    if r == 0:
+        return PMatrix.identity(d, p, N)
+    phi = ctx.work.phi_pi0
+    phi_pows = [TruncSeries(phi.var, p, N, (1,) + (0,) * (phi.order - 1))]
+    for _ in range(M0 - 1):
+        phi_pows.append(series_multiply(phi_pows[-1], phi))
+    rows = [[0] * (d * M0) for _ in range(r * d)]
+    for i2 in range(d):
+        for i in range(d):
+            base = _pad(w.C[i2][i], mw)
+            for k in range(M0):
+                prod = base if k == 0 else series_multiply(base, phi_pows[k])
+                _, rem = weierstrass_divide_q_power(prod, r)
+                for t in range(r):
+                    rows[i2 * r + t][k * d + i] = rem[t]
+    kern = howell_kernel(PMatrix.from_lists(rows, p, N))
+    xs = [list(kern.row(i)[:d]) for i in range(kern.rows)]
+    xs = [row for row in xs if any(row)]
+    if not xs:
+        return PMatrix(0, d, (), p, N)
+    return howell_form(PMatrix.from_lists(xs, p, N))

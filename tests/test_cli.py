@@ -124,6 +124,14 @@ class TestCommands:
         data = json.loads(open(red).read())
         assert data["fil_ranks"] == [2, 1, 0] and data["weights"] == [0, 1]
 
+    @pytest.mark.parametrize("p", [4, 9])
+    def test_composite_prime_is_a_validation_error(self, tmp_path, capsys, p):
+        # a composite p used to die in the bootstrap with a ValueError traceback
+        src = write(tmp_path, "m.json", {**FL_SIMPLE, "p": p})
+        assert main(["build", "-i", src]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_profile_override_validated_before_compute(self, tmp_path):
         src = write(tmp_path, "m.json", FL_SIMPLE)
         # M_pi0 < N violates the profile invariant; must fail as validation

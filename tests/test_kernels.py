@@ -5,14 +5,25 @@ import random
 
 import pytest
 
-from oracles import horner_compose, schoolbook_mul
+from oracles import horner_compose, scalar_matmul, schoolbook_mul
+from oracles import schoolbook_matmul as oracle_matmul
 from wachkit import kernels
 from wachkit import series as series_module
 from wachkit.cyclo import build_context, context_to_dict, guard_order
+from wachkit.errors import InvalidInput, ProfileMismatch, VariableMismatch
 from wachkit.flmod import make_fl
-from wachkit.series import PI, PI0, Substitution, TruncSeries
+from wachkit.series import (
+    PI,
+    PI0,
+    Substitution,
+    TruncSeries,
+    series_add,
+    series_multiply,
+    series_scale,
+    series_sub,
+)
 from wachkit.suite import random_unit_matrix
-from wachkit.wach import solve_wach, verify_wach_axioms
+from wachkit.wach import smat, smat_mul, solve_wach, verify_wach_axioms
 
 PRIMES = (3, 5, 7, 13, 17)
 
@@ -133,3 +144,107 @@ def test_context_unchanged_by_tables():
     again = pickle.loads(blob)
     assert again == ctx
     assert again.phi_sub.apply(w.G[0][1]) == ctx.phi_sub.apply(w.G[0][1])
+
+
+# ---------------------------------------------------------------------------
+# series-matrix helpers
+
+MATRIX_PRIMES = (3, 5, 7, 17)
+
+
+def _random_matrix(rng, rows, cols, pn, n):
+    return [[[rng.randrange(pn) for _ in range(n)] for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("p", MATRIX_PRIMES)
+def test_mat_mul_matches_schoolbook(p):
+    rng = random.Random(300 + p)
+    for N in (1, 8, 16):
+        pn = p**N
+        for d, m, e in ((1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 1)):
+            for n in (1, guard_order(p, N, 16)):
+                X = _random_matrix(rng, d, m, pn, n + 2)  # longer than n
+                Y = _random_matrix(rng, m, e, pn, n)
+                assert kernels.mat_mul(X, Y, pn, n) == oracle_matmul(X, Y, pn, n)
+
+
+@pytest.mark.parametrize("p", MATRIX_PRIMES)
+def test_mat_mul_largest_slot_sums(p):
+    # with every coefficient p^N - 1 = -1, slot k of an entry sums m*(k+1)
+    # products equal to 1 mod p^N: the fullest slots a product can have
+    for N in range(1, 17):
+        pn = p**N
+        for m in (1, 4):
+            n = guard_order(p, N, 16)
+            X = [[[pn - 1] * n] * m] * 2
+            Y = [[[pn - 1] * n] * 2] * m
+            expect = [m * (k + 1) % pn for k in range(n)]
+            assert kernels.mat_mul(X, Y, pn, n) == [[expect] * 2] * 2
+
+
+@pytest.mark.parametrize("p", MATRIX_PRIMES)
+def test_sandwich_combination_matches_schoolbook(p):
+    rng = random.Random(400 + p)
+    for N in (1, 8, 16):
+        pn = p**N
+        n = guard_order(p, N, 16)
+        for d, m in ((1, 1), (2, 2), (3, 3), (2, 3)):
+            A = [[rng.randrange(pn) for _ in range(d)] for _ in range(d)]
+            B = [[rng.randrange(pn) for _ in range(m)] for _ in range(m)]
+            A[0][0] = 0  # a zero scalar is skipped, not misplaced
+            for T in (_random_matrix(rng, d, m, pn, n), [[[pn - 1] * n] * m] * d):
+                width = kernels.slot_width(pn, d * m)
+                packed = [kernels.pack(e, width) for row in T for e in row]
+                got = [
+                    [kernels.unpack(kernels.combine(c, packed), width, n, pn) for c in row]
+                    for row in kernels.sandwich_coeffs(A, B, pn)
+                ]
+                assert got == scalar_matmul(A, T, B, pn)
+
+
+@pytest.mark.parametrize("p", MATRIX_PRIMES)
+def test_smat_mul_keeps_per_entry_orders(p):
+    # entry (i, j) of a product is exact to the shortest order among the
+    # X_ik and Y_kj, as a sum of series_multiply results is
+    rng = random.Random(500 + p)
+    N = 16
+    pn = p**N
+    orders = [[20, 7], [13, 20]]
+    X = smat([[TruncSeries(PI0, p, N, [rng.randrange(pn) for _ in range(o)]) for o in row] for row in orders])
+    Y = smat([[TruncSeries(PI0, p, N, [rng.randrange(pn) for _ in range(o)]) for o in row] for row in [[20, 20], [9, 20]]])
+    got = smat_mul(X, Y)
+    for i in range(2):
+        for j in range(2):
+            n = min(min(X[i][k].order, Y[k][j].order) for k in range(2))
+            expect = oracle_matmul([[list(x.coeffs) for x in X[i]]], [[list(Y[k][j].coeffs)] for k in range(2)], pn, n)
+            assert got[i][j].coeffs == tuple(expect[0][0])
+
+
+def test_smat_mul_rejects_mixed_rings():
+    a = TruncSeries(PI0, 5, 4, (1, 2))
+    with pytest.raises(VariableMismatch):
+        smat_mul(smat([[a]]), smat([[TruncSeries(PI, 5, 4, (1, 2))]]))
+    with pytest.raises(ProfileMismatch):
+        smat_mul(smat([[a]]), smat([[TruncSeries(PI0, 5, 3, (1, 2))]]))
+
+
+def test_trusted_series_match_public_constructor(ctx5):
+    # kernel results skip the reduction of the public constructor: they are
+    # canonical already, so the two constructions agree
+    rng = random.Random(9)
+    pn = ctx5.pn
+    f = TruncSeries(PI0, 5, 16, [rng.randrange(-pn, 2 * pn) for _ in range(30)])
+    g = TruncSeries(PI0, 5, 16, [rng.randrange(-pn, 2 * pn) for _ in range(30)])
+    assert all(0 <= c < pn for c in f.coeffs)
+    for out in (
+        series_multiply(f, g),
+        series_add(f, g),
+        series_sub(f, g),
+        series_scale(f, -7),
+        ctx5.phi_sub.apply(f),
+        f.truncate(11),
+    ):
+        assert all(0 <= c < pn for c in out.coeffs)
+        assert out == TruncSeries(out.var, out.p, out.N, out.coeffs)
+    with pytest.raises(InvalidInput):
+        TruncSeries("x", 5, 16, (1,))

@@ -34,6 +34,16 @@ class TestScalarInverse:
         with pytest.raises(NonUnit):
             scalar_inverse(PScalar(3, 3, 2))
 
+    @pytest.mark.parametrize("p", [1, 2, 4, 9, 15, 25, 91, 561, 3215031751])
+    def test_modulus_must_be_an_odd_prime(self, p):
+        # 561 is a Carmichael number, 3215031751 a strong pseudoprime to bases 2, 3, 5, 7
+        with pytest.raises(InvalidInput):
+            PScalar(1, p, 2)
+
+    @pytest.mark.parametrize("p", [3, 5, 17, 2**31 - 1])
+    def test_odd_primes_accepted(self, p):
+        assert PScalar(p + 1, p, 2).value == p + 1
+
     @given(st.sampled_from([3, 5, 7]), st.integers(1, 10), st.integers(1, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_involution(self, p, N, raw):

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from oracles import full_fil_lattice
 from wachkit.errors import AxiomViolation, NotCongruent
 from wachkit.flmod import make_fl, unit_fl
 from wachkit.padic import PMatrix
 from wachkit.reduction import (
+    _fil_lattice,
     _phi_r_image,
     _smat_series_inverse,
     normalize_basis,
@@ -108,6 +110,17 @@ class TestRecoverFiltration:
         assert red.weights_recovered == (0, 1)
         assert red.A_recovered == PMatrix.identity(2, 3, 16)
 
+    def test_lattice_matches_full_lift_system(self, contexts):
+        # the x-only system drops the lift unknowns y_k; the full (x, y)
+        # system must give the same Howell form for every r <= h + 1
+        rng = random.Random(15)
+        for p, ctx in contexts.items():
+            for weights in ((0, p - 2), (1, 1, p - 2)):
+                m = make_fl(p, 16, weights, random_unit_matrix(rng, len(weights), p, 16))
+                w = solve_wach(m, ctx)
+                for r in range(m.h + 2):
+                    assert _fil_lattice(w, r) == full_fil_lattice(w, r), (p, weights, r)
+
     def test_random_roundtrips(self, contexts):
         rng = random.Random(14)
         for p, ctx in contexts.items():
@@ -204,6 +217,25 @@ class TestRoundtrip:
         for p, ctx in contexts.items():
             m = make_fl(p, 16, (p - 2,), random_unit_matrix(rng, 1, p, 16))
             assert roundtrip_check(m, ctx, seed=1).ok
+
+    def test_normalize_failures_reported_programming_errors_raised(self, ctx3, monkeypatch):
+        from wachkit import reduction
+        from wachkit.errors import NotDivisible
+
+        m = unit_fl(3, 16, 1, 1)
+
+        def fail(exc):
+            def normalize(*args, **kwargs):
+                raise exc
+            return normalize
+
+        monkeypatch.setattr(reduction, "normalize_basis", fail(NotDivisible("planted")))
+        rep = roundtrip_check(m, ctx3)
+        assert ("normalize", False, "NotDivisible: planted") in rep.checks
+        assert not rep.ok
+        monkeypatch.setattr(reduction, "normalize_basis", fail(TypeError("a bug")))
+        with pytest.raises(TypeError):
+            roundtrip_check(m, ctx3)
 
     def test_stabilizer_comparison_tied_weights(self, ctx5):
         # equal weights allow any unimodular block; recovery must still match

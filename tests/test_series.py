@@ -26,6 +26,7 @@ from wachkit.series import (
     constant_series,
     default_pi_order,
     make_series,
+    q_divide_exact,
     series_add,
     series_compose,
     series_invert_unit,
@@ -34,6 +35,7 @@ from wachkit.series import (
     shift_divide_exact,
     shift_multiply,
     substitute,
+    weierstrass_divide_exact,
     weierstrass_divide_q_power,
     x_series,
     zero_series,
@@ -259,6 +261,28 @@ class TestWeierstrass:
             back = series_multiply(qp, make_series(PI0, list(q.coeffs) + [0] * r, p, N))
             back = series_add(back, make_series(PI0, list(rem) + [0] * (order - r), p, N))
             assert back.coeffs == f.coeffs
+
+
+    def test_list_division_matches_series_division(self):
+        # q_divide_exact is the list form of weierstrass_divide_exact: same
+        # quotient on multiples of q^r, same NotDivisible otherwise
+        rng = random.Random(78)
+        for p, N in ((3, 5), (5, 4), (7, 3)):
+            pn = p**N
+            for r in range(0, 5):
+                order = 12
+                g = rand_series(rng, PI0, p, N, order - r)
+                qr = series_pow(make_series(PI0, [p, 1] + [0] * (order - 2), p, N), r)
+                f = series_multiply(qr, make_series(PI0, list(g.coeffs) + [0] * r, p, N))
+                quot = q_divide_exact(list(f.coeffs), p, pn, r)
+                assert tuple(quot) == weierstrass_divide_exact(f, r).coeffs == g.coeffs
+                if r:
+                    bad = series_add(f, make_series(PI0, [1] + [0] * (order - 1), p, N))
+                    with pytest.raises(NotDivisible) as series_err:
+                        weierstrass_divide_exact(bad, r)
+                    with pytest.raises(NotDivisible) as list_err:
+                        q_divide_exact(list(bad.coeffs), p, pn, r)
+                    assert str(list_err.value) == str(series_err.value)
 
 
 class TestShift:
