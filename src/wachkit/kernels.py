@@ -12,14 +12,15 @@ substitution", J. Symbolic Comput. 44 (2009), and Brent & Kung, "Fast
 algorithms for manipulating formal power series", J. ACM 25 (1978), for the
 power-table substitution.
 
-Series matrices are nested lists of coefficient lists.  Their products and
-scalar combinations are accumulated on the packed entries, so an output
-entry costs one unpack however many terms it sums.
+Series matrices are nested lists of coefficient lists.  Their products
+(:func:`mat_mul`) and scalar sandwiches (:class:`Sandwich`) are accumulated
+on the packed entries, so an output entry costs one unpack however many
+terms it sums; only this module knows the slot layout.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 
 _from_bytes = int.from_bytes
 
@@ -112,19 +113,57 @@ def mat_mul(X, Y, pn: int, n: int) -> list[list[list[int]]]:
     return [[unpack(sum(map(mul, xr, col)), width, n, pn) for col in cols] for xr in Xp]
 
 
-def sandwich_coeffs(A, B, pn: int) -> list[list[list[int]]]:
-    """c with (A*T*B)_ij = sum_(k,l) c[i][j][k*m+l] * T_kl, for scalar A, B.
+class Sandwich:
+    """out_ij = sum_(k,l) A_ik*B_lj * (K_kl + E_kl*F_kl), truncated to n.
 
-    A and B are nested lists of residues, T has len(B) = m columns and its
-    entries are flattened row-major; c[i][j][k*m+l] = A_ik * B_lj mod pn.
+    A and B are scalar matrices (nested lists of residues mod pn); E, the
+    entrywise factor F and the offset K are series matrices.  F and K are
+    fixed, so they are packed once; a call packs E's entries, sums each
+    output entry's terms on the packed ints and unpacks it once.  Without F
+    and K this is the product A*E*B.  terms[i][j] lists (k*m + l, A_ik*B_lj)
+    for the nonzero scalars, m = len(B).
     """
-    m = len(B)
-    return [
-        [[a * B[l][j] % pn for a in row for l in range(m)] for j in range(len(B[0]))]
-        for row in A
-    ]
 
+    def __init__(self, A, B, pn: int, n: int, factor=None, offset=None):
+        m = len(B)
+        cols = list(zip(*B))
+        self.terms = []
+        for row in A:
+            trow = []
+            for col in cols:
+                t = [(k * m + l, a * b % pn) for k, a in enumerate(row) for l, b in enumerate(col)]
+                trow.append([(kl, c) for kl, c in t if c])
+            self.terms.append(trow)
+        # a term's slot is a scalar times the sum of one K residue and at
+        # most n products E*F (one E residue without F)
+        per_term = (1 if factor is None else n) + (offset is not None)
+        most = max(len(t) for row in self.terms for t in row)
+        width = slot_width(pn, most * per_term, factors=2 if factor is None else 3)
+        self.width, self.n, self.pn = width, n, pn
+        self.factor = None if factor is None else self._pack(factor)
+        self.offset = None if offset is None else self._pack(offset)
 
-def combine(coeffs, packed) -> int:
-    """sum_k coeffs[k] * packed[k] on packed entries, skipping zero scalars."""
-    return sum([c * t for c, t in zip(coeffs, packed) if c])
+    def _pack(self, M) -> list[int]:
+        """M's entries packed, row-major; a list repeated in M is packed once."""
+        width, n = self.width, self.n
+        seen: dict[int, int] = {}
+        out = []
+        for row in M:
+            for e in row:
+                x = seen.get(id(e))
+                if x is None:
+                    x = seen[id(e)] = pack(e[:n], width) if any(e) else 0
+                out.append(x)
+        return out
+
+    def __call__(self, E) -> list[list[list[int]]]:
+        width, n, pn = self.width, self.n, self.pn
+        P = self._pack(E)
+        if self.factor is not None:
+            P = list(map(mul, P, self.factor))
+        if self.offset is not None:
+            P = list(map(add, P, self.offset))
+        return [
+            [unpack(sum([c * P[kl] for kl, c in t]), width, n, pn) for t in trow]
+            for trow in self.terms
+        ]

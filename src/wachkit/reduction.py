@@ -297,21 +297,22 @@ def normalize_basis(
     CpU = [[kernels.series_mul(uq.coeffs, e.coeffs, pn, n) for e in row] for row in Cp]
     delta_l = [[e.coeffs[:n] for e in row] for row in delta]
     ident = PMatrix.identity(d, p, N).to_lists()
-    right = kernels.sandwich_coeffs(ident, matrix_inverse_mod(A).to_lists(), pn)
-    width = kernels.slot_width(pn, d * d)
+    right = kernels.Sandwich(ident, matrix_inverse_mod(A).to_lists(), pn, mw)
     compose = ctx.phi_sub.compose
 
     Cm = [[[0] * mw for _ in range(d)] for _ in range(d)]
     prev_window = [[e[:t_order] for e in row] for row in Cm]
     for _ in range(max_iter):
         S = kernels.mat_mul(CpU, [[compose(e, n) for e in row] for row in Cm], pn, n)
-        packed = []
-        for drow, srow in zip(delta_l, S):
-            for r, a, b in zip(weights, drow, srow):
-                # Q^(-1): the exact division of column j by q^(r_j)
-                quot = q_divide_exact([(x + y) % pn for x, y in zip(a, b)], p, pn, r)
-                packed.append(kernels.pack(quot, width))
-        Cm = [[kernels.unpack(kernels.combine(c, packed), width, mw, pn) for c in row] for row in right]
+        # Q^(-1): the exact division of column j by q^(r_j)
+        quot = [
+            [
+                q_divide_exact([(x + y) % pn for x, y in zip(a, b)], p, pn, r)
+                for r, a, b in zip(weights, drow, srow)
+            ]
+            for drow, srow in zip(delta_l, S)
+        ]
+        Cm = right(quot)
         cur_window = [[e[:t_order] for e in row] for row in Cm]
         if cur_window == prev_window:
             break

@@ -453,10 +453,12 @@ def weierstrass_divide_q_power(
 
 def weierstrass_divide_exact(f: TruncSeries, r: int) -> TruncSeries:
     """Division by (X+p)^r that must leave remainder zero mod p^N."""
-    q, rem = weierstrass_divide_q_power(f, r)
-    if any(rem):
-        raise NotDivisible(f"nonzero remainder {rem} dividing by (X+p)^{r}")
-    return q
+    if f.var != PI0:
+        raise VariableMismatch("Weierstrass division expects a pi0-series")
+    if r < 0 or r > f.order:
+        raise InvalidInput("division exponent out of range")
+    quot = q_divide_exact(list(f.coeffs), f.p, f.pn, r)
+    return TruncSeries._trusted(PI0, f.p, f.N, tuple(quot))
 
 
 def shift_divide_exact(f: TruncSeries, k: int) -> TruncSeries:

@@ -117,19 +117,21 @@ def smat_mul(X: SeriesMat, Y: SeriesMat) -> SeriesMat:
 
 
 def smat_scalar_sandwich(A: PMatrix, X: SeriesMat, B: PMatrix) -> SeriesMat:
-    """A*X*B for scalar matrices A, B, at the shortest order among X's entries."""
+    """A*X*B for scalar matrices A, B.
+
+    Entry (i, j) has the shortest order among the X_kl with A_ik*B_lj
+    nonzero, the shortest of all X's orders if there is none.
+    """
     ref = X[0][0]
-    pn = ref.pn
-    n = min(e.order for row in X for e in row)
-    width = kernels.slot_width(pn, len(X) * len(X[0]))
-    packed = [kernels.pack(e.coeffs[:n], width) for row in X for e in row]
-    coeffs = kernels.sandwich_coeffs(A.to_lists(), B.to_lists(), pn)
-    return lists_to_smat(
-        ref.var,
-        ref.p,
-        ref.N,
-        [[kernels.unpack(kernels.combine(c, packed), width, n, pn) for c in row] for row in coeffs],
-    )
+    orders = [e.order for row in X for e in row]
+    sandwich = kernels.Sandwich(A.to_lists(), B.to_lists(), ref.pn, max(orders))
+    out = sandwich([[e.coeffs for e in row] for row in X])
+
+    def entry(e: list[int], terms) -> TruncSeries:
+        n = min([orders[kl] for kl, _ in terms] or orders)
+        return TruncSeries._trusted(ref.var, ref.p, ref.N, tuple(e[:n]))
+
+    return smat([list(map(entry, orow, trow)) for orow, trow in zip(out, sandwich.terms)])
 
 
 def smat_map(X: SeriesMat, fn) -> SeriesMat:
@@ -239,9 +241,14 @@ class WachModule:
 
 
 def _q_powers(q: TruncSeries, up_to: int) -> list[TruncSeries]:
-    pows = [constant_series(PI0, 1, q.p, q.N, q.order)]
-    for _ in range(up_to):
-        pows.append(series_multiply(pows[-1], q))
+    """q^0, ..., q^up_to at q's order, for q = p + pi0, by the binomial theorem."""
+    p, pn, n = q.p, q.pn, q.order
+    if q.coeffs != ((p % pn, 1) + (0,) * n)[:n]:
+        raise ValueError("q must be p + pi0")
+    pows = []
+    for e in range(up_to + 1):
+        c = tuple(comb(e, k) * p ** (e - k) % pn for k in range(min(e + 1, n)))
+        pows.append(TruncSeries._trusted(PI0, p, q.N, c + (0,) * (n - len(c))))
     return pows
 
 
@@ -266,13 +273,12 @@ def _gamma_stepper(weights: tuple[int, ...], A: PMatrix, ctx: CycloContext):
     coefficient lists at the working order n = min(guard order, order of
     v^-1), and
 
-        step(G) = K1 + pi0 * A*T*A^(-1),   K1 = A*diag(v^(-r_j))*A^(-1),
+        step(G) = A*(diag(v^(-r_j)) + T)*A^(-1),
         T_ij = E_ij * F_ij,   E = phi(G - Id) / (pi0*q^(p-1)),
-        F_ij = q^(r_i) * q^(p-1-r_j) * v^(-r_j).
+        F_ij = pi0 * q^(r_i) * q^(p-1-r_j) * v^(-r_j).
 
     Each entry of E is one table composition and one exact division; the
-    products E_ij * F_ij stay packed, and A*T*A^(-1) plus K1 and the pi0
-    shift are summed on them, so each output entry is unpacked once.
+    rest is one kernels.Sandwich, so each output entry is unpacked once.
     """
     p, pn = ctx.p, ctx.pn
     d = len(weights)
@@ -284,45 +290,32 @@ def _gamma_stepper(weights: tuple[int, ...], A: PMatrix, ctx: CycloContext):
     vpow = [[1] + [0] * (n - 1)]
     for _ in range(max(weights, default=0)):
         vpow.append(kernels.series_mul(vpow[-1], work.v_gamma_inv.coeffs, pn, n))
-
-    def q_power(e: int) -> list[int]:  # q^e = (p + pi0)^e by the binomial theorem
-        return [comb(e, k) * p ** (e - k) % pn for k in range(e + 1)] + [0] * (n - e - 1)
-
-    # a slot of A*T*A^(-1) sums d^2*n products of a scalar, E and F, plus K1
-    width = kernels.slot_width(pn, d * d * n + 1, factors=3)
+    qpow = _q_powers(work.q, p - 1 + max(weights) - min(weights))
     factor = {
-        (ri, rj): kernels.pack(kernels.series_mul(q_power(p - 1 + ri - rj), vpow[rj], pn, n), width)
+        (ri, rj): [0] + kernels.series_mul(qpow[p - 1 + ri - rj].coeffs, vpow[rj], pn, n - 1)
         for ri in set(weights)
         for rj in set(weights)
     }
     F = [[factor[ri, rj] for rj in weights] for ri in weights]
-    sandwich = kernels.sandwich_coeffs(A_l, Ainv_l, pn)
-    kwidth = kernels.slot_width(pn, d)
-    packed_v = [kernels.pack(vpow[r], kwidth) for r in weights]
-
-    def k1_entry(i: int, j: int) -> list[int]:  # sum_k A_ik * Ainv_kj * v^(-r_k)
-        c = [A_l[i][k] * Ainv_l[k][j] % pn for k in range(d)]
-        return kernels.unpack(kernels.combine(c, packed_v), kwidth, n, pn)
-
-    K1 = [[kernels.pack(k1_entry(i, j), width) for j in range(d)] for i in range(d)]
     ident = [[[int(i == j)] + [0] * (n - 1) for j in range(d)] for i in range(d)]
-    compose, pack, unpack, combine = ctx.phi_sub.compose, kernels.pack, kernels.unpack, kernels.combine
-    shift = 8 * width
+    zero = [0] * n
+    diag_v = [[vpow[r] if i == j else zero for j in range(d)] for i, r in enumerate(weights)]
+    sandwich = kernels.Sandwich(A_l, Ainv_l, pn, n, factor=F, offset=diag_v)
+    compose = ctx.phi_sub.compose
 
     def step(G: list) -> list:
-        T = []
+        E = []
         for i, row in enumerate(G):
+            Erow = []
             for j, e in enumerate(row):
                 if i == j:
                     e = [(e[0] - 1) % pn, *e[1:]]
                 f = compose(e, n)
                 if f[0]:
                     raise NotDivisible("low coefficients are nonzero")
-                T.append(pack(q_divide_exact(f[1:], p, pn, p - 1), width) * F[i][j])
-        return [
-            [unpack(k + (combine(c, T) << shift), width, n, pn) for k, c in zip(krow, crow)]
-            for krow, crow in zip(K1, sandwich)
-        ]
+                Erow.append(q_divide_exact(f[1:], p, pn, p - 1))
+            E.append(Erow)
+        return sandwich(E)
 
     return step, ident
 

@@ -1,5 +1,6 @@
 """Cross-checks of the packed series kernels against naive oracles."""
 
+import itertools
 import pickle
 import random
 
@@ -183,7 +184,7 @@ def test_mat_mul_largest_slot_sums(p):
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
-def test_sandwich_combination_matches_schoolbook(p):
+def test_sandwich_matches_schoolbook(p):
     rng = random.Random(400 + p)
     for N in (1, 8, 16):
         pn = p**N
@@ -193,13 +194,50 @@ def test_sandwich_combination_matches_schoolbook(p):
             B = [[rng.randrange(pn) for _ in range(m)] for _ in range(m)]
             A[0][0] = 0  # a zero scalar is skipped, not misplaced
             for T in (_random_matrix(rng, d, m, pn, n), [[[pn - 1] * n] * m] * d):
-                width = kernels.slot_width(pn, d * m)
-                packed = [kernels.pack(e, width) for row in T for e in row]
-                got = [
-                    [kernels.unpack(kernels.combine(c, packed), width, n, pn) for c in row]
-                    for row in kernels.sandwich_coeffs(A, B, pn)
+                assert kernels.Sandwich(A, B, pn, n)(T) == scalar_matmul(A, T, B, pn)
+
+
+@pytest.mark.parametrize("p", MATRIX_PRIMES)
+def test_sandwich_with_factor_and_offset(p):
+    # A*(K + E o F)*B with o the entrywise product, on random entries and on
+    # the fullest slots (every coefficient and scalar p^N - 1)
+    rng = random.Random(450 + p)
+    for N in (1, 8, 16):
+        pn = p**N
+        n = guard_order(p, N, 16)
+        for d in (1, 2, 4):
+            A = [[rng.randrange(pn) for _ in range(d)] for _ in range(d)]
+            B = [[rng.randrange(pn) for _ in range(d)] for _ in range(d)]
+            full = [[pn - 1] * d] * d
+            E, F, K = (_random_matrix(rng, d, d, pn, n) for _ in range(3))
+            E[0][0] = E[0][0][: n // 2]  # a short entry counts as zero-padded
+            fullest = [[[pn - 1] * n] * d] * d
+            for A_, B_, E_, F_, K_ in ((A, B, E, F, K), (full, full, fullest, fullest, fullest)):
+                inner = [
+                    [
+                        [(a + b) % pn for a, b in zip(k, schoolbook_mul(e, f, pn, n))]
+                        for k, e, f in zip(kr, er, fr)
+                    ]
+                    for kr, er, fr in zip(K_, E_, F_)
                 ]
-                assert got == scalar_matmul(A, T, B, pn)
+                expect = scalar_matmul(A_, inner, B_, pn)
+                got = kernels.Sandwich(A_, B_, pn, n, factor=F_, offset=K_)(E_)
+                assert got == expect
+
+
+@pytest.mark.parametrize("p", MATRIX_PRIMES)
+def test_sandwich_largest_slot_sums(p):
+    # every scalar and coefficient p^N - 1 = -1: a term of A*(K + E o F)*B
+    # is K + (k+1) = k at slot k (K + E = -2 without F), summed over d^2
+    # terms, the fullest slots either form can have
+    for N in range(1, 17):
+        pn = p**N
+        for n, d in itertools.product((guard_order(p, N, 16), 200), (1, 4)):
+            full, ones = [[pn - 1] * d] * d, [[[pn - 1] * n] * d] * d
+            got = kernels.Sandwich(full, full, pn, n, factor=ones, offset=ones)(ones)
+            assert got == [[[d * d * k % pn for k in range(n)]] * d] * d
+            got = kernels.Sandwich(full, full, pn, n, offset=ones)(ones)
+            assert got == [[[-2 * d * d % pn] * n] * d] * d
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import comb_binomial, repeated_binomial, schoolbook_mul
 from wachkit.errors import (
     InsufficientExponentPrecision,
+    InvalidInput,
     NonUnitSeries,
     NonzeroConstant,
     NotDivisible,
@@ -263,9 +265,9 @@ class TestWeierstrass:
             assert back.coeffs == f.coeffs
 
 
-    def test_list_division_matches_series_division(self):
-        # q_divide_exact is the list form of weierstrass_divide_exact: same
-        # quotient on multiples of q^r, same NotDivisible otherwise
+    def test_exact_division(self):
+        # the quotient of a multiple of q^r, and NotDivisible naming the
+        # remainder otherwise, from the series and the list entry points
         rng = random.Random(78)
         for p, N in ((3, 5), (5, 4), (7, 3)):
             pn = p**N
@@ -274,16 +276,21 @@ class TestWeierstrass:
                 g = rand_series(rng, PI0, p, N, order - r)
                 qr = series_pow(make_series(PI0, [p, 1] + [0] * (order - 2), p, N), r)
                 f = series_multiply(qr, make_series(PI0, list(g.coeffs) + [0] * r, p, N))
-                quot = q_divide_exact(list(f.coeffs), p, pn, r)
-                assert tuple(quot) == weierstrass_divide_exact(f, r).coeffs == g.coeffs
+                assert weierstrass_divide_exact(f, r).coeffs == g.coeffs
+                assert q_divide_exact(list(f.coeffs), p, pn, r) == list(g.coeffs)
                 if r:
                     bad = series_add(f, make_series(PI0, [1] + [0] * (order - 1), p, N))
-                    with pytest.raises(NotDivisible) as series_err:
+                    _, rem = weierstrass_divide_q_power(bad, r)
+                    msg = f"nonzero remainder {rem} dividing by (X+p)^{r}"
+                    with pytest.raises(NotDivisible, match=re.escape(msg)):
                         weierstrass_divide_exact(bad, r)
-                    with pytest.raises(NotDivisible) as list_err:
-                        q_divide_exact(list(bad.coeffs), p, pn, r)
-                    assert str(list_err.value) == str(series_err.value)
 
+    def test_exact_division_guards(self):
+        f = make_series(PI0, [3, 1, 0, 0], 3, 4)
+        with pytest.raises(InvalidInput):
+            weierstrass_divide_exact(f, 5)
+        with pytest.raises(VariableMismatch):
+            weierstrass_divide_exact(make_series(PI, [3, 1, 0, 0], 3, 4), 1)
 
 class TestShift:
     def test_basic(self):

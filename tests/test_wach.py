@@ -8,10 +8,19 @@ from wachkit.cyclo import build_context, get_context
 from wachkit.errors import NoConvergence, SingularBasis, ValidationFailed
 from wachkit.flmod import LatticeSub, make_fl, unit_fl
 from wachkit.padic import PMatrix
-from wachkit.series import PI0, TruncSeries, constant_series, series_add, series_pow, shift_multiply
+from wachkit.series import (
+    PI0,
+    TruncSeries,
+    constant_series,
+    series_add,
+    series_multiply,
+    series_pow,
+    shift_multiply,
+)
 from wachkit.suite import random_unit_matrix
 from wachkit.wach import (
     WachModule,
+    _q_powers,
     build_phi_matrix,
     check_lattice_stability,
     commutation_residual,
@@ -22,6 +31,7 @@ from wachkit.wach import (
     smat_identity,
     smat_is_zero,
     smat_map,
+    smat_scalar_sandwich,
     solve_gamma_matrix,
     solve_wach,
     tensor_wach,
@@ -52,6 +62,16 @@ class TestPhiMatrix:
         assert C[0][0].coeffs[:2] == (1, 0)
         assert C[1][1].coeffs[:2] == (3, 1)
         assert C[0][1].is_zero() and C[1][0].is_zero()
+
+    @pytest.mark.parametrize("p, N, order", [(3, 16, 16), (5, 1, 6), (7, 3, 4)])
+    def test_q_powers_match_repeated_products(self, p, N, order):
+        q = TruncSeries(PI0, p, N, ((p, 1) + (0,) * order)[:order])
+        acc = constant_series(PI0, 1, p, N, order)
+        for e, qe in enumerate(_q_powers(q, 2 * p - 3)):
+            assert qe == acc, e
+            acc = series_multiply(acc, q)
+        with pytest.raises(ValueError):
+            _q_powers(series_add(q, q), 1)
 
     def test_validation(self, ctx3):
         bad = make_fl(3, 16, (2,), PMatrix(1, 1, (1,), 3, 16))
@@ -301,6 +321,23 @@ class TestLatticeStability:
             assert fast == slow
             found_unstable = found_unstable or not fast
         assert found_unstable
+
+    def test_short_entry_cuts_only_its_own_terms(self, ctx3):
+        # a loaded G may be ragged: one short off-diagonal entry must not
+        # shorten the check of the others (X = F^-1 G F = G for F = Id)
+        p, N = 3, 16
+        one = constant_series(PI0, 1, p, N, 8)
+        bad = TruncSeries(PI0, p, N, (0, 0, 0, 1, 0, 0, 0, 0))  # pi0^3: not in p*R
+        short = constant_series(PI0, 0, p, N, 1)
+        ww = WachModule(ctx3, (0, 0), smat_identity(2, p, N, 8), smat([[one, short], [bad, one]]))
+        report = check_lattice_stability(ww, LatticeSub(2, PMatrix.identity(2, p, N), (0, 1)))
+        assert report.violations == (
+            "column 0: coefficient pi0^3 of row 1 not divisible by p^1",
+        )
+        F = PMatrix.from_lists([[0, 1], [1, 0]], p, N)
+        X = smat_scalar_sandwich(F, ww.G, F)
+        assert [[e.order for e in row] for row in X] == [[8, 8], [1, 8]]
+        assert X[0][1] == bad
 
     def test_singular_basis(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
