@@ -58,8 +58,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _context_for(data: dict, args) -> "object":
+    """The context of a validated FL datum; --prec-p may lower its N, never raise it."""
     p = int(data["p"])
-    N = args.prec_p or int(data["N"])
+    N = int(data["N"])
+    if args.prec_p:
+        if args.prec_p > N:
+            raise InvalidInput(
+                f"--prec-p {args.prec_p} exceeds the input's precision N = {N}"
+            )
+        N = args.prec_p
     m_pi0 = args.prec_pi0 or N
     chi = args.chi_gamma
     return get_context(p, N, m_pi0, chi)
@@ -68,9 +75,9 @@ def _context_for(data: dict, args) -> "object":
 def _cmd_build(args) -> int:
     data = load_json(args.input)
     m = fl_from_dict(data)
+    ctx = _context_for(data, args)
     if args.prec_p:
         m = fl_from_dict({**data, "N": args.prec_p})
-    ctx = _context_for(data, args)
     w = solve_wach(m, ctx, max_iter=args.max_iter)
     _emit(dumps_canonical(wach_to_dict(w)), args.out)
     return EXIT_OK
@@ -189,7 +196,7 @@ def _parser() -> argparse.ArgumentParser:
         if needs_input:
             sp.add_argument("-i", "--input", required=True, help="input JSON file")
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--prec-p", type=int, help="override p-adic precision N")
+        sp.add_argument("--prec-p", type=int, help="lower the p-adic precision N of the input")
         sp.add_argument("--prec-pi0", type=int, help="override series order M_pi0")
         sp.add_argument("--chi-gamma", type=int, help="override chi(gamma), default 1+p")
         sp.add_argument("--max-iter", type=int, help="iteration budget override")

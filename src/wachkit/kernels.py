@@ -122,9 +122,13 @@ class Sandwich:
     output entry's terms on the packed ints and unpacks it once.  Without F
     and K this is the product A*E*B.  terms[i][j] lists (k*m + l, A_ik*B_lj)
     for the nonzero scalars, m = len(B).
+
+    With a basis (a list of series, packed once), a call's E entries are
+    coordinate lists over it: E_kl = sum_t E_kl[t]*basis[t], formed on the
+    packed basis, so E is never packed or unpacked.
     """
 
-    def __init__(self, A, B, pn: int, n: int, factor=None, offset=None):
+    def __init__(self, A, B, pn: int, n: int, factor=None, offset=None, basis=None):
         m = len(B)
         cols = list(zip(*B))
         self.terms = []
@@ -135,13 +139,17 @@ class Sandwich:
                 trow.append([(kl, c) for kl, c in t if c])
             self.terms.append(trow)
         # a term's slot is a scalar times the sum of one K residue and at
-        # most n products E*F (one E residue without F)
-        per_term = (1 if factor is None else n) + (offset is not None)
+        # most n products E*F (one E residue without F), where each E residue
+        # is itself a sum of len(basis) products with a basis
+        per_term = (1 if factor is None else n) * (1 if basis is None else len(basis))
+        per_term += offset is not None
+        factors = 2 + (factor is not None) + (basis is not None)
         most = max(len(t) for row in self.terms for t in row)
-        width = slot_width(pn, most * per_term, factors=2 if factor is None else 3)
+        width = slot_width(pn, most * per_term, factors=factors)
         self.width, self.n, self.pn = width, n, pn
         self.factor = None if factor is None else self._pack(factor)
         self.offset = None if offset is None else self._pack(offset)
+        self.basis = None if basis is None else self._pack([basis])
 
     def _pack(self, M) -> list[int]:
         """M's entries packed, row-major; a list repeated in M is packed once."""
@@ -158,7 +166,11 @@ class Sandwich:
 
     def __call__(self, E) -> list[list[list[int]]]:
         width, n, pn = self.width, self.n, self.pn
-        P = self._pack(E)
+        if self.basis is None:
+            P = self._pack(E)
+        else:
+            basis = self.basis
+            P = [sum(map(mul, e, basis)) for row in E for e in row]
         if self.factor is not None:
             P = list(map(mul, P, self.factor))
         if self.offset is not None:

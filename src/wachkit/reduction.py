@@ -291,16 +291,19 @@ def normalize_basis(
 
     # The loop runs on coefficient lists.  S = delta + u*q^(p-1)*Cp*phi(Cm)
     # lives at u's order n; u*q^(p-1) is folded into Cp once, so S is one
-    # packed matrix product.  Cm = S*Q^(-1)*A^(-1) at the guard order.
+    # packed matrix product.  Cm = S*Q^(-1)*A^(-1) is kept at its read order
+    # m: phi(Cm) mod pi0^n reads Cm's first terms(n) coefficients and the
+    # window test its first M_pi0, so coefficients from m on are never read.
     n = uq.order
+    m = min(mw, max(ctx.phi_sub.terms(n), t_order))
     pn = ctx.pn
     CpU = [[kernels.series_mul(uq.coeffs, e.coeffs, pn, n) for e in row] for row in Cp]
     delta_l = [[e.coeffs[:n] for e in row] for row in delta]
     ident = PMatrix.identity(d, p, N).to_lists()
-    right = kernels.Sandwich(ident, matrix_inverse_mod(A).to_lists(), pn, mw)
+    right = kernels.Sandwich(ident, matrix_inverse_mod(A).to_lists(), pn, m)
     compose = ctx.phi_sub.compose
 
-    Cm = [[[0] * mw for _ in range(d)] for _ in range(d)]
+    Cm = [[[0] * m for _ in range(d)] for _ in range(d)]
     prev_window = [[e[:t_order] for e in row] for row in Cm]
     for _ in range(max_iter):
         S = kernels.mat_mul(CpU, [[compose(e, n) for e in row] for row in Cm], pn, n)

@@ -259,10 +259,17 @@ def substitute(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return TruncSeries._trusted(g.var, g.p, g.N, tuple(out))
 
 
-# Power tables kept per image.  The library's own calls ask an image for at
-# most three orders (the user window, the guard order and one below it); the
-# cap bounds memory when loaded artifacts bring series of many other lengths.
+# Power tables kept per image, and quotient tables likewise.  The library's
+# own calls ask an image for at most three orders (the user window, the guard
+# order and one below it) and one quotient table; the cap bounds memory when
+# loaded artifacts bring series of many other lengths.
 _TABLES_KEPT = 4
+
+
+def _make_room(cache: dict) -> None:
+    """Drop the least recently used entry of a full table cache."""
+    if len(cache) >= _TABLES_KEPT:
+        del cache[next(iter(cache))]
 
 
 class Substitution:
@@ -271,8 +278,9 @@ class Substitution:
     The powers g^0, g^1, ... truncated at an order n are packed the first
     time order n is asked for and kept (the last few orders used); each
     substitution at that order is then one big-int linear combination and
-    one unpack.  The tables are a cache: they are not pickled, and equality
-    of the objects that hold a Substitution should not look at it.
+    one unpack.  The quotient tables of :meth:`quotients` are kept the same
+    way.  The tables are a cache: they are not pickled, and equality of the
+    objects that hold a Substitution should not look at it.
     """
 
     def __init__(self, image: TruncSeries):
@@ -280,6 +288,7 @@ class Substitution:
             raise NonzeroConstant("substitution argument has nonzero constant term")
         self.image = image
         self._tables: dict[int, tuple[int, list[int]]] = {}
+        self._quotients: dict[tuple[int, int], list[list[int]]] = {}
 
     def __reduce__(self):
         return (Substitution, (self.image,))
@@ -290,9 +299,35 @@ class Substitution:
         if entry is None:
             g = self.image
             entry = kernels.power_table(g.coeffs, g.pn, n)
-            if len(tables) >= _TABLES_KEPT:
-                del tables[next(iter(tables))]  # the least recently used
-        tables[n] = entry
+            _make_room(tables)
+        tables[n] = entry  # most recently used last
+        return entry
+
+    def terms(self, n: int) -> int:
+        """How many leading coefficients of f the substitution f(g) mod X^n reads."""
+        return len(self._table(n)[1])
+
+    def quotients(self, n: int, r: int) -> list[list[int]]:
+        """Q_k = (g^k mod X^n) / (X*(X+p)^r) for k < terms(n), each of length n-1-r.
+
+        For f with f(0) = 0, (f(g) mod X^n) / (X*(X+p)^r) is the linear
+        combination sum_k f_k*Q_k (Q_0 = 0), as the division is Z/p^N-linear.
+        Each Q_k is divided by :func:`q_divide_exact`, which raises
+        NotDivisible on a nonzero remainder, so by linearity the table proves
+        the division exact for every such f.
+        """
+        if not 0 <= r < n:
+            raise InvalidInput("division exponent out of range")
+        tables = self._quotients
+        entry = tables.pop((n, r), None)
+        if entry is None:
+            g = self.image
+            powers = self.powers(n)
+            next(powers)  # g^0 = 1 has no part above the constant term
+            entry = [[0] * (n - 1 - r)]
+            entry += [q_divide_exact(gk[1:], g.p, g.pn, r) for gk in powers]
+            _make_room(tables)
+        tables[n, r] = entry
         return entry
 
     def powers(self, n: int):

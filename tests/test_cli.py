@@ -137,6 +137,28 @@ class TestCommands:
         # M_pi0 < N violates the profile invariant; must fail as validation
         assert main(["build", "-i", src, "--prec-pi0", "2"]) == 2
 
+    def test_prec_p_above_input_is_a_validation_error(self, tmp_path, capsys):
+        # A is known mod 3^4 only: an N = 16 artifact would claim precision
+        # the input does not carry
+        src = write(tmp_path, "m.json", FL_SIMPLE)
+        for cmd in ("build", "reduce"):
+            assert main([cmd, "-i", src, "--prec-p", "16"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "--prec-p 16" in err
+
+    def test_prec_p_below_input_lowers_precision(self, tmp_path, capsys):
+        src = write(tmp_path, "m.json", FL_SIMPLE)
+        assert main(["build", "-i", src]) == 0
+        full = json.loads(capsys.readouterr().out)
+        assert main(["build", "-i", src, "--prec-p", "2"]) == 0
+        low = json.loads(capsys.readouterr().out)
+        assert low["N"] == 2
+        # the N = 2 artifact is the N = 4 one reduced mod 3^2 on its window
+        for name in ("C", "G"):
+            for row_low, row_full in zip(low[name], full[name]):
+                for e_low, e_full in zip(row_low, row_full):
+                    assert [int(c) for c in e_low] == [int(c) % 9 for c in e_full[: len(e_low)]]
+
     def test_tensor_fl(self, tmp_path):
         a = write(tmp_path, "a.json", {"kind": "fl", "p": 5, "N": 4, "weights": [1], "A": [["2"]]})
         b = write(tmp_path, "b.json", {"kind": "fl", "p": 5, "N": 4, "weights": [2], "A": [["3"]]})

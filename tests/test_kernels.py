@@ -10,8 +10,8 @@ from oracles import horner_compose, scalar_matmul, schoolbook_mul
 from oracles import schoolbook_matmul as oracle_matmul
 from wachkit import kernels
 from wachkit import series as series_module
-from wachkit.cyclo import build_context, context_to_dict, guard_order
-from wachkit.errors import InvalidInput, ProfileMismatch, VariableMismatch
+from wachkit.cyclo import build_context, context_to_dict, get_context, guard_order
+from wachkit.errors import InvalidInput, NotDivisible, ProfileMismatch, VariableMismatch
 from wachkit.flmod import make_fl
 from wachkit.series import (
     PI,
@@ -21,6 +21,7 @@ from wachkit.series import (
     series_add,
     series_multiply,
     series_scale,
+    q_divide_exact,
     series_sub,
 )
 from wachkit.suite import random_unit_matrix
@@ -129,6 +130,51 @@ def test_table_cache_is_bounded(ctx5):
     for n in list(range(1, top + 1)) + [1, top]:
         assert sub.apply(series, n).coeffs == tuple(expected[:n])
         assert len(sub._tables) <= series_module._TABLES_KEPT
+    # quotient tables likewise (exact from order N + r on: what truncation
+    # cuts off leaves a remainder divisible by p^(n-r))
+    first = sub.quotients(top, 4)
+    for n in list(range(20, top + 1)) + [top]:
+        assert len(sub.quotients(n, 4)) == sub.terms(n)
+        assert len(sub._quotients) <= series_module._TABLES_KEPT
+    assert sub.quotients(top, 4) == first
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 17))
+def test_quotient_table_matches_compose_then_divide(p):
+    # sum_t f_t*Q_t against phi(f) composed by Horner, then divided by
+    # pi0*q^r, at the stepper's working order
+    ctx = get_context(p)
+    sub, pn = ctx.phi_sub, ctx.pn
+    n = min(ctx.work.M_pi0, ctx.work.v_gamma_inv.order)
+    g = list(sub.image.coeffs)
+    rng = random.Random(500 + p)
+    for r in (1, p - 1):
+        table = sub.quotients(n, r)
+        assert len(table) == sub.terms(n) and table[0] == [0] * (n - 1 - r)
+        assert all(len(Q) == n - 1 - r for Q in table)
+        for length in (2, len(table) - 1, len(table), n):
+            f = [0] + [rng.randrange(pn) for _ in range(length - 1)]
+            expect = q_divide_exact(horner_compose(f, g, pn, n)[1:], p, pn, r)
+            got = [sum(c * Q[k] for c, Q in zip(f, table)) % pn for k in range(n - 1 - r)]
+            assert got == expect
+        assert sub.quotients(n, r) is table  # kept, not rebuilt
+    with pytest.raises(InvalidInput):
+        sub.quotients(n, n)
+
+
+def test_quotient_table_checks_every_power():
+    # mod 5^4 at order 10 (where truncation leaves multiples of (X+5)
+    # divisible): X^k / X = X^(k-1) is not divisible by (X+5)^4 for k = 1
+    sub = Substitution(TruncSeries(PI0, 5, 4, (0, 1) + (0,) * 8))
+    with pytest.raises(NotDivisible):
+        sub.quotients(10, 4)
+    assert not sub._quotients  # a failed table is not kept
+    # g = X*(X+5): each (g^k/X) / (X+5) is exact, the division by (X+5)^2
+    # is not for k = 1
+    sub = Substitution(TruncSeries(PI0, 5, 4, (0, 5, 1) + (0,) * 7))
+    assert sub.quotients(10, 1)[1][:2] == [1, 0]
+    with pytest.raises(NotDivisible):
+        sub.quotients(10, 2)
 
 
 def test_context_unchanged_by_tables():
@@ -136,6 +182,7 @@ def test_context_unchanged_by_tables():
     m = make_fl(5, 16, (0, 3), random_unit_matrix(random.Random(5), 2, 5, 16))
     w = solve_wach(m, ctx)
     assert verify_wach_axioms(w).ok
+    assert ctx.phi_sub._quotients  # the solve built the quotient table
     fresh = build_context(5)
     assert ctx == fresh
     assert repr(ctx) == repr(fresh)
@@ -197,10 +244,16 @@ def test_sandwich_matches_schoolbook(p):
                 assert kernels.Sandwich(A, B, pn, n)(T) == scalar_matmul(A, T, B, pn)
 
 
+def _combine(coords, basis, pn, n):
+    """sum_t coords[t]*basis[t], truncated to n, coefficient by coefficient."""
+    return [sum(c * b[k] for c, b in zip(coords, basis) if k < len(b)) % pn for k in range(n)]
+
+
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
 def test_sandwich_with_factor_and_offset(p):
     # A*(K + E o F)*B with o the entrywise product, on random entries and on
-    # the fullest slots (every coefficient and scalar p^N - 1)
+    # the fullest slots (every coefficient and scalar p^N - 1); E given
+    # directly, or as coordinate lists over a basis
     rng = random.Random(450 + p)
     for N in (1, 8, 16):
         pn = p**N
@@ -212,7 +265,20 @@ def test_sandwich_with_factor_and_offset(p):
             E, F, K = (_random_matrix(rng, d, d, pn, n) for _ in range(3))
             E[0][0] = E[0][0][: n // 2]  # a short entry counts as zero-padded
             fullest = [[[pn - 1] * n] * d] * d
-            for A_, B_, E_, F_, K_ in ((A, B, E, F, K), (full, full, fullest, fullest, fullest)):
+            # a basis with a short member and one longer than n; coordinate
+            # lists longer than the basis are cut to it
+            basis = [[rng.randrange(pn) for _ in range(n - 3)] for _ in range(5)]
+            basis += [[rng.randrange(pn) for _ in range(n + 2)]]
+            coords = _random_matrix(rng, d, d, pn, 7)
+            coords[0][0] = coords[0][0][:2]
+            cases = [
+                (A, B, E, F, K, None, E),
+                (full, full, fullest, fullest, fullest, None, fullest),
+            ]
+            for C_, basis_ in ((coords, basis), ([[[pn - 1] * 6] * d] * d, fullest[0])):
+                E_ = [[_combine(c, basis_, pn, n) for c in row] for row in C_]
+                cases.append((A, B, E_, F, K, basis_, C_))
+            for A_, B_, E_, F_, K_, basis_, arg in cases:
                 inner = [
                     [
                         [(a + b) % pn for a, b in zip(k, schoolbook_mul(e, f, pn, n))]
@@ -221,7 +287,7 @@ def test_sandwich_with_factor_and_offset(p):
                     for kr, er, fr in zip(K_, E_, F_)
                 ]
                 expect = scalar_matmul(A_, inner, B_, pn)
-                got = kernels.Sandwich(A_, B_, pn, n, factor=F_, offset=K_)(E_)
+                got = kernels.Sandwich(A_, B_, pn, n, factor=F_, offset=K_, basis=basis_)(arg)
                 assert got == expect
 
 
@@ -229,7 +295,9 @@ def test_sandwich_with_factor_and_offset(p):
 def test_sandwich_largest_slot_sums(p):
     # every scalar and coefficient p^N - 1 = -1: a term of A*(K + E o F)*B
     # is K + (k+1) = k at slot k (K + E = -2 without F), summed over d^2
-    # terms, the fullest slots either form can have
+    # terms, the fullest slots either form can have.  Over a basis of L
+    # members, E = L at every slot; with B all 1 the scalars stay -1, so a
+    # term is 1 + L*(k+1) (1 - L without F).
     for N in range(1, 17):
         pn = p**N
         for n, d in itertools.product((guard_order(p, N, 16), 200), (1, 4)):
@@ -238,6 +306,13 @@ def test_sandwich_largest_slot_sums(p):
             assert got == [[[d * d * k % pn for k in range(n)]] * d] * d
             got = kernels.Sandwich(full, full, pn, n, offset=ones)(ones)
             assert got == [[[-2 * d * d % pn] * n] * d] * d
+            L, unit = 18, [[1] * d] * d
+            basis, coords = [[pn - 1] * n] * L, [[[pn - 1] * L] * d] * d
+            sandwich = kernels.Sandwich(full, unit, pn, n, factor=ones, offset=ones, basis=basis)
+            expect = [d * d * (1 + L * (k + 1)) % pn for k in range(n)]
+            assert sandwich(coords) == [[expect] * d] * d
+            got = kernels.Sandwich(full, unit, pn, n, offset=ones, basis=basis)(coords)
+            assert got == [[[d * d * (1 - L) % pn] * n] * d] * d
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)

@@ -3,15 +3,22 @@ import time
 
 import pytest
 
-from oracles import lattice_membership_oracle
+from oracles import horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul
 from wachkit.cyclo import build_context, get_context
-from wachkit.errors import NoConvergence, SingularBasis, ValidationFailed
+from wachkit.errors import (
+    InvalidInput,
+    NoConvergence,
+    NotDivisible,
+    SingularBasis,
+    ValidationFailed,
+)
 from wachkit.flmod import LatticeSub, make_fl, unit_fl
-from wachkit.padic import PMatrix
+from wachkit.padic import PMatrix, matrix_inverse_mod
 from wachkit.series import (
     PI0,
     TruncSeries,
     constant_series,
+    q_divide_exact,
     series_add,
     series_multiply,
     series_pow,
@@ -133,6 +140,77 @@ class TestSolver:
         C = build_phi_matrix(m, ctx3)
         with pytest.raises(NoConvergence):
             solve_gamma_matrix(C, m.weights, m.A, ctx3, max_iter=2)
+
+    def test_rank_zero_is_invalid_input(self, ctx5):
+        # FLModule accepts weights (); the solver must refuse it with a typed
+        # error before it builds anything
+        m = make_fl(5, 16, (), PMatrix(0, 0, (), 5, 16))
+        with pytest.raises(InvalidInput):
+            solve_wach(m, ctx5)
+
+    def test_step_requires_identity_mod_pi0(self, ctx5):
+        # phi(G - Id) is divisible by pi0 only when G = Id mod pi0
+        from wachkit.wach import _gamma_stepper
+
+        m = make_fl(5, 16, (0, 3), random_unit_matrix(random.Random(6), 2, 5, 16))
+        step, ident = _gamma_stepper(m.weights, m.A, ctx5)
+        step(ident)
+        for i, j, c in ((0, 1, 1), (1, 1, 2), (1, 0, ctx5.pn - 1)):
+            G = [[list(e) for e in row] for row in ident]
+            G[i][j][0] = c
+            with pytest.raises(NotDivisible):
+                step(G)
+
+    @pytest.mark.parametrize(
+        "p, N, M, m",
+        [(3, 16, 16, 16), (5, 16, 16, 16), (7, 16, 16, 16), (5, 8, 12, 12), (3, 1, 1, 2)],
+    )
+    def test_step_matches_compose_then_divide(self, p, N, M, m):
+        # one step against the update written out at the working order n:
+        # E = phi(G - Id) composed by Horner and divided by pi0*q^(p-1),
+        # then A*(diag(v^-r) + E o F)*A^-1 by schoolbook products.  The
+        # step keeps the first m coefficients, m >= M_pi0, which read fewer
+        # of G's (at M_pi0 = 1 it reads two, so m = 2); coefficients of G
+        # from m on are junk to the oracle and absent from the step's input.
+        from wachkit.wach import _gamma_stepper
+
+        ctx = get_context(p, N, M)
+        pn, work = ctx.pn, ctx.work
+        n = min(work.M_pi0, work.v_gamma_inv.order)
+        rng = random.Random(70 + p)
+        weights = (0, 1, p - 2)
+        A = random_unit_matrix(rng, 3, p, N)
+        step, ident = _gamma_stepper(weights, A, ctx)
+        assert [len(e) for row in ident for e in row] == [m] * 9
+
+        def power(f, e):
+            out = [1] + [0] * (n - 1)
+            for _ in range(e):
+                out = schoolbook_mul(out, f, pn, n)
+            return out
+
+        q = [p % pn, 1] + [0] * (n - 2)
+        vinv = list(work.v_gamma_inv.coeffs[:n])
+        G = [
+            [[int(i == j)] + [rng.randrange(pn) for _ in range(n - 1)] for j in range(3)]
+            for i in range(3)
+        ]
+        inner = []
+        for i, ri in enumerate(weights):
+            row = []
+            for j, rj in enumerate(weights):
+                delta = [(G[i][j][0] - (i == j)) % pn] + G[i][j][1:]
+                f = horner_compose(delta, list(work.phi_pi0.coeffs), pn, n)
+                E = q_divide_exact(f[1:], p, pn, p - 1)
+                F = [0] + schoolbook_mul(power(q, p - 1 + ri - rj), power(vinv, rj), pn, n - 1)
+                T = schoolbook_mul(E, F, pn, n)
+                K = power(vinv, rj) if i == j else [0] * n
+                row.append([(a + b) % pn for a, b in zip(K, T)])
+            inner.append(row)
+        Ainv = matrix_inverse_mod(A).to_lists()
+        expect = scalar_matmul(A.to_lists(), inner, Ainv, pn)
+        got = step([[e[:m] for e in row] for row in G])
+        assert got == [[e[:m] for e in row] for row in expect]
 
     def test_successive_differences_contract(self, ctx3):
         # successive iterates approach the fixed point in the (p, pi0)-adic
