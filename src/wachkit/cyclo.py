@@ -24,20 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidInput, VariableMismatch
+from .errors import InvalidInput, NotInS0, VariableMismatch
 from .padic import inv_mod, teichmueller_lift
 from .series import (
     PI,
     PI0,
-    PI_TO_PI0_PURE,
     Substitution,
     TruncationProfile,
     TruncSeries,
     _ceil_log,
     binomial_power,
-    change_coordinates,
     constant_series,
     default_pi_order,
+    pi0_coordinates,
     series_add,
     series_invert_unit,
     series_scale,
@@ -128,11 +127,6 @@ class CycloContext:
     def pn(self) -> int:
         return self.profile.pn
 
-    def torsion_image(self, a: int) -> TruncSeries:
-        if not 1 <= a <= self.p - 1:
-            raise InvalidInput(f"torsion index {a} outside [1, p-1]")
-        return self.torsion_pi[a - 1]
-
     def primitive_root(self) -> int:
         """Smallest generator of (Z/p)^*; its torsion substitution generates all."""
         p = self.p
@@ -163,6 +157,15 @@ def _validate_chi(chi: int, p: int) -> None:
         raise InvalidInput("chi(gamma) must be congruent to 1 mod p")
     if (chi - 1) % (p * p) == 0:
         raise InvalidInput("chi(gamma) must not be 1 mod p^2 (needs a topological generator)")
+
+
+def _in_s0(f: TruncSeries, pi0_in_pi: Substitution, out_order: int) -> TruncSeries:
+    """The pi0-series f_0 with f = f_0(pi0); NotInS0 if f has a pi^j part, j >= 1."""
+    f0, *rest = pi0_coordinates(f, pi0_in_pi, out_order)
+    for j, part in enumerate(rest, start=1):
+        if not part.is_zero():
+            raise NotInS0(f"component at pi^{j} is nonzero")
+    return f0
 
 
 def build_context(
@@ -218,17 +221,13 @@ def build_context(
     phi_pi_w = series_sub(binomial_power(p, p, N, mpw, var=PI), one)
     gamma_pi_w = series_sub(binomial_power(chi, p, N, mpw, var=PI), one)
 
-    # images of pi0 back to pure pi0-coordinates; PI_TO_PI0_PURE doubles as
-    # the Gamma_f-invariance assertion.  Both read the powers of pi0(pi) from
-    # one table, built here and dropped with it: no later operation asks for
-    # this order, and the context keeps only the tables its callers use.
+    # images of pi0 back to pi0-coordinates; _in_s0 doubles as the
+    # Gamma_f-invariance assertion.  Both read the powers of pi0(pi) from one
+    # table, built here and dropped with it: no later operation asks for this
+    # order, and the context keeps only the tables its callers use.
     powers_of_pi0 = Substitution(pi0_in_pi_w)
-    phi_pi0_w = change_coordinates(
-        phi_pi0_in_pi, PI_TO_PI0_PURE, powers_of_pi0, out_order=mw
-    )
-    gamma_pi0_w = change_coordinates(
-        gamma_pi0_in_pi, PI_TO_PI0_PURE, powers_of_pi0, out_order=mw
-    )
+    phi_pi0_w = _in_s0(phi_pi0_in_pi, powers_of_pi0, mw)
+    gamma_pi0_w = _in_s0(gamma_pi0_in_pi, powers_of_pi0, mw)
     if phi_pi0_w.constant_term() != 0 or gamma_pi0_w.constant_term() != 0:
         raise AssertionError("phi/gamma must preserve the maximal ideal")
 
@@ -417,13 +416,3 @@ def context_to_dict(ctx: CycloContext) -> dict:
         "u": ser(ctx.u),
         "v_gamma": ser(ctx.v_gamma),
     }
-
-
-def context_from_dict(data: dict) -> CycloContext:
-    """Rebuild a context from its serialized fields and cross-check them."""
-    ctx = get_context(int(data["p"]), int(data["N"]), int(data["M_pi0"]), int(data["chi_gamma"]))
-    for name in ("pi0_in_pi", "phi_pi0", "gamma_pi0", "q", "u", "v_gamma"):
-        stored = tuple(int(c) for c in data[name])
-        if stored != getattr(ctx, name).coeffs:
-            raise InvalidInput(f"cached context field {name} does not match rebuild")
-    return ctx

@@ -75,16 +75,6 @@ def _powers(g, pn: int, n: int, width: int):
             cur = pack(unpack((cur & mask) * (u & mask), width, m, pn), width)
 
 
-def series_compose(f, g, pn: int, out_len: int) -> list:
-    """f(g(X)) truncated to out_len; requires g[0] == 0.
-
-    Sums f_k * g^k over the packed powers of g, built one at a time.
-    """
-    width = slot_width(pn, out_len)
-    terms = (c * t for c, t in zip(f, _powers(g, pn, out_len, width)) if c)
-    return unpack(sum(terms), width, out_len, pn)
-
-
 def power_table(g, pn: int, n: int) -> tuple[int, list[int]]:
     """(width, packed g^0, g^1, ...) truncated at order n; requires g[0] == 0.
 

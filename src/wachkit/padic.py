@@ -213,11 +213,6 @@ class PMatrix:
             self.N,
         )
 
-    def scale(self, c: int) -> "PMatrix":
-        return PMatrix(
-            self.rows, self.cols, tuple(c * e for e in self.entries), self.p, self.N
-        )
-
     def transpose(self) -> "PMatrix":
         ents = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
         return PMatrix(self.cols, self.rows, ents, self.p, self.N)

@@ -40,7 +40,9 @@ from .series import (
     PI0,
     TruncSeries,
     lists_to_smat,
+    pad,
     q_divide_exact,
+    q_powers,
     series_add,
     series_multiply,
     series_scale,
@@ -52,8 +54,6 @@ from .series import (
 from .wach import (
     SeriesMat,
     WachModule,
-    _pad,
-    _q_powers,
     smat,
     smat_add,
     smat_eq,
@@ -116,7 +116,7 @@ def _fil_lattice(w: WachModule, r: int) -> PMatrix:
     rows: list[list[int]] = [[0] * d for _ in range(r * d)]
     for i2 in range(d):  # ambient coordinate
         for i in range(d):  # unknown index
-            _, rem = weierstrass_divide_q_power(_pad(w.C[i2][i], mw), r)
+            _, rem = weierstrass_divide_q_power(pad(w.C[i2][i], mw), r)
             for t in range(r):
                 rows[i2 * r + t][i] = rem[t]
     kern = howell_kernel(PMatrix.from_lists(rows, p, N))
@@ -149,7 +149,7 @@ def _phi_r_image(w: WachModule, x: list[int], r: int) -> list[int]:
     for i2 in range(d):
         acc = None
         for i in range(d):
-            term = series_scale(_pad(w.C[i2][i], mw), x[i])
+            term = series_scale(pad(w.C[i2][i], mw), x[i])
             acc = term if acc is None else series_add(acc, term)
         quot = weierstrass_divide_exact(acc, r)
         out.append(quot.constant_term())
@@ -278,8 +278,8 @@ def normalize_basis(
                     f"C mod pi0 differs from A*diag(p^r) at entry ({i},{j})"
                 )
 
-    Cp = smat_map(C_perturbed, lambda e: _pad(e, mw))
-    qpow = _q_powers(work.q, p - 1)
+    Cp = smat_map(C_perturbed, lambda e: pad(e, mw))
+    qpow = q_powers(work.q, p - 1)
     AQ = smat(
         [
             [series_scale(qpow[weights[j]], A.at(i, j)) for j in range(d)]
@@ -287,7 +287,7 @@ def normalize_basis(
         ]
     )
     uq = series_multiply(work.u, qpow[p - 1])
-    delta = smat_map(smat_sub(Cp, AQ), lambda e: _pad(shift_divide_exact(e, 1), mw))
+    delta = smat_map(smat_sub(Cp, AQ), lambda e: pad(shift_divide_exact(e, 1), mw))
 
     # The loop runs on coefficient lists.  S = delta + u*q^(p-1)*Cp*phi(Cm)
     # lives at u's order n; u*q^(p-1) is folded into Cp once, so S is one
@@ -456,13 +456,13 @@ def roundtrip_check(
     )
     P0 = smat_add(
         smat_identity(d, m.p, m.N, mw),
-        smat_map(R, lambda e: _pad(shift_multiply(e, 1), mw)),
+        smat_map(R, lambda e: pad(shift_multiply(e, 1), mw)),
     )
     P0inv = _smat_series_inverse(P0)
     AQ_w = smat(
         [
             [
-                series_scale(_q_powers(ctx.work.q, m.h)[m.weights[j]], m.A.at(i, j))
+                series_scale(q_powers(ctx.work.q, m.h)[m.weights[j]], m.A.at(i, j))
                 for j in range(d)
             ]
             for i in range(d)

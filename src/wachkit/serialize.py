@@ -34,6 +34,8 @@ def dumps_canonical(obj) -> str:
 
 
 def _need(data: dict, field: str, where: str):
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: expected an object")
     if field not in data:
         raise SchemaError(f"{where}: missing field {field!r}")
     return data[field]
@@ -42,7 +44,7 @@ def _need(data: dict, field: str, where: str):
 def _as_int(value, where: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: expected a decimal integer, got {value!r}") from exc
 
 
@@ -92,17 +94,13 @@ def _smat_from_json(data, p: int, N: int, where: str) -> SeriesMat:
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != len(data):
             raise SchemaError(f"{where}[{i}]: expected a square matrix of series")
-        rows.append(
-            [
-                TruncSeries(
-                    PI0,
-                    p,
-                    N,
-                    tuple(_as_int(c, f"{where}[{i}][{j}]") for c in entry),
-                )
-                for j, entry in enumerate(row)
-            ]
-        )
+        out = []
+        for j, entry in enumerate(row):
+            if not isinstance(entry, list):
+                raise SchemaError(f"{where}[{i}][{j}]: expected an array of coefficients")
+            coeffs = tuple(_as_int(c, f"{where}[{i}][{j}]") for c in entry)
+            out.append(TruncSeries(PI0, p, N, coeffs))
+        rows.append(out)
     return smat(rows)
 
 
@@ -132,8 +130,13 @@ def wach_from_dict(data: dict, where: str = "wach") -> WachModule:
     ctx = get_context(p, N, m_pi0, chi)
     C = _smat_from_json(_need(data, "C", where), p, N, f"{where}.C")
     G = _smat_from_json(_need(data, "G", where), p, N, f"{where}.G")
+    if len(G) != len(C):
+        raise SchemaError(f"{where}: C and G differ in rank")
     meta = _need(data, "meta", where)
-    weights = tuple(_as_int(x, f"{where}.meta.weights") for x in _need(meta, "weights", f"{where}.meta"))
+    weights = _need(meta, "weights", f"{where}.meta")
+    if not isinstance(weights, list):
+        raise SchemaError(f"{where}.meta.weights: expected a list")
+    weights = tuple(_as_int(x, f"{where}.meta.weights") for x in weights)
     if len(weights) != len(C):
         raise SchemaError(f"{where}: weights length differs from matrix rank")
     iters = _as_int(meta.get("iterations_used", 0), f"{where}.meta.iterations_used")

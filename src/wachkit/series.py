@@ -7,10 +7,13 @@ top coefficients (``shift_divide_exact``) return shorter series instead of
 padding with unearned zeros, and binary operations work at the shorter of the
 two windows.
 
-The two variables are related by the coordinate change pi0 = pi0_in_pi(pi),
-a series of exact pi-valuation p-1 with unit leading coefficient; the
-pi -> pi0 direction is a strictly triangular back-substitution graded by
-d = j + k(p-1) and needs no division by p.
+Every substitution f |-> f(g) goes through a :class:`Substitution` of the
+image g, which keeps g's packed power tables.  The two variables are related
+by pi0 = pi0_in_pi(pi), a series of exact pi-valuation p-1 with unit leading
+coefficient.  A pi0-series goes to pi-coordinates through the Substitution
+of pi0_in_pi; :func:`pi0_coordinates` goes back, splitting a pi-series into
+f = sum_j pi^j f_j(pi0) by a strictly triangular back-substitution graded by
+d = j + k(p-1), with no division by p.
 
 Profiles: a :class:`TruncationProfile` fixes (p, N, M_pi0, M_pi) with
 M_pi0 >= N (so evaluation at pi0 = -p, the Weierstrass remainder, is exact
@@ -21,6 +24,7 @@ pi0-coordinates to order M_pi0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import kernels
 from .errors import (
@@ -29,7 +33,6 @@ from .errors import (
     NonUnitSeries,
     NonzeroConstant,
     NotDivisible,
-    NotInS0,
     ProfileMismatch,
     VariableMismatch,
 )
@@ -40,10 +43,6 @@ PI0 = "pi0"
 
 _new = object.__new__
 _set = object.__setattr__
-
-PI0_TO_PI = "pi0_to_pi"
-PI_TO_PI0 = "pi_to_pi0"
-PI_TO_PI0_PURE = "pi_to_pi0_pure"
 
 
 def default_pi_order(p: int, M_pi0: int) -> int:
@@ -79,9 +78,6 @@ class TruncationProfile:
     @property
     def pn(self) -> int:
         return self.p**self.N
-
-    def order_for(self, var: str) -> int:
-        return self.M_pi if var == PI else self.M_pi0
 
 
 @dataclass(frozen=True)
@@ -138,19 +134,12 @@ class TruncSeries:
             raise InvalidInput("cannot extend a series' valid order")
         return TruncSeries._trusted(self.var, self.p, self.N, self.coeffs[:order])
 
-    def scalar(self, k: int) -> PScalar:
-        return PScalar(self.coeff(k), self.p, self.N)
-
 
 def _same_ring(f: TruncSeries, g: TruncSeries) -> None:
     if (f.p, f.N) != (g.p, g.N):
         raise ProfileMismatch("series over different moduli")
     if f.var != g.var:
         raise VariableMismatch(f"variable tags differ: {f.var} vs {g.var}")
-
-
-def make_series(var: str, coeffs, p: int, N: int) -> TruncSeries:
-    return TruncSeries(var, p, N, tuple(coeffs))
 
 
 def zero_series(var: str, p: int, N: int, order: int) -> TruncSeries:
@@ -164,13 +153,6 @@ def constant_series(var: str, c: int, p: int, N: int, order: int) -> TruncSeries
 def lists_to_smat(var: str, p: int, N: int, X) -> tuple[tuple[TruncSeries, ...], ...]:
     """Series matrix from nested lists of canonical coefficient lists."""
     return tuple(tuple(TruncSeries._trusted(var, p, N, tuple(e)) for e in row) for row in X)
-
-
-def x_series(var: str, p: int, N: int, order: int) -> TruncSeries:
-    coeffs = [0] * order
-    if order > 1:
-        coeffs[1] = 1
-    return TruncSeries(var, p, N, tuple(coeffs))
 
 
 def series_add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -202,20 +184,6 @@ def series_multiply(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return TruncSeries._trusted(f.var, f.p, f.N, tuple(out))
 
 
-def series_pow(f: TruncSeries, e: int) -> TruncSeries:
-    """e-th power by binary powering, e >= 0."""
-    if e < 0:
-        raise InvalidInput("negative power")
-    result = constant_series(f.var, 1, f.p, f.N, f.order)
-    base = f
-    while e:
-        if e & 1:
-            result = series_multiply(result, base)
-        base = series_multiply(base, base) if e > 1 else base
-        e >>= 1
-    return result
-
-
 def series_invert_unit(f: TruncSeries) -> TruncSeries:
     """Multiplicative inverse of a series with unit constant term."""
     if not f.is_unit():
@@ -232,31 +200,6 @@ def series_invert_unit(f: TruncSeries) -> TruncSeries:
                 acc += fi * out[k - i]
         out[k] = (-inv0 * acc) % pn
     return TruncSeries._trusted(f.var, f.p, f.N, tuple(out))
-
-
-def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """f(g(X)); g must have zero constant term, tags must agree."""
-    _same_ring(f, g)
-    if g.constant_term() != 0:
-        raise NonzeroConstant("substitution argument has nonzero constant term")
-    n = min(f.order, g.order)
-    out = kernels.series_compose(f.coeffs[:n], g.coeffs, f.pn, n)
-    return TruncSeries._trusted(f.var, f.p, f.N, tuple(out))
-
-
-def substitute(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """Like series_compose but allows f and g to carry different tags.
-
-    Used for coordinate changes and operator images, where f is a series in
-    one variable and g expresses that variable in another one; the result
-    inherits g's tag.
-    """
-    if (f.p, f.N) != (g.p, g.N):
-        raise ProfileMismatch("series over different moduli")
-    if g.constant_term() != 0:
-        raise NonzeroConstant("substitution argument has nonzero constant term")
-    out = kernels.series_compose(f.coeffs, g.coeffs, f.pn, g.order)
-    return TruncSeries._trusted(g.var, g.p, g.N, tuple(out))
 
 
 # Power tables kept per image, and quotient tables likewise.  The library's
@@ -345,7 +288,8 @@ class Substitution:
     def apply(self, f: TruncSeries, order: int | None = None) -> TruncSeries:
         """f(g) at the operand's order, or at ``order``; never above g's order.
 
-        The result inherits g's variable tag, like :func:`substitute`.
+        f and g may carry different tags (a coordinate change substitutes a
+        pi-series for pi0); the result inherits g's.
         """
         g = self.image
         if (f.p, f.N) != (g.p, g.N):
@@ -510,17 +454,40 @@ def shift_multiply(f: TruncSeries, k: int) -> TruncSeries:
     return TruncSeries._trusted(f.var, f.p, f.N, (0,) * k + f.coeffs)
 
 
-def _pi_decompose(
-    f: TruncSeries, pi0_in_pi: Substitution, out_order: int | None
-) -> list[TruncSeries]:
-    """Coordinates f = sum_j pi^j f_j(pi0), 0 <= j <= p-2.
+def pad(f: TruncSeries, order: int) -> TruncSeries:
+    """f at exactly the given order: truncated, or extended by zeros."""
+    if f.order >= order:
+        return f.truncate(order)
+    return TruncSeries._trusted(f.var, f.p, f.N, f.coeffs + (0,) * (order - f.order))
 
-    Strictly triangular back-substitution along the grading d = j + k(p-1):
-    pi^j * pi0_in_pi^k has exact pi-valuation d with unit leading coefficient,
-    so each residual coefficient determines one unknown with no division by p.
-    Only residual degrees below (p-1)*out_order are read, so the powers of
-    pi0_in_pi are taken from its table at that order.
+
+def q_powers(q: TruncSeries, up_to: int) -> list[TruncSeries]:
+    """q^0, ..., q^up_to at q's order, for q = p + pi0, by the binomial theorem."""
+    p, pn, n = q.p, q.pn, q.order
+    if q.coeffs != ((p % pn, 1) + (0,) * n)[:n]:
+        raise ValueError("q must be p + pi0")
+    pows = []
+    for e in range(up_to + 1):
+        c = tuple(comb(e, k) * p ** (e - k) % pn for k in range(min(e + 1, n)))
+        pows.append(TruncSeries._trusted(PI0, p, q.N, c + (0,) * (n - len(c))))
+    return pows
+
+
+def pi0_coordinates(
+    f: TruncSeries, pi0_in_pi: Substitution, out_order: int | None = None
+) -> tuple[TruncSeries, ...]:
+    """The pi0-series (f_0, ..., f_{p-2}) with f = sum_j pi^j f_j(pi0).
+
+    ``pi0_in_pi`` substitutes the coordinate series pi0(pi); its power
+    tables are shared across calls.  Strictly triangular back-substitution
+    along the grading d = j + k(p-1): pi^j * pi0_in_pi^k has exact
+    pi-valuation d with unit leading coefficient, so each residual
+    coefficient determines one unknown with no division by p.  Only residual
+    degrees below (p-1)*out_order are read, so the powers of pi0_in_pi are
+    taken from its table at that order.
     """
+    if f.var != PI:
+        raise VariableMismatch("expected a pi-series")
     p, pn = f.p, f.pn
     m = f.order
     if out_order is None:
@@ -542,42 +509,4 @@ def _pi_decompose(
             for s in range(k * (p - 1), d_limit - j):
                 if pk[s]:
                     residual[j + s] = (residual[j + s] - c * pk[s]) % pn
-    return [TruncSeries._trusted(PI0, f.p, f.N, tuple(row)) for row in out]
-
-
-def change_coordinates(
-    f: TruncSeries,
-    direction: str,
-    pi0_in_pi: TruncSeries | Substitution,
-    out_order: int | None = None,
-):
-    """Coordinate change between the pi and pi0 descriptions.
-
-    ``pi0_in_pi`` is the coordinate series, or a :class:`Substitution` of it
-    whose power tables are then shared across calls.
-
-    * PI0_TO_PI: substitute pi0_in_pi into a pi0-series; returns a pi-series.
-    * PI_TO_PI0: returns the full record (f_0, ..., f_{p-2}) of pi0-series
-      with f = sum_j pi^j f_j(pi0).
-    * PI_TO_PI0_PURE: asserts f_j = 0 for j >= 1 and returns f_0, raising
-      NotInS0 otherwise.
-    """
-    if not isinstance(pi0_in_pi, Substitution):
-        pi0_in_pi = Substitution(pi0_in_pi)
-    if direction == PI0_TO_PI:
-        if f.var != PI0:
-            raise VariableMismatch("expected a pi0-series")
-        if pi0_in_pi.image.var != PI:
-            raise VariableMismatch("pi0_in_pi must be a pi-series")
-        return pi0_in_pi.apply(f, pi0_in_pi.image.order)
-    if direction in (PI_TO_PI0, PI_TO_PI0_PURE):
-        if f.var != PI:
-            raise VariableMismatch("expected a pi-series")
-        parts = _pi_decompose(f, pi0_in_pi, out_order)
-        if direction == PI_TO_PI0:
-            return tuple(parts)
-        for j, part in enumerate(parts[1:], start=1):
-            if not part.is_zero():
-                raise NotInS0(f"component at pi^{j} is nonzero")
-        return parts[0]
-    raise InvalidInput(f"unknown direction {direction!r}")
+    return tuple(TruncSeries._trusted(PI0, f.p, f.N, tuple(row)) for row in out)

@@ -38,7 +38,6 @@ C*phi(G) - G*gamma(C) vanishes identically there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import kernels
 from .cyclo import CycloContext, is_gamma_f_invariant, push_to_pi
@@ -60,6 +59,7 @@ from .series import (
     _same_ring,
     constant_series,
     lists_to_smat,
+    q_powers,
     series_add,
     series_multiply,
     series_scale,
@@ -196,12 +196,6 @@ def smat_is_zero(X: SeriesMat) -> bool:
     return all(e.is_zero() for row in X for e in row)
 
 
-def _pad(f: TruncSeries, order: int) -> TruncSeries:
-    if f.order >= order:
-        return f.truncate(order)
-    return TruncSeries._trusted(f.var, f.p, f.N, f.coeffs + (0,) * (order - f.order))
-
-
 def smat_det(X: SeriesMat) -> TruncSeries:
     """Determinant by minor expansion with memoization on column subsets."""
     d = len(X)
@@ -245,24 +239,12 @@ class WachModule:
         return len(self.weights)
 
 
-def _q_powers(q: TruncSeries, up_to: int) -> list[TruncSeries]:
-    """q^0, ..., q^up_to at q's order, for q = p + pi0, by the binomial theorem."""
-    p, pn, n = q.p, q.pn, q.order
-    if q.coeffs != ((p % pn, 1) + (0,) * n)[:n]:
-        raise ValueError("q must be p + pi0")
-    pows = []
-    for e in range(up_to + 1):
-        c = tuple(comb(e, k) * p ** (e - k) % pn for k in range(min(e + 1, n)))
-        pows.append(TruncSeries._trusted(PI0, p, q.N, c + (0,) * (n - len(c))))
-    return pows
-
-
 def build_phi_matrix(m: FLModule, ctx: CycloContext) -> SeriesMat:
     """C = A*diag(q^(r_j)) at the user window; entries are exact polynomials."""
     require_valid(m)
     if (m.p, m.N) != (ctx.p, ctx.N):
         raise ValidationFailed("module and context moduli differ")
-    qpow = _q_powers(ctx.q, m.h)
+    qpow = q_powers(ctx.q, m.h)
     rows = []
     for i in range(m.rank):
         rows.append(
@@ -316,7 +298,7 @@ def _gamma_stepper(weights: tuple[int, ...], A: PMatrix, ctx: CycloContext):
     vpow = [[1] + [0] * (m - 1)]
     for _ in range(max(weights)):
         vpow.append(kernels.series_mul(vpow[-1], work.v_gamma_inv.coeffs, pn, m))
-    qpow = _q_powers(work.q, p - 1 + max(weights) - min(weights))
+    qpow = q_powers(work.q, p - 1 + max(weights) - min(weights))
     factor = {
         (ri, rj): [0] + kernels.series_mul(qpow[p - 1 + ri - rj].coeffs, vpow[rj], pn, m - 1)
         for ri in set(weights)

@@ -4,7 +4,8 @@ These deliberately avoid the library code paths they check: kernels are
 enumerated exhaustively, series products and compositions are recomputed by
 schoolbook convolution and Horner's rule on plain ints, and lattice
 membership is decided by plain Z/p^N linear algebra on stacked coefficient
-vectors.
+vectors.  The series constructors and the binary power below are test
+helpers only: the library itself has no use for them.
 """
 
 from __future__ import annotations
@@ -12,9 +13,40 @@ from __future__ import annotations
 import itertools
 import math
 
+from wachkit.errors import InvalidInput
 from wachkit.padic import PMatrix, howell_form, howell_kernel, howell_member
-from wachkit.series import TruncSeries, series_multiply, weierstrass_divide_q_power
-from wachkit.wach import _pad
+from wachkit.series import (
+    TruncSeries,
+    constant_series,
+    pad,
+    series_multiply,
+    weierstrass_divide_q_power,
+)
+
+
+def make_series(var: str, coeffs, p: int, N: int) -> TruncSeries:
+    return TruncSeries(var, p, N, tuple(coeffs))
+
+
+def x_series(var: str, p: int, N: int, order: int) -> TruncSeries:
+    coeffs = [0] * order
+    if order > 1:
+        coeffs[1] = 1
+    return TruncSeries(var, p, N, tuple(coeffs))
+
+
+def series_pow(f: TruncSeries, e: int) -> TruncSeries:
+    """e-th power by binary powering, e >= 0."""
+    if e < 0:
+        raise InvalidInput("negative power")
+    result = constant_series(f.var, 1, f.p, f.N, f.order)
+    base = f
+    while e:
+        if e & 1:
+            result = series_multiply(result, base)
+        base = series_multiply(base, base) if e > 1 else base
+        e >>= 1
+    return result
 
 
 def brute_kernel(A: PMatrix) -> set[tuple[int, ...]]:
@@ -161,7 +193,7 @@ def full_fil_lattice(w, r: int) -> PMatrix:
     rows = [[0] * (d * M0) for _ in range(r * d)]
     for i2 in range(d):
         for i in range(d):
-            base = _pad(w.C[i2][i], mw)
+            base = pad(w.C[i2][i], mw)
             for k in range(M0):
                 prod = base if k == 0 else series_multiply(base, phi_pows[k])
                 _, rem = weierstrass_divide_q_power(prod, r)

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from oracles import lattice_membership_oracle, repeated_binomial
+from oracles import lattice_membership_oracle, make_series, repeated_binomial, series_pow, x_series
 from wachkit.cli import main as cli_main
 from wachkit.cyclo import apply_operator, build_context, get_context, projector
 from wachkit.flmod import LatticeSub, direct_sum_fl, make_fl, tensor_fl, unit_fl
@@ -23,27 +23,23 @@ from wachkit.reduction import roundtrip_check, normalize_basis, _smat_series_inv
 from wachkit.series import (
     PI,
     PI0,
-    PI_TO_PI0,
+    Substitution,
     TruncSeries,
     binomial_power,
-    change_coordinates,
     constant_series,
-    make_series,
+    pad,
+    pi0_coordinates,
+    q_powers,
     series_add,
     series_invert_unit,
     series_multiply,
-    series_pow,
     series_scale,
     shift_multiply,
-    substitute,
     weierstrass_divide_q_power,
-    x_series,
     zero_series,
 )
 from wachkit.suite import generate_suite, random_unit_matrix
 from wachkit.wach import (
-    _pad,
-    _q_powers,
     check_lattice_stability,
     commutation_residual,
     direct_sum_wach,
@@ -287,16 +283,16 @@ def test_c08_normalize_and_recognize():
             )
             P0 = smat_add(
                 smat_identity(d, p, 16, mw),
-                smat_map(R, lambda e: _pad(shift_multiply(e, 1), mw)),
+                smat_map(R, lambda e: pad(shift_multiply(e, 1), mw)),
             )
-            qpow = _q_powers(ctx.work.q, m.h)
+            qpow = q_powers(ctx.work.q, m.h)
             AQ = smat(
                 [
                     [series_scale(qpow[m.weights[j]], m.A.at(i, j)) for j in range(d)]
                     for i in range(d)
                 ]
             )
-            phi_P0 = smat_map(P0, lambda e: substitute(e, ctx.work.phi_pi0))
+            phi_P0 = smat_map(P0, ctx.phi_sub.apply)
             C_pert = smat_mul(smat_mul(_smat_series_inverse(P0), AQ), phi_P0)
             # normalize_basis certifies residual == 0 on the window internally
             P = normalize_basis(C_pert, m, ctx)
@@ -317,16 +313,16 @@ def test_c09_ring_layer():
     for p in PRIMES:
         ctx = get_context(p)
         pn = ctx.pn
-        pi0 = ctx.pi0_in_pi
-        order = pi0.order
+        pi0 = Substitution(ctx.pi0_in_pi)
+        order = ctx.pi0_in_pi.order
         window = (p - 1) * 16
         # coordinate-change roundtrips on 100 random series each way
         for _ in range(100):
             f = make_series(PI, [rng.randrange(pn) for _ in range(order)], p, 16)
-            parts = change_coordinates(f, PI_TO_PI0, pi0, out_order=16)
+            parts = pi0_coordinates(f, pi0, out_order=16)
             rec = zero_series(PI, p, 16, order)
             for j, part in enumerate(parts):
-                rec = series_add(rec, shift_multiply(substitute(part, pi0), j).truncate(order))
+                rec = series_add(rec, shift_multiply(pi0.apply(part, order), j).truncate(order))
             assert rec.coeffs[:window] == f.coeffs[:window]
         for _ in range(100):
             parts = [
@@ -335,8 +331,8 @@ def test_c09_ring_layer():
             ]
             f = zero_series(PI, p, 16, order)
             for j, part in enumerate(parts):
-                f = series_add(f, shift_multiply(substitute(part, pi0), j).truncate(order))
-            rec = change_coordinates(f, PI_TO_PI0, pi0, out_order=16)
+                f = series_add(f, shift_multiply(pi0.apply(part, order), j).truncate(order))
+            rec = pi0_coordinates(f, pi0, out_order=16)
             assert [r.coeffs for r in rec] == [q.coeffs for q in parts]
 
         # Weierstrass reconstruction on random series

@@ -1,7 +1,10 @@
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wachkit.cli import main
 from wachkit.cyclo import get_context
@@ -14,8 +17,9 @@ from wachkit.serialize import (
     wach_to_dict,
     _smat_to_json,
 )
-from wachkit.errors import SchemaError
+from wachkit.errors import SchemaError, WachkitError
 from wachkit.suite import random_unit_matrix
+from wachkit.wach import WachModule
 
 
 FL_SIMPLE = {"kind": "fl", "p": 3, "N": 4, "weights": [0, 1], "A": [["1", "0"], ["0", "1"]]}
@@ -25,6 +29,27 @@ def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(dumps_canonical(payload), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def wach_p5(tmp_path_factory):
+    """A genuine build artifact for p = 5, weights [0, 1], A = Id."""
+    tmp = tmp_path_factory.mktemp("wach_p5")
+    src = write(tmp, "m.json", {**FL_SIMPLE, "p": 5, "N": 16})
+    out = tmp / "w.json"
+    assert main(["build", "-i", src, "--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def replaced(data, path, value):
+    """A deep copy of data with the item at the key path replaced by value."""
+    data = copy.deepcopy(data)
+    *head, last = path
+    target = data
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return data
 
 
 class TestParse:
@@ -123,6 +148,18 @@ class TestCommands:
         assert main(["reduce", "-i", wout, "--h-max", "1", "--out", red]) == 0
         data = json.loads(open(red).read())
         assert data["fil_ranks"] == [2, 1, 0] and data["weights"] == [0, 1]
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("C", 0, 0), 7), (("meta",), 5), (("meta", "weights"), 3)],
+        ids=["series-as-integer", "meta-as-integer", "weights-as-integer"],
+    )
+    def test_malformed_wach_is_a_parse_error(self, tmp_path, capsys, wach_p5, path, value):
+        # each of these used to end verify with a TypeError traceback
+        bad = write(tmp_path, "bad.json", replaced(wach_p5, path, value))
+        assert main(["verify", "-i", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("p", [4, 9])
     def test_composite_prime_is_a_validation_error(self, tmp_path, capsys, p):
@@ -231,3 +268,28 @@ class TestDeterminism:
             )
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12,
+)
+
+# the C, G and meta slots, and positions inside them
+WACH_SLOTS = [
+    ("C",), ("C", 0), ("C", 0, 0), ("C", 1, 1, 0),
+    ("G",), ("G", 1), ("G", 0, 1), ("G", 0, 0, 1),
+    ("meta",), ("meta", "weights"), ("meta", "weights", 0), ("meta", "iterations_used"),
+]
+
+
+@given(path=st.sampled_from(WACH_SLOTS), value=JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_wach_loader_raises_only_wachkit_errors(wach_p5, path, value):
+    data = replaced(wach_p5, path, value)
+    try:
+        w = wach_from_dict(data)
+    except WachkitError:
+        return
+    assert isinstance(w, WachModule)

@@ -15,12 +15,10 @@ from wachkit.reduction import (
     reduce_mod_pi0,
     roundtrip_check,
 )
-from wachkit.series import PI0, TruncSeries, constant_series, series_scale, shift_multiply, substitute
+from wachkit.series import PI0, TruncSeries, constant_series, pad, q_powers, series_scale, shift_multiply
 from wachkit.suite import random_unit_matrix
 from wachkit.wach import (
     WachModule,
-    _pad,
-    _q_powers,
     smat,
     smat_add,
     smat_eq,
@@ -51,16 +49,16 @@ def planted_perturbation(ctx, m, seed):
     )
     P0 = smat_add(
         smat_identity(d, m.p, m.N, mw),
-        smat_map(R, lambda e: _pad(shift_multiply(e, 1), mw)),
+        smat_map(R, lambda e: pad(shift_multiply(e, 1), mw)),
     )
-    qpow = _q_powers(ctx.work.q, m.h)
+    qpow = q_powers(ctx.work.q, m.h)
     AQ = smat(
         [
             [series_scale(qpow[m.weights[j]], m.A.at(i, j)) for j in range(d)]
             for i in range(d)
         ]
     )
-    phi_P0 = smat_map(P0, lambda e: substitute(e, ctx.work.phi_pi0))
+    phi_P0 = smat_map(P0, ctx.phi_sub.apply)
     C_pert = smat_mul(smat_mul(_smat_series_inverse(P0), AQ), phi_P0)
     return C_pert, P0, AQ
 
@@ -171,7 +169,7 @@ class TestRecoverFiltration:
 class TestNormalize:
     def test_identity_perturbation(self, ctx3):
         m = make_fl(3, 16, (1,), PMatrix(1, 1, (1,), 3, 16))
-        qpow = _q_powers(ctx3.work.q, 1)
+        qpow = q_powers(ctx3.work.q, 1)
         AQ = smat([[qpow[1]]])
         P = normalize_basis(AQ, m, ctx3)
         assert smat_eq(P, smat_identity(1, 3, 16, 16))

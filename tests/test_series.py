@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import comb_binomial, repeated_binomial, schoolbook_mul
+from oracles import (
+    comb_binomial,
+    make_series,
+    repeated_binomial,
+    schoolbook_mul,
+    series_pow,
+    x_series,
+)
 from wachkit.errors import (
     InsufficientExponentPrecision,
     InvalidInput,
@@ -15,31 +22,25 @@ from wachkit.errors import (
     NotInS0,
     VariableMismatch,
 )
-from wachkit.cyclo import guard_order
+from wachkit.cyclo import _in_s0, guard_order
 from wachkit.padic import PScalar, teichmueller_lift
 from wachkit.series import (
     PI,
     PI0,
-    PI_TO_PI0,
-    PI_TO_PI0_PURE,
+    Substitution,
     TruncationProfile,
     binomial_power,
-    change_coordinates,
     constant_series,
     default_pi_order,
-    make_series,
+    pi0_coordinates,
     q_divide_exact,
     series_add,
-    series_compose,
     series_invert_unit,
     series_multiply,
-    series_pow,
     shift_divide_exact,
     shift_multiply,
-    substitute,
     weierstrass_divide_exact,
     weierstrass_divide_q_power,
-    x_series,
     zero_series,
 )
 
@@ -142,20 +143,20 @@ class TestCompose:
     def test_square_of_double(self):
         f = make_series(PI, [0, 0, 1, 0], 5, 3)
         g = make_series(PI, [0, 2, 0, 0], 5, 3)
-        assert series_compose(f, g).coeffs == (0, 0, 4, 0)
+        assert Substitution(g).apply(f).coeffs == (0, 0, 4, 0)
 
     def test_identity_substitution(self):
         rng = random.Random(2)
         f = rand_series(rng, PI, 3, 4, 7)
-        assert series_compose(f, x_series(PI, 3, 4, 7)) == f
+        assert Substitution(x_series(PI, 3, 4, 7)).apply(f) == f
 
     def test_identity_function(self):
         g = make_series(PI, [0, 3, 3, 1, 0], 3, 4)
-        assert series_compose(x_series(PI, 3, 4, 5), g) == g
+        assert Substitution(g).apply(x_series(PI, 3, 4, 5)) == g
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(NonzeroConstant):
-            series_compose(x_series(PI, 3, 2, 4), constant_series(PI, 1, 3, 2, 4))
+            Substitution(constant_series(PI, 1, 3, 2, 4))
 
     def test_associativity(self):
         rng = random.Random(8)
@@ -163,8 +164,9 @@ class TestCompose:
         f = rand_series(rng, PI, p, N, order)
         g = rand_series(rng, PI, p, N, order, zero_const=True)
         h = rand_series(rng, PI, p, N, order, zero_const=True)
-        lhs = series_compose(series_compose(f, g), h)
-        rhs = series_compose(f, series_compose(g, h))
+        by_h = Substitution(h)
+        lhs = by_h.apply(Substitution(g).apply(f))
+        rhs = Substitution(by_h.apply(g)).apply(f)
         assert lhs == rhs
 
 
@@ -314,52 +316,52 @@ class TestShift:
 class TestChangeCoordinates:
     ORDER = 2 * 16 + 3  # pi window for p = 3, M_pi0 = 16
 
-    def test_pi0_itself(self):
-        pi0 = pi0_closed_form_p3(self.ORDER)
-        parts = change_coordinates(pi0, PI_TO_PI0, pi0, out_order=16)
+    @pytest.fixture(scope="class")
+    def pi0(self):
+        """Substitution of pi0 = X^2/(1+X), shared by the class's tests."""
+        return Substitution(pi0_closed_form_p3(self.ORDER))
+
+    def test_pi0_itself(self, pi0):
+        parts = pi0_coordinates(pi0.image, pi0, out_order=16)
         assert parts[0].coeffs == tuple([0, 1] + [0] * 14)
         assert parts[1].is_zero()
 
-    def test_pi_basis_vector(self):
-        pi0 = pi0_closed_form_p3(self.ORDER)
-        parts = change_coordinates(x_series(PI, 3, 16, self.ORDER), PI_TO_PI0, pi0, out_order=16)
+    def test_pi_basis_vector(self, pi0):
+        parts = pi0_coordinates(x_series(PI, 3, 16, self.ORDER), pi0, out_order=16)
         assert parts[1].coeffs == tuple([1] + [0] * 15)
         assert parts[0].is_zero()
 
-    def test_pi_squared(self):
+    def test_pi_squared(self, pi0):
         # pi^2 = pi0 * (1 + pi), so f_0 = X and f_1 = X
-        pi0 = pi0_closed_form_p3(self.ORDER)
         f = series_pow(x_series(PI, 3, 16, self.ORDER), 2)
-        parts = change_coordinates(f, PI_TO_PI0, pi0, out_order=16)
+        parts = pi0_coordinates(f, pi0, out_order=16)
         x16 = tuple([0, 1] + [0] * 14)
         assert parts[0].coeffs == x16
         assert parts[1].coeffs == x16
 
-    def test_pure_s0_rejects(self):
-        pi0 = pi0_closed_form_p3(self.ORDER)
+    def test_pure_s0_rejects(self, pi0):
         with pytest.raises(NotInS0):
-            change_coordinates(x_series(PI, 3, 16, self.ORDER), PI_TO_PI0_PURE, pi0, out_order=16)
+            _in_s0(x_series(PI, 3, 16, self.ORDER), pi0, 16)
 
-    def test_roundtrip_from_components(self):
+    def test_roundtrip_from_components(self, pi0):
         rng = random.Random(31)
-        pi0 = pi0_closed_form_p3(self.ORDER)
         for _ in range(25):
             parts = [rand_series(rng, PI0, 3, 16, 16) for _ in range(2)]
             f = zero_series(PI, 3, 16, self.ORDER)
             for j, part in enumerate(parts):
-                term = substitute(part, pi0)
+                term = pi0.apply(part, self.ORDER)
                 f = series_add(f, shift_multiply(term, j).truncate(self.ORDER))
-            rec = change_coordinates(f, PI_TO_PI0, pi0, out_order=16)
+            rec = pi0_coordinates(f, pi0, out_order=16)
             assert [r.coeffs for r in rec] == [q.coeffs for q in parts]
 
-    def test_roundtrip_to_pi(self):
+    def test_roundtrip_to_pi(self, pi0):
         rng = random.Random(13)
-        pi0 = pi0_closed_form_p3(self.ORDER)
         window = 2 * 16  # degrees determined by components of order 16
         for _ in range(25):
             f = rand_series(rng, PI, 3, 16, self.ORDER)
-            parts = change_coordinates(f, PI_TO_PI0, pi0, out_order=16)
+            parts = pi0_coordinates(f, pi0, out_order=16)
             rec = zero_series(PI, 3, 16, self.ORDER)
             for j, part in enumerate(parts):
-                rec = series_add(rec, shift_multiply(substitute(part, pi0), j).truncate(self.ORDER))
+                term = pi0.apply(part, self.ORDER)
+                rec = series_add(rec, shift_multiply(term, j).truncate(self.ORDER))
             assert rec.coeffs[:window] == f.coeffs[:window]

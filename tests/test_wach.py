@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from oracles import horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul
+from oracles import horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_pow
 from wachkit.cyclo import build_context, get_context
 from wachkit.errors import (
     InvalidInput,
@@ -19,15 +19,14 @@ from wachkit.series import (
     TruncSeries,
     constant_series,
     q_divide_exact,
+    q_powers,
     series_add,
     series_multiply,
-    series_pow,
     shift_multiply,
 )
 from wachkit.suite import random_unit_matrix
 from wachkit.wach import (
     WachModule,
-    _q_powers,
     build_phi_matrix,
     check_lattice_stability,
     commutation_residual,
@@ -74,11 +73,11 @@ class TestPhiMatrix:
     def test_q_powers_match_repeated_products(self, p, N, order):
         q = TruncSeries(PI0, p, N, ((p, 1) + (0,) * order)[:order])
         acc = constant_series(PI0, 1, p, N, order)
-        for e, qe in enumerate(_q_powers(q, 2 * p - 3)):
+        for e, qe in enumerate(q_powers(q, 2 * p - 3)):
             assert qe == acc, e
             acc = series_multiply(acc, q)
         with pytest.raises(ValueError):
-            _q_powers(series_add(q, q), 1)
+            q_powers(series_add(q, q), 1)
 
     def test_validation(self, ctx3):
         bad = make_fl(3, 16, (2,), PMatrix(1, 1, (1,), 3, 16))
