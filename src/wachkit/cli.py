@@ -86,9 +86,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     w = wach_from_dict(load_json(args.input))
     report = verify_wach_axioms(w)
-    payload = report_to_dict(
-        [(c.name, c.ok, c.detail) for c in report.checks], seed=args.seed
-    )
+    payload = report_to_dict([(c.name, c.ok, c.detail) for c in report.checks])
     _emit(dumps_canonical(payload), args.out)
     return EXIT_OK if report.ok else EXIT_CHECK
 
@@ -185,6 +183,18 @@ def _cmd_roundtrip(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK
 
 
+# every flag, defined once; a subcommand takes only the flags its handler reads
+_FLAGS = {
+    "input": (("-i", "--input"), {"required": True, "help": "input JSON file"}),
+    "out": (("--out",), {"help": "output path (default: stdout)"}),
+    "prec-p": (("--prec-p",), {"type": int, "help": "lower the p-adic precision N of the input"}),
+    "prec-pi0": (("--prec-pi0",), {"type": int, "help": "override series order M_pi0"}),
+    "chi-gamma": (("--chi-gamma",), {"type": int, "help": "override chi(gamma), default 1+p"}),
+    "max-iter": (("--max-iter",), {"type": int, "help": "iteration budget override"}),
+}
+_SOLVE_FLAGS = ("input", "out", "prec-p", "prec-pi0", "chi-gamma", "max-iter")
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wachkit",
@@ -192,42 +202,30 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("-i", "--input", required=True, help="input JSON file")
-        sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--prec-p", type=int, help="lower the p-adic precision N of the input")
-        sp.add_argument("--prec-pi0", type=int, help="override series order M_pi0")
-        sp.add_argument("--chi-gamma", type=int, help="override chi(gamma), default 1+p")
-        sp.add_argument("--max-iter", type=int, help="iteration budget override")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    def command(name: str, summary: str, flags: tuple[str, ...]) -> argparse.ArgumentParser:
+        # no abbreviations: roundtrip would read --prec-p as --prec-pi0
+        sp = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            names, kwargs = _FLAGS[flag]
+            sp.add_argument(*names, **kwargs)
+        return sp
 
-    common(sub.add_parser("build", help="solve the (phi, Gamma)-matrices of a module"))
-    common(sub.add_parser("verify", help="check the structural axioms of a solved file"))
-    rp = sub.add_parser("reduce", help="reduce mod pi0 and recover the filtration")
-    common(rp)
+    command("build", "solve the (phi, Gamma)-matrices of a module", _SOLVE_FLAGS)
+    command("verify", "check the structural axioms of a solved file", ("input", "out"))
+    rp = command("reduce", "reduce mod pi0 and recover the filtration", _SOLVE_FLAGS)
     rp.add_argument("--h-max", type=int, help="largest filtration step to recover")
-    tp = sub.add_parser("tensor", help="tensor two modules")
+    tp = command("tensor", "tensor two modules", ("out",))
     tp.add_argument("inputs", nargs=2, help="two input JSON files")
-    tp.add_argument("--out", help="output path (default: stdout)")
-    tp.add_argument("--prec-p", type=int)
-    tp.add_argument("--prec-pi0", type=int)
-    tp.add_argument("--chi-gamma", type=int)
-    tp.add_argument("--max-iter", type=int)
-    tp.add_argument("--seed", type=int, default=0)
-    common(sub.add_parser("normalize", help="solve the basis-normalization recursion"))
-    rt = sub.add_parser("roundtrip", help="build, reduce and recognize; report pass/fail")
+    command("normalize", "solve the basis-normalization recursion", _SOLVE_FLAGS)
+    rt = command(
+        "roundtrip", "build, reduce and recognize; report pass/fail", ("out", "prec-pi0", "chi-gamma")
+    )
     rt.add_argument("-i", "--input", help="input FL JSON file")
     rt.add_argument("--generate", action="store_true", help="generate a seeded suite instead")
     rt.add_argument("--count", type=int, default=30)
     rt.add_argument("--primes", default="3,5,7")
     rt.add_argument("--max-rank", type=int, default=3)
-    rt.add_argument("--out", help="output path (default: stdout)")
-    rt.add_argument("--prec-p", type=int)
-    rt.add_argument("--prec-pi0", type=int)
-    rt.add_argument("--chi-gamma", type=int)
-    rt.add_argument("--max-iter", type=int)
-    rt.add_argument("--seed", type=int, default=0)
+    rt.add_argument("--seed", type=int, default=0, help="seed of the suite and the planted perturbations")
     return ap
 
 

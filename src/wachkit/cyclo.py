@@ -107,13 +107,12 @@ class CycloContext:
     u: TruncSeries
     v_gamma: TruncSeries
     work: CycloWork
-    # substitutions of the guard-order images phi(pi0), gamma(pi0), each
-    # torsion image and pi0(pi); their power tables are a cache, so they take
-    # no part in equality or repr
+    # substitutions of the guard-order images phi(pi0), gamma(pi0) and each
+    # torsion image; their power tables are a cache, so they take no part in
+    # equality or repr
     phi_sub: Substitution = field(compare=False, repr=False)
     gamma_sub: Substitution = field(compare=False, repr=False)
     torsion_subs: tuple[Substitution, ...] = field(compare=False, repr=False)
-    pi0_sub: Substitution = field(compare=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -279,7 +278,6 @@ def build_context(
         phi_sub=Substitution(phi_pi0_w),
         gamma_sub=Substitution(gamma_pi0_w),
         torsion_subs=tuple(Substitution(t) for t in torsion_w),
-        pi0_sub=Substitution(pi0_in_pi_w),
     )
 
 
@@ -371,29 +369,6 @@ def decompose_gamma_f(
             if moved != scaled:
                 raise AssertionError(f"component {i} left its eigenspace")
     return comps
-
-
-def is_gamma_f_invariant(ctx: CycloContext, f_pi: TruncSeries) -> bool:
-    """Invariance under the torsion subgroup, certified on a generator.
-
-    The torsion subgroup is cyclic of order p-1, so invariance under the
-    substitution for one primitive root is equivalent to invariance under all
-    of them.
-    """
-    image = ctx.torsion_subs[ctx.primitive_root() - 1].apply(f_pi)
-    return image.coeffs == f_pi.coeffs[: image.order]
-
-
-def push_to_pi(ctx: CycloContext, f: TruncSeries) -> TruncSeries:
-    """Express a pi0-series in pi-coordinates.
-
-    pi0 has pi-valuation p-1, so a pi0-series of order M fixes its
-    pi-expansion below pi-degree (p-1)*M and no further; that is the order of
-    the result (at most the guard pi order of the context).
-    """
-    if f.var != PI0:
-        raise VariableMismatch("expected a pi0-series")
-    return ctx.pi0_sub.apply(f, (ctx.p - 1) * f.order)
 
 
 def context_to_dict(ctx: CycloContext) -> dict:

@@ -29,7 +29,6 @@ from .cyclo import CycloContext
 from .errors import (
     AxiomViolation,
     InvalidInput,
-    NoConvergence,
     NotCongruent,
     PrecisionExhausted,
     WachkitError,
@@ -54,6 +53,10 @@ from .series import (
 from .wach import (
     SeriesMat,
     WachModule,
+    iterate_to_window,
+    non_identity_entry,
+    phi_matrix,
+    residual_entry,
     smat,
     smat_add,
     smat_eq,
@@ -63,7 +66,6 @@ from .wach import (
     smat_mul,
     smat_sub,
     smat_substitute,
-    smat_truncate,
     solve_gamma_matrix,
     solve_wach,
 )
@@ -83,17 +85,17 @@ class FilteredReduction:
 
 def reduce_mod_pi0(w: WachModule) -> tuple[PMatrix, PMatrix]:
     """Constant coefficients (C0, G0); G0 must be the identity."""
+    bad = non_identity_entry(w.G)
+    if bad is not None:
+        raise AxiomViolation(f"G mod pi0 is not the identity at entry {bad}")
     p, N = w.ctx.p, w.ctx.N
-    d = w.rank
-    C0 = PMatrix(
-        d, d, tuple(w.C[i][j].constant_term() for i in range(d) for j in range(d)), p, N
-    )
-    G0 = PMatrix(
-        d, d, tuple(w.G[i][j].constant_term() for i in range(d) for j in range(d)), p, N
-    )
-    if G0 != PMatrix.identity(d, p, N):
-        raise AxiomViolation("G mod pi0 is not the identity")
-    return C0, G0
+    return _constant_terms(w.C), PMatrix.identity(w.rank, p, N)
+
+
+def _constant_terms(X: SeriesMat) -> PMatrix:
+    ref = X[0][0]
+    d = len(X)
+    return PMatrix(d, d, tuple(e.constant_term() for row in X for e in row), ref.p, ref.N)
 
 
 def _fil_lattice(w: WachModule, r: int) -> PMatrix:
@@ -269,24 +271,16 @@ def normalize_basis(
     if max_iter is None:
         max_iter = N + t_order + p + 4
 
-    pm = p**N
+    AQ = phi_matrix(A, weights, work.q)
     for i in range(d):
         for j in range(d):
-            expect = (A.at(i, j) * pow(p, weights[j], pm)) % pm
-            if C_perturbed[i][j].constant_term() != expect:
+            if C_perturbed[i][j].constant_term() != AQ[i][j].constant_term():
                 raise NotCongruent(
                     f"C mod pi0 differs from A*diag(p^r) at entry ({i},{j})"
                 )
 
     Cp = smat_map(C_perturbed, lambda e: pad(e, mw))
-    qpow = q_powers(work.q, p - 1)
-    AQ = smat(
-        [
-            [series_scale(qpow[weights[j]], A.at(i, j)) for j in range(d)]
-            for i in range(d)
-        ]
-    )
-    uq = series_multiply(work.u, qpow[p - 1])
+    uq = series_multiply(work.u, q_powers(work.q, p - 1)[p - 1])
     delta = smat_map(smat_sub(Cp, AQ), lambda e: pad(shift_divide_exact(e, 1), mw))
 
     # The loop runs on coefficient lists.  S = delta + u*q^(p-1)*Cp*phi(Cm)
@@ -303,9 +297,7 @@ def normalize_basis(
     right = kernels.Sandwich(ident, matrix_inverse_mod(A).to_lists(), pn, m)
     compose = ctx.phi_sub.compose
 
-    Cm = [[[0] * m for _ in range(d)] for _ in range(d)]
-    prev_window = [[e[:t_order] for e in row] for row in Cm]
-    for _ in range(max_iter):
+    def step(Cm: list) -> list:
         S = kernels.mat_mul(CpU, [[compose(e, n) for e in row] for row in Cm], pn, n)
         # Q^(-1): the exact division of column j by q^(r_j)
         quot = [
@@ -315,24 +307,16 @@ def normalize_basis(
             ]
             for drow, srow in zip(delta_l, S)
         ]
-        Cm = right(quot)
-        cur_window = [[e[:t_order] for e in row] for row in Cm]
-        if cur_window == prev_window:
-            break
-        prev_window = cur_window
-    else:
-        raise NoConvergence(f"normalization did not stabilize in {max_iter} steps")
+        return right(quot)
 
+    zero = [[[0] * m for _ in range(d)] for _ in range(d)]
+    window, _ = iterate_to_window(step, zero, t_order, max_iter)
     P = smat_add(
         smat_identity(d, p, N, t_order),
-        lists_to_smat(PI0, p, N, [[[0] + e[: t_order - 1] for e in row] for row in cur_window]),
+        lists_to_smat(PI0, p, N, [[[0] + e[: t_order - 1] for e in row] for row in window]),
     )
     # certify the residual on the user window: C_pert*phi(P) = P*A*Q
-    residual = smat_sub(
-        smat_mul(smat_truncate(Cp, t_order), smat_substitute(P, ctx.phi_sub, t_order)),
-        smat_mul(P, smat_truncate(AQ, t_order)),
-    )
-    if not smat_is_zero(residual):
+    if residual_entry(Cp, P, AQ, ctx) is not None:
         raise AxiomViolation("normalization residual is nonzero at the user window")
     return P
 
@@ -421,23 +405,13 @@ def roundtrip_check(
     ok, why = _stabilizer_match(m, red)
     checks.append(("weights_and_A", ok, why))
 
+    AQ_w = phi_matrix(m.A, m.weights, ctx.work.q)
     C0, _ = reduce_mod_pi0(w)
-    pm = m.p**m.N
-    expected_C0 = PMatrix(
-        m.rank,
-        m.rank,
-        tuple(
-            (m.A.at(i, j) * pow(m.p, m.weights[j], pm)) % pm
-            for i in range(m.rank)
-            for j in range(m.rank)
-        ),
-        m.p,
-        m.N,
-    )
-    checks.append(("reduction_constants", C0 == expected_C0, ""))
+    checks.append(("reduction_constants", C0 == _constant_terms(AQ_w), ""))
 
     # recognition leg: plant a perturbation, normalize it away, re-solve
     rng = random.Random(seed)
+    pm = m.p**m.N
     mw = ctx.work.M_pi0
     d = m.rank
     R = smat(
@@ -459,15 +433,6 @@ def roundtrip_check(
         smat_map(R, lambda e: pad(shift_multiply(e, 1), mw)),
     )
     P0inv = _smat_series_inverse(P0)
-    AQ_w = smat(
-        [
-            [
-                series_scale(q_powers(ctx.work.q, m.h)[m.weights[j]], m.A.at(i, j))
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-    )
     C_pert = smat_mul(smat_mul(P0inv, AQ_w), smat_substitute(P0, ctx.phi_sub))
     try:
         P = normalize_basis(C_pert, m, ctx)

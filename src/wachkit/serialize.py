@@ -11,10 +11,11 @@ Schemas:
                "A": [["dec", ...], ...], "labels": [str, ...]?}
 * WachModule: {"kind": "wach", "p": int, "N": int, "M_pi0": int,
                "chi_gamma": "dec", "C": [[[coeff, ...], ...], ...],
-               "G": like C, "meta": {"weights": [...], "iterations_used": n}}
+               "G": like C, "meta": {"weights": [...], "iterations_used": n}},
+              every C and G series with exactly M_pi0 coefficients
 * perturbed:  {"kind": "perturbed", "fl": FLModule, "C": like wach C}
 * reports:    {"checks": [{"name": str, "pass": bool, "detail": str}, ...],
-               "seed": int}
+               "seed": int (roundtrip only)}
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ def _need(data: dict, field: str, where: str):
 
 
 def _as_int(value, where: str) -> int:
+    # a float would be truncated and a boolean read as 0 or 1
+    if isinstance(value, (bool, float)):
+        raise SchemaError(f"{where}: expected a decimal integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -132,6 +136,13 @@ def wach_from_dict(data: dict, where: str = "wach") -> WachModule:
     G = _smat_from_json(_need(data, "G", where), p, N, f"{where}.G")
     if len(G) != len(C):
         raise SchemaError(f"{where}: C and G differ in rank")
+    for name, M in (("C", C), ("G", G)):
+        for i, row in enumerate(M):
+            for j, e in enumerate(row):
+                if e.order != m_pi0:
+                    raise SchemaError(
+                        f"{where}.{name}[{i}][{j}]: expected {m_pi0} coefficients, got {e.order}"
+                    )
     meta = _need(data, "meta", where)
     weights = _need(meta, "weights", f"{where}.meta")
     if not isinstance(weights, list):

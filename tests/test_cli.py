@@ -31,14 +31,23 @@ def write(tmp_path, name, payload):
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def wach_p5(tmp_path_factory):
-    """A genuine build artifact for p = 5, weights [0, 1], A = Id."""
+def build_p5(tmp_path_factory, weights):
+    """A genuine build artifact for p = 5, the given weights and A = Id."""
     tmp = tmp_path_factory.mktemp("wach_p5")
-    src = write(tmp, "m.json", {**FL_SIMPLE, "p": 5, "N": 16})
+    src = write(tmp, "m.json", {**FL_SIMPLE, "p": 5, "N": 16, "weights": weights})
     out = tmp / "w.json"
     assert main(["build", "-i", src, "--out", str(out)]) == 0
     return json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def wach_p5(tmp_path_factory):
+    return build_p5(tmp_path_factory, [0, 1])
+
+
+@pytest.fixture(scope="module")
+def wach_p5_weights_00(tmp_path_factory):
+    return build_p5(tmp_path_factory, [0, 0])
 
 
 def replaced(data, path, value):
@@ -49,6 +58,14 @@ def replaced(data, path, value):
     for key in head:
         target = target[key]
     target[last] = value
+    return data
+
+
+def truncated(data):
+    """data with every C and G series cut to its constant term, M_pi0 kept."""
+    data = copy.deepcopy(data)
+    for name in ("C", "G"):
+        data[name] = [[s[:1] for s in row] for row in data[name]]
     return data
 
 
@@ -93,8 +110,9 @@ class TestCommands:
         assert data["meta"]["weights"] == [0, 1]
         rep = str(tmp_path / "rep.json")
         assert main(["verify", "-i", out, "--out", rep]) == 0
-        checks = json.loads(open(rep).read())["checks"]
-        assert all(c["pass"] for c in checks)
+        report = json.loads(open(rep).read())
+        assert list(report) == ["checks"]
+        assert all(c["pass"] for c in report["checks"])
         red = str(tmp_path / "red.json")
         assert main(["reduce", "-i", src, "--out", red]) == 0
         rdata = json.loads(open(red).read())
@@ -150,13 +168,29 @@ class TestCommands:
         assert data["fil_ranks"] == [2, 1, 0] and data["weights"] == [0, 1]
 
     @pytest.mark.parametrize(
-        "path, value",
-        [(("C", 0, 0), 7), (("meta",), 5), (("meta", "weights"), 3)],
-        ids=["series-as-integer", "meta-as-integer", "weights-as-integer"],
+        "base, tamper",
+        [
+            ("wach_p5", lambda d: replaced(d, ("C", 0, 0), 7)),
+            ("wach_p5", lambda d: replaced(d, ("meta",), 5)),
+            ("wach_p5", lambda d: replaced(d, ("meta", "weights"), 3)),
+            ("wach_p5_weights_00", truncated),
+            ("wach_p5", lambda d: replaced(d, ("C", 0, 0, 0), 1.9)),
+            ("wach_p5", lambda d: replaced(d, ("meta", "weights"), [True, 1.5])),
+        ],
+        ids=[
+            "series-as-integer",
+            "meta-as-integer",
+            "weights-as-integer",
+            "truncated-series",
+            "float-coefficient",
+            "weights-bool-and-float",
+        ],
     )
-    def test_malformed_wach_is_a_parse_error(self, tmp_path, capsys, wach_p5, path, value):
-        # each of these used to end verify with a TypeError traceback
-        bad = write(tmp_path, "bad.json", replaced(wach_p5, path, value))
+    def test_malformed_wach_is_a_parse_error(self, request, tmp_path, capsys, base, tamper):
+        # the first three used to end verify with a TypeError traceback; the
+        # truncated series and the float coefficient passed verify, and the
+        # weights loaded as (1, 1)
+        bad = write(tmp_path, "bad.json", tamper(request.getfixturevalue(base)))
         assert main(["verify", "-i", bad]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -168,6 +202,27 @@ class TestCommands:
         assert main(["build", "-i", src]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tensor", "a.json", "b.json", "--chi-gamma", "99"],
+            ["tensor", "a.json", "b.json", "--max-iter", "0"],
+            ["verify", "-i", "w.json", "--prec-p", "1"],
+            ["verify", "-i", "w.json", "--seed", "1"],
+            ["roundtrip", "--generate", "--prec-p", "1"],
+            ["roundtrip", "--generate", "--max-iter", "0"],
+            ["build", "-i", "m.json", "--seed", "1"],
+            ["normalize", "-i", "p.json", "--seed", "1"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        # each of these flags used to be accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_profile_override_validated_before_compute(self, tmp_path):
         src = write(tmp_path, "m.json", FL_SIMPLE)

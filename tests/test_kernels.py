@@ -112,7 +112,7 @@ def test_context_tables_match_horner(contexts, p):
         (ctx.phi_sub, PI0, ctx.work.M_pi0),
         (ctx.gamma_sub, PI0, ctx.work.M_pi0),
         (ctx.torsion_subs[ctx.primitive_root() - 1], PI, pi_top),
-        (ctx.pi0_sub, PI0, pi_top),
+        (Substitution(ctx.work.pi0_in_pi), PI0, pi_top),
     ]
     for sub, var, top in cases:
         f = [rng.randrange(pn) for _ in range(top + 2)]

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from oracles import full_fil_lattice
-from wachkit.errors import AxiomViolation, NotCongruent
+from oracles import full_fil_lattice, smat_truncate
+from wachkit.errors import AxiomViolation, NoConvergence, NotCongruent
 from wachkit.flmod import make_fl, unit_fl
 from wachkit.padic import PMatrix
 from wachkit.reduction import (
@@ -25,7 +25,6 @@ from wachkit.wach import (
     smat_identity,
     smat_map,
     smat_mul,
-    smat_truncate,
     solve_wach,
 )
 
@@ -203,6 +202,15 @@ class TestNormalize:
         wrong = smat([[constant_series(PI0, 5, 3, 16, ctx3.work.M_pi0)]])
         with pytest.raises(NotCongruent):
             normalize_basis(wrong, m, ctx3)
+
+    def test_no_convergence_budget(self, ctx5):
+        # the first step moves Cm off zero, so one step cannot show a stable window
+        rng = random.Random(8)
+        m = make_fl(5, 16, (0, 2), random_unit_matrix(rng, 2, 5, 16))
+        C_pert, _, _ = planted_perturbation(ctx5, m, seed=8)
+        assert normalize_basis(C_pert, m, ctx5) is not None
+        with pytest.raises(NoConvergence):
+            normalize_basis(C_pert, m, ctx5, max_iter=1)
 
 
 class TestRoundtrip:

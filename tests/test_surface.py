@@ -1,4 +1,5 @@
-"""The library holds no function that only the tests call.
+"""The library holds no function that only the tests call, and the CLI no flag
+that its handler ignores.
 
 Every top-level function and class of ``src/wachkit``, and every method that
 is not a dunder, must be referenced (as a name or an attribute) somewhere in
@@ -7,10 +8,12 @@ or be one of the public helpers listed below.  A helper that only tests need
 lives in ``tests/oracles.py``.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import wachkit
+from wachkit import cli
 
 SRC = Path(wachkit.__file__).parent
 
@@ -70,3 +73,35 @@ def test_every_library_name_has_a_library_caller():
             if not outside:
                 unused.append(f"{module}: {qualname}")
     assert not unused, "no library caller: " + ", ".join(unused)
+
+
+def _args_read(fn: ast.FunctionDef) -> set[str]:
+    """The attributes fn reads from its ``args`` namespace."""
+    return {
+        node.attr
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+
+
+def test_every_cli_flag_is_read_by_its_handler():
+    # "read" means args.<dest> appears in the handler, or in _context_for
+    # when the handler calls it
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    context_reads = _args_read(functions["_context_for"])
+    subparsers = next(
+        a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    unread = []
+    for command, parser in subparsers.choices.items():
+        handler = functions[cli._HANDLERS[command].__name__]
+        reads = _args_read(handler)
+        if any(isinstance(n, ast.Name) and n.id == "_context_for" for n in ast.walk(handler)):
+            reads |= context_reads
+        for action in parser._actions:
+            if action.dest != "help" and action.dest not in reads:
+                unread.append(f"{command} {'/'.join(action.option_strings) or action.dest}")
+    assert not unread, "flags no handler reads: " + ", ".join(unread)
