@@ -29,15 +29,15 @@ from .errors import (
 from .flmod import tensor_fl
 from .reduction import normalize_basis, recover_filtration, roundtrip_check
 from .serialize import (
+    base_change_to_dict,
     dumps_canonical,
     fl_from_dict,
     fl_to_dict,
     load_json,
+    perturbed_from_dict,
     report_to_dict,
     wach_from_dict,
     wach_to_dict,
-    _smat_from_json,
-    _smat_to_json,
 )
 from .suite import generate_suite
 from .wach import solve_wach, tensor_wach, verify_wach_axioms
@@ -57,10 +57,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _context_for(data: dict, args) -> "object":
-    """The context of a validated FL datum; --prec-p may lower its N, never raise it."""
-    p = int(data["p"])
-    N = int(data["N"])
+def _context_for(m, args) -> "object":
+    """The context of an FL module; --prec-p may lower its N, never raise it."""
+    N = m.N
     if args.prec_p:
         if args.prec_p > N:
             raise InvalidInput(
@@ -69,13 +68,13 @@ def _context_for(data: dict, args) -> "object":
         N = args.prec_p
     m_pi0 = args.prec_pi0 or N
     chi = args.chi_gamma
-    return get_context(p, N, m_pi0, chi)
+    return get_context(m.p, N, m_pi0, chi)
 
 
 def _cmd_build(args) -> int:
     data = load_json(args.input)
     m = fl_from_dict(data)
-    ctx = _context_for(data, args)
+    ctx = _context_for(m, args)
     if args.prec_p:
         m = fl_from_dict({**data, "N": args.prec_p})
     w = solve_wach(m, ctx, max_iter=args.max_iter)
@@ -96,12 +95,21 @@ def _cmd_reduce(args) -> int:
     kind = data.get("kind")
     if kind == "fl":
         m = fl_from_dict(data)
-        ctx = _context_for(data, args)
+        ctx = _context_for(m, args)
         w = solve_wach(m, ctx, max_iter=args.max_iter)
         h_max = m.h
     elif kind == "wach":
+        solve_flags = {
+            "--prec-p": args.prec_p,
+            "--prec-pi0": args.prec_pi0,
+            "--chi-gamma": args.chi_gamma,
+            "--max-iter": args.max_iter,
+        }
+        given = [flag for flag, value in solve_flags.items() if value is not None]
+        if given:
+            raise InvalidInput(f"{', '.join(given)}: a 'wach' input is already solved")
         w = wach_from_dict(data)
-        h_max = args.h_max if args.h_max is not None else max(w.weights, default=0)
+        h_max = max(w.weights, default=0)
     else:
         raise SchemaError("reduce expects an 'fl' or 'wach' input")
     if args.h_max is not None:
@@ -143,18 +151,12 @@ def _cmd_tensor(args) -> int:
 
 def _cmd_normalize(args) -> int:
     data = load_json(args.input)
-    if data.get("kind") != "perturbed":
-        raise SchemaError("normalize expects a 'perturbed' input")
-    m = fl_from_dict(data["fl"], where="perturbed.fl")
-    ctx = _context_for(data["fl"], args)
-    C_pert = _smat_from_json(data["C"], m.p, ctx.N, "perturbed.C")
+    m, C_pert = perturbed_from_dict(data)
+    ctx = _context_for(m, args)
+    if args.prec_p:
+        m, C_pert = perturbed_from_dict({**data, "fl": {**data["fl"], "N": args.prec_p}})
     P = normalize_basis(C_pert, m, ctx, max_iter=args.max_iter)
-    payload = {
-        "kind": "base_change",
-        "P": _smat_to_json(P),
-        "checks": [{"name": "residual_zero", "pass": True, "detail": ""}],
-    }
-    _emit(dumps_canonical(payload), args.out)
+    _emit(dumps_canonical(base_change_to_dict(P)), args.out)
     return EXIT_OK
 
 

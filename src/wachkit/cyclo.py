@@ -6,9 +6,7 @@ of Gamma-generator character value chi(gamma), the distinguished data:
 * pi0_in_pi: the invariant coordinate -p + 1 + sum_a (1+pi)^(omega_a) over the
   Teichmueller exponents omega_a (NOT the integer exponents 0..p-1 - only the
   Teichmueller sum is fixed by the torsion substitutions),
-* the substitution images phi(pi), gamma(pi), the torsion images
-  (1+pi)^(omega_a) - 1, and their pi0-coordinate counterparts phi(pi0),
-  gamma(pi0),
+* the images phi(pi0), gamma(pi0) in pi0-coordinates,
 * q = p + pi0 and the unit certificates u = phi(pi0)/(pi0 q^(p-1)) and
   v_gamma = gamma(q)/q, with v_gamma(0) = 1.
 
@@ -17,7 +15,8 @@ Internally everything is computed at a guard order M_pi0 + N + p: the
 canonical quotient of a Weierstrass division carries noise in its top
 coefficients, and the guard keeps every coefficient in the user window exact
 (see the valuation argument in wach.solve_gamma_matrix).  The guard data
-rides along on ``ctx.work`` for the solver modules.
+rides along on ``ctx.work`` for the solver modules, with the pi-images
+phi(pi), gamma(pi) and the torsion images (1+pi)^(omega_a) - 1.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ class CycloWork:
     gamma_pi0: TruncSeries
     q: TruncSeries
     u: TruncSeries
-    v_gamma: TruncSeries
     v_gamma_inv: TruncSeries
 
 
@@ -98,9 +96,6 @@ class CycloContext:
     chi_gamma: int
     teich: tuple[int, ...]  # omega_a mod p^N, a = 1..p-1
     pi0_in_pi: TruncSeries
-    phi_pi: TruncSeries
-    gamma_pi: TruncSeries
-    torsion_pi: tuple[TruncSeries, ...]
     phi_pi0: TruncSeries
     gamma_pi0: TruncSeries
     q: TruncSeries
@@ -256,7 +251,6 @@ def build_context(
         gamma_pi0=gamma_pi0_w,
         q=q_w,
         u=u_w,
-        v_gamma=v_w,
         v_gamma_inv=v_inv_w,
     )
 
@@ -266,9 +260,6 @@ def build_context(
         chi_gamma=chi,
         teich=teich_N,
         pi0_in_pi=pi0_in_pi_w.truncate(t_pi),
-        phi_pi=phi_pi_w.truncate(t_pi),
-        gamma_pi=gamma_pi_w.truncate(t_pi),
-        torsion_pi=tuple(t.truncate(t_pi) for t in torsion_w),
         phi_pi0=phi_pi0_w.truncate(t_pi0),
         gamma_pi0=gamma_pi0_w.truncate(t_pi0),
         q=q_w.truncate(t_pi0),

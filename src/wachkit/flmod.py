@@ -117,15 +117,11 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
-def validate_fl(m: FLModule, p: int | None = None, N: int | None = None) -> ValidationReport:
+def validate_fl(m: FLModule) -> ValidationReport:
     """Check the Fontaine-Laffaille bounds and invertibility; never raises."""
-    p = m.p if p is None else p
-    N = m.N if N is None else N
     failures: list[str] = []
-    if (p, N) != (m.p, m.N):
-        failures.append(f"modulus mismatch: module is mod {m.p}^{m.N}")
-    if m.h > p - 2:
-        failures.append(f"max weight {m.h} exceeds p-2 = {p - 2}")
+    if m.h > m.p - 2:
+        failures.append(f"max weight {m.h} exceeds p-2 = {m.p - 2}")
     for r in m.weights:
         if r < 0:
             failures.append(f"negative weight {r}")

@@ -13,9 +13,14 @@ Schemas:
                "chi_gamma": "dec", "C": [[[coeff, ...], ...], ...],
                "G": like C, "meta": {"weights": [...], "iterations_used": n}},
               every C and G series with exactly M_pi0 coefficients
-* perturbed:  {"kind": "perturbed", "fl": FLModule, "C": like wach C}
+* perturbed:  {"kind": "perturbed", "fl": FLModule, "C": like wach C},
+              a square C whose series may have any length; a shorter
+              series is exact, extended by zeros to the longest
+* base_change: {"kind": "base_change", "P": like wach C, "checks": [report]}
 * reports:    {"checks": [{"name": str, "pass": bool, "detail": str}, ...],
                "seed": int (roundtrip only)}
+
+A series matrix is loaded into one SeriesMat over the file's (p, N).
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from .cyclo import get_context
 from .errors import SchemaError
 from .flmod import FLModule, make_fl
 from .padic import PMatrix
-from .series import PI0, TruncSeries
-from .wach import SeriesMat, WachModule, smat
+from .series import PI0, SeriesMat, TruncSeries
+from .wach import WachModule
 
 
 def dumps_canonical(obj) -> str:
@@ -84,14 +89,19 @@ def fl_from_dict(data: dict, where: str = "fl") -> FLModule:
     )
     A = PMatrix(d, d, entries, p, N)
     labels = data.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise SchemaError(f"{where}.labels: expected a list of strings")
     return make_fl(p, N, [_as_int(w, f"{where}.weights") for w in weights], A, labels)
 
 
-def _smat_to_json(M: SeriesMat) -> list:
-    return [[[str(c) for c in e.coeffs] for e in row] for row in M]
+def _matrix_to_json(M: SeriesMat) -> list:
+    return [[[str(c) for c in e] for e in row] for row in M.rows]
 
 
-def _smat_from_json(data, p: int, N: int, where: str) -> SeriesMat:
+def _matrix_from_json(data, p: int, N: int, where: str, order: int | None = None) -> SeriesMat:
+    """A square matrix of series; with `order`, every series must have that many coefficients."""
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{where}: expected a nonempty nested array")
     rows = []
@@ -102,10 +112,14 @@ def _smat_from_json(data, p: int, N: int, where: str) -> SeriesMat:
         for j, entry in enumerate(row):
             if not isinstance(entry, list):
                 raise SchemaError(f"{where}[{i}][{j}]: expected an array of coefficients")
+            if order is not None and len(entry) != order:
+                raise SchemaError(
+                    f"{where}[{i}][{j}]: expected {order} coefficients, got {len(entry)}"
+                )
             coeffs = tuple(_as_int(c, f"{where}[{i}][{j}]") for c in entry)
             out.append(TruncSeries(PI0, p, N, coeffs))
         rows.append(out)
-    return smat(rows)
+    return SeriesMat(rows, p, N)
 
 
 def wach_to_dict(w: WachModule) -> dict:
@@ -115,8 +129,8 @@ def wach_to_dict(w: WachModule) -> dict:
         "N": w.ctx.N,
         "M_pi0": w.ctx.profile.M_pi0,
         "chi_gamma": str(w.ctx.chi_gamma),
-        "C": _smat_to_json(w.C),
-        "G": _smat_to_json(w.G),
+        "C": _matrix_to_json(w.C),
+        "G": _matrix_to_json(w.G),
         "meta": {
             "weights": list(w.weights),
             "iterations_used": w.iterations_used,
@@ -132,17 +146,10 @@ def wach_from_dict(data: dict, where: str = "wach") -> WachModule:
     m_pi0 = _as_int(_need(data, "M_pi0", where), f"{where}.M_pi0")
     chi = _as_int(_need(data, "chi_gamma", where), f"{where}.chi_gamma")
     ctx = get_context(p, N, m_pi0, chi)
-    C = _smat_from_json(_need(data, "C", where), p, N, f"{where}.C")
-    G = _smat_from_json(_need(data, "G", where), p, N, f"{where}.G")
+    C = _matrix_from_json(_need(data, "C", where), p, N, f"{where}.C", m_pi0)
+    G = _matrix_from_json(_need(data, "G", where), p, N, f"{where}.G", m_pi0)
     if len(G) != len(C):
         raise SchemaError(f"{where}: C and G differ in rank")
-    for name, M in (("C", C), ("G", G)):
-        for i, row in enumerate(M):
-            for j, e in enumerate(row):
-                if e.order != m_pi0:
-                    raise SchemaError(
-                        f"{where}.{name}[{i}][{j}]: expected {m_pi0} coefficients, got {e.order}"
-                    )
     meta = _need(data, "meta", where)
     weights = _need(meta, "weights", f"{where}.meta")
     if not isinstance(weights, list):
@@ -152,6 +159,22 @@ def wach_from_dict(data: dict, where: str = "wach") -> WachModule:
         raise SchemaError(f"{where}: weights length differs from matrix rank")
     iters = _as_int(meta.get("iterations_used", 0), f"{where}.meta.iterations_used")
     return WachModule(ctx=ctx, weights=weights, C=C, G=G, source=None, iterations_used=iters)
+
+
+def perturbed_from_dict(data: dict, where: str = "perturbed") -> tuple[FLModule, SeriesMat]:
+    """The target module and the perturbed C, over the module's (p, N)."""
+    if _need(data, "kind", where) != "perturbed":
+        raise SchemaError(f"{where}: kind must be 'perturbed'")
+    m = fl_from_dict(_need(data, "fl", where), where=f"{where}.fl")
+    return m, _matrix_from_json(_need(data, "C", where), m.p, m.N, f"{where}.C")
+
+
+def base_change_to_dict(P: SeriesMat) -> dict:
+    return {
+        "kind": "base_change",
+        "P": _matrix_to_json(P),
+        "checks": [{"name": "residual_zero", "pass": True, "detail": ""}],
+    }
 
 
 def report_to_dict(checks, seed: int | None = None) -> dict:

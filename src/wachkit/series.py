@@ -5,7 +5,8 @@ canonical residues mod p^N) tagged with its variable.  The length of the
 tuple is the series' valid order: operations that genuinely lose knowledge of
 top coefficients (``shift_divide_exact``) return shorter series instead of
 padding with unearned zeros, and binary operations work at the shorter of the
-two windows.
+two windows.  A :class:`SeriesMat` is a square matrix of pi0-series, kept as
+rows of coefficient tuples at one order.
 
 Every substitution f |-> f(g) goes through a :class:`Substitution` of the
 image g, which keeps g's packed power tables.  The two variables are related
@@ -150,9 +151,170 @@ def constant_series(var: str, c: int, p: int, N: int, order: int) -> TruncSeries
     return TruncSeries(var, p, N, (c,) + (0,) * (order - 1))
 
 
-def lists_to_smat(var: str, p: int, N: int, X) -> tuple[tuple[TruncSeries, ...], ...]:
-    """Series matrix from nested lists of canonical coefficient lists."""
-    return tuple(tuple(TruncSeries._trusted(var, p, N, tuple(e)) for e in row) for row in X)
+@dataclass(frozen=True, init=False)
+class SeriesMat:
+    """A square matrix of pi0-series over one (p, N), every entry at one order.
+
+    ``rows[i][j]`` is the canonical coefficient tuple of entry (i, j), the
+    form the kernels take; the library works on these rows.  For readers,
+    ``len(X)``, ``X[i][j]`` and iteration over the rows give TruncSeries.
+    Binary operations work at the shorter of the two orders.
+    """
+
+    p: int
+    N: int
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __init__(self, entries, p: int, N: int):
+        """Validate a d x d nested sequence of pi0-series over (p, N), d >= 1.
+
+        A wrong shape is InvalidInput, a pi-series VariableMismatch and
+        another modulus ProfileMismatch.  Each entry is exact at its own
+        order, so shorter entries are extended by zeros to the longest.
+        """
+        try:
+            grid = [list(row) for row in entries]
+        except TypeError:
+            grid = []
+        if not grid or any(len(row) != len(grid) for row in grid) or not all(
+            isinstance(e, TruncSeries) for row in grid for e in row
+        ):
+            raise InvalidInput("expected a nonempty square matrix of series")
+        for e in (e for row in grid for e in row):
+            if e.var != PI0:
+                raise VariableMismatch(f"expected pi0-series, got a {e.var}-series")
+            if (e.p, e.N) != (p, N):
+                raise ProfileMismatch(f"series mod {e.p}^{e.N} in a matrix over {p}^{N}")
+        n = max(e.order for row in grid for e in row)
+        _set(self, "p", p)
+        _set(self, "N", N)
+        _set(self, "rows", tuple(tuple(pad(e, n).coeffs for e in row) for row in grid))
+
+    @classmethod
+    def _trusted(cls, p: int, N: int, rows) -> "SeriesMat":
+        """A matrix of canonical coefficient sequences of one length, computed by the library."""
+        self = _new(cls)
+        _set(self, "p", p)
+        _set(self, "N", N)
+        _set(self, "rows", tuple(tuple(tuple(e) for e in row) for row in rows))
+        return self
+
+    @classmethod
+    def identity(cls, d: int, p: int, N: int, order: int) -> "SeriesMat":
+        one, zero = (1,) + (0,) * (order - 1), (0,) * order
+        return cls._trusted(p, N, [[one if i == j else zero for j in range(d)] for i in range(d)])
+
+    @property
+    def order(self) -> int:
+        return len(self.rows[0][0])
+
+    @property
+    def pn(self) -> int:
+        return self.p**self.N
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> tuple[TruncSeries, ...]:
+        return tuple(TruncSeries._trusted(PI0, self.p, self.N, e) for e in self.rows[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.rows)))
+
+    def _order_with(self, other: "SeriesMat") -> int:
+        if (self.p, self.N) != (other.p, other.N):
+            raise ProfileMismatch("series matrices over different moduli")
+        return min(self.order, other.order)
+
+    def _combine(self, other: "SeriesMat", sign: int) -> "SeriesMat":
+        self._order_with(other)
+        pn = self.pn
+        return SeriesMat._trusted(self.p, self.N, [
+            [[(a + sign * b) % pn for a, b in zip(x, y)] for x, y in zip(rx, ry)]
+            for rx, ry in zip(self.rows, other.rows)
+        ])
+
+    def __add__(self, other: "SeriesMat") -> "SeriesMat":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "SeriesMat") -> "SeriesMat":
+        return self._combine(other, -1)
+
+    def __matmul__(self, other: "SeriesMat") -> "SeriesMat":
+        n = self._order_with(other)
+        out = kernels.mat_mul(self.rows, other.rows, self.pn, n)
+        return SeriesMat._trusted(self.p, self.N, out)
+
+    def pad(self, order: int) -> "SeriesMat":
+        """Every entry at exactly the given order: cut, or extended by zeros."""
+        ext = (0,) * max(0, order - self.order)
+        rows = [[(e + ext)[:order] for e in row] for row in self.rows]
+        return SeriesMat._trusted(self.p, self.N, rows)
+
+    def constant_terms(self) -> list[list[int]]:
+        return [[e[0] if e else 0 for e in row] for row in self.rows]
+
+    def substitute(self, sub: "Substitution", order: int) -> "SeriesMat":
+        """Entrywise f |-> f(g) for sub's image g, at most at g's order and `order`."""
+        g = sub.image
+        if (self.p, self.N) != (g.p, g.N):
+            raise ProfileMismatch("series over different moduli")
+        n = min(self.order, g.order, order)
+        rows = [[sub.compose(e, n) for e in row] for row in self.rows]
+        return SeriesMat._trusted(self.p, self.N, rows)
+
+    def sandwich(self, A, B) -> "SeriesMat":
+        """A*X*B for scalar matrices A and B (PMatrix)."""
+        out = kernels.Sandwich(A.to_lists(), B.to_lists(), self.pn, self.order)(self.rows)
+        return SeriesMat._trusted(self.p, self.N, out)
+
+    def kron(self, other: "SeriesMat") -> "SeriesMat":
+        """Kronecker product: entry (i1*d2 + i2, j1*d2 + j2) is X_(i1 j1) * Y_(i2 j2)."""
+        n, pn = self._order_with(other), self.pn
+        return SeriesMat._trusted(self.p, self.N, [
+            [kernels.series_mul(a, b, pn, n) for a in rx for b in ry]
+            for rx in self.rows
+            for ry in other.rows
+        ])
+
+    def block_diag(self, other: "SeriesMat") -> "SeriesMat":
+        n = self._order_with(other)
+        zero = (0,) * n
+        left = [row + (zero,) * len(other) for row in self.pad(n).rows]
+        right = [(zero,) * len(self) + row for row in other.pad(n).rows]
+        return SeriesMat._trusted(self.p, self.N, left + right)
+
+    def det(self) -> TruncSeries:
+        """Determinant by minor expansion, memoized on column subsets."""
+        X, d, n, pn = self.rows, len(self.rows), self.order, self.pn
+        memo: dict[int, list[int]] = {0: [1] + [0] * (n - 1)}
+
+        def rec(cols_mask: int, row: int) -> list[int]:
+            if cols_mask not in memo:
+                acc = [0] * n
+                sign = 1 if row % 2 == 0 else -1  # expansion along row index `row`
+                for j in range(d):
+                    if cols_mask & (1 << j):
+                        minor = rec(cols_mask & ~(1 << j), row - 1)
+                        term = kernels.series_mul(X[row][j], minor, pn, n)
+                        acc = [(a + sign * t) % pn for a, t in zip(acc, term)]
+                        sign = -sign
+                memo[cols_mask] = acc
+            return memo[cols_mask]
+
+        return TruncSeries._trusted(PI0, self.p, self.N, tuple(rec((1 << d) - 1, d - 1)))
+
+    def unipotent_inverse(self) -> "SeriesMat":
+        """Inverse of a matrix congruent to Id mod pi0, by the Neumann series."""
+        ident = SeriesMat.identity(len(self), self.p, self.N, self.order)
+        nil = ident - self  # vanishes mod pi0
+        acc = power = ident
+        for _ in range(self.order):
+            power = power @ nil
+            if not any(any(e) for row in power.rows for e in row):
+                break
+            acc = acc + power
+        return acc
 
 
 def series_add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -425,9 +587,14 @@ def weierstrass_divide_q_power(
         raise VariableMismatch("Weierstrass division expects a pi0-series")
     if r < 0 or r > f.order:
         raise InvalidInput("division exponent out of range")
-    quot, stages = _q_divide(list(f.coeffs), f.p, f.pn, r)
-    rem = _q_remainder(stages, f.p, f.pn, r)
+    quot, rem = q_divmod(f.coeffs, f.p, f.pn, r)
     return TruncSeries._trusted(PI0, f.p, f.N, tuple(quot)), rem
+
+
+def q_divmod(coeffs, p: int, pn: int, r: int) -> tuple[list[int], tuple[int, ...]]:
+    """Quotient and remainder (degree < r) of a canonical coefficient list by (X+p)^r."""
+    quot, stages = _q_divide(list(coeffs), p, pn, r)
+    return quot, _q_remainder(stages, p, pn, r)
 
 
 def weierstrass_divide_exact(f: TruncSeries, r: int) -> TruncSeries:
@@ -447,11 +614,6 @@ def shift_divide_exact(f: TruncSeries, k: int) -> TruncSeries:
     if any(f.coeffs[:k]):
         raise NotDivisible("low coefficients are nonzero")
     return TruncSeries._trusted(f.var, f.p, f.N, f.coeffs[k:])
-
-
-def shift_multiply(f: TruncSeries, k: int) -> TruncSeries:
-    """Multiply by X^k; the valid order grows by k (coefficients are known)."""
-    return TruncSeries._trusted(f.var, f.p, f.N, (0,) * k + f.coeffs)
 
 
 def pad(f: TruncSeries, order: int) -> TruncSeries:

@@ -52,167 +52,7 @@ from .errors import (
 )
 from .flmod import FLModule, LatticeSub, require_valid
 from .padic import PMatrix, matrix_inverse_mod, pval
-from .series import (
-    PI0,
-    Substitution,
-    TruncSeries,
-    _same_ring,
-    constant_series,
-    lists_to_smat,
-    q_powers,
-    series_add,
-    series_multiply,
-    series_scale,
-    series_sub,
-    weierstrass_divide_q_power,
-    zero_series,
-)
-
-SeriesMat = tuple[tuple[TruncSeries, ...], ...]
-
-
-# ---------------------------------------------------------------------------
-# small series-matrix helpers (dense, d is tiny)
-
-
-def smat(rows) -> SeriesMat:
-    return tuple(tuple(row) for row in rows)
-
-
-def smat_identity(d: int, p: int, N: int, order: int) -> SeriesMat:
-    return smat(
-        [
-            [constant_series(PI0, 1 if i == j else 0, p, N, order) for j in range(d)]
-            for i in range(d)
-        ]
-    )
-
-
-def smat_add(X: SeriesMat, Y: SeriesMat) -> SeriesMat:
-    return smat([[series_add(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(X, Y)])
-
-
-def smat_sub(X: SeriesMat, Y: SeriesMat) -> SeriesMat:
-    return smat([[series_sub(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(X, Y)])
-
-
-def smat_mul(X: SeriesMat, Y: SeriesMat) -> SeriesMat:
-    """X*Y; entry (i, j) has the shortest order among the X_ik and Y_kj."""
-    ref = X[0][0]
-    for e in (e for M in (X, Y) for row in M for e in row):
-        _same_ring(ref, e)
-    orders = [
-        [min(min(x.order, Y[k][j].order) for k, x in enumerate(row)) for j in range(len(Y[0]))]
-        for row in X
-    ]
-    # one packed product at the largest order: the low slots of an entry
-    # only read operand coefficients below its own order
-    out = kernels.mat_mul(
-        [[e.coeffs for e in row] for row in X],
-        [[e.coeffs for e in row] for row in Y],
-        ref.pn,
-        max(max(row) for row in orders),
-    )
-    return smat(
-        [
-            [TruncSeries._trusted(ref.var, ref.p, ref.N, tuple(e[:n])) for e, n in zip(r, o)]
-            for r, o in zip(out, orders)
-        ]
-    )
-
-
-def smat_scalar_sandwich(A: PMatrix, X: SeriesMat, B: PMatrix) -> SeriesMat:
-    """A*X*B for scalar matrices A, B.
-
-    Entry (i, j) has the shortest order among the X_kl with A_ik*B_lj
-    nonzero, the shortest of all X's orders if there is none.
-    """
-    ref = X[0][0]
-    orders = [e.order for row in X for e in row]
-    sandwich = kernels.Sandwich(A.to_lists(), B.to_lists(), ref.pn, max(orders))
-    out = sandwich([[e.coeffs for e in row] for row in X])
-
-    def entry(e: list[int], terms) -> TruncSeries:
-        n = min([orders[kl] for kl, _ in terms] or orders)
-        return TruncSeries._trusted(ref.var, ref.p, ref.N, tuple(e[:n]))
-
-    return smat([list(map(entry, orow, trow)) for orow, trow in zip(out, sandwich.terms)])
-
-
-def smat_map(X: SeriesMat, fn) -> SeriesMat:
-    return smat([[fn(e) for e in row] for row in X])
-
-
-def smat_substitute(
-    X: SeriesMat, sub: Substitution, window: int | None = None
-) -> SeriesMat:
-    """Apply a context image entrywise, at each entry's order (at most window)."""
-    if window is None:
-        return smat_map(X, sub.apply)
-    return smat_map(X, lambda e: sub.apply(e, min(e.order, window)))
-
-
-def smat_kron(X: SeriesMat, Y: SeriesMat) -> SeriesMat:
-    dx, dy = len(X), len(Y)
-    out = []
-    for i1 in range(dx):
-        for i2 in range(dy):
-            row = []
-            for j1 in range(dx):
-                for j2 in range(dy):
-                    row.append(series_multiply(X[i1][j1], Y[i2][j2]))
-            out.append(row)
-    return smat(out)
-
-
-def smat_block_diag(X: SeriesMat, Y: SeriesMat) -> SeriesMat:
-    dx, dy = len(X), len(Y)
-    ref = X[0][0]
-    z = zero_series(ref.var, ref.p, ref.N, ref.order)
-    out = []
-    for i in range(dx):
-        out.append(list(X[i]) + [z] * dy)
-    for i in range(dy):
-        out.append([z] * dx + list(Y[i]))
-    return smat(out)
-
-
-def smat_eq(X: SeriesMat, Y: SeriesMat) -> bool:
-    if len(X) != len(Y) or len(X[0]) != len(Y[0]):
-        return False
-    for rx, ry in zip(X, Y):
-        for a, b in zip(rx, ry):
-            n = min(a.order, b.order)
-            if a.coeffs[:n] != b.coeffs[:n]:
-                return False
-    return True
-
-
-def smat_is_zero(X: SeriesMat) -> bool:
-    return all(e.is_zero() for row in X for e in row)
-
-
-def smat_det(X: SeriesMat) -> TruncSeries:
-    """Determinant by minor expansion with memoization on column subsets."""
-    d = len(X)
-    ref = X[0][0]
-    memo: dict[int, TruncSeries] = {0: constant_series(ref.var, 1, ref.p, ref.N, ref.order)}
-
-    def rec(cols_mask: int, row: int) -> TruncSeries:
-        if cols_mask in memo:
-            return memo[cols_mask]
-        acc = zero_series(ref.var, ref.p, ref.N, ref.order)
-        sign = 1 if row % 2 == 0 else -1  # expansion along row index `row`
-        for j in range(d):
-            if cols_mask & (1 << j):
-                sub = rec(cols_mask & ~(1 << j), row - 1)
-                term = series_multiply(X[row][j], sub)
-                acc = series_add(acc, term if sign > 0 else series_scale(term, -1))
-                sign = -sign
-        memo[cols_mask] = acc
-        return acc
-
-    return rec((1 << d) - 1, d - 1)
+from .series import SeriesMat, TruncSeries, q_powers, weierstrass_divide_q_power
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +78,11 @@ class WachModule:
 def phi_matrix(A: PMatrix, weights: tuple[int, ...], q: TruncSeries) -> SeriesMat:
     """A*diag(q^(r_j)) at q's order."""
     qpow = q_powers(q, max(weights, default=0))
-    return smat(
-        [[series_scale(qpow[r], A.at(i, j)) for j, r in enumerate(weights)] for i in range(A.rows)]
-    )
+    pn = q.pn
+    return SeriesMat._trusted(q.p, q.N, [
+        [[A.at(i, j) * c % pn for c in qpow[r].coeffs] for j, r in enumerate(weights)]
+        for i in range(A.rows)
+    ])
 
 
 def build_phi_matrix(m: FLModule, ctx: CycloContext) -> SeriesMat:
@@ -330,10 +172,11 @@ def solve_gamma_matrix(
 ) -> tuple[SeriesMat, int]:
     """Fixed-point solve for the Gamma-generator matrix G.
 
-    Returns (G at the user window, iterations used).  The iteration is the
-    division-free update described in the module docstring; it stops at exact
-    stabilization of the user window and certifies the commutation
-    C*phi(G) = G*gamma(C) and triviality mod pi0 before returning.
+    Returns (G at the user window, iterations used).  C and initial_guess
+    are d x d nested sequences of pi0-series over the context.  The
+    iteration is the division-free update described in the module docstring;
+    it stops at exact stabilization of the user window and certifies the
+    commutation C*phi(G) = G*gamma(C) and triviality mod pi0 before returning.
     """
     p = ctx.p
     d = len(weights)
@@ -347,21 +190,20 @@ def solve_gamma_matrix(
     if max_iter is None:
         max_iter = target + 4
 
+    C = SeriesMat(C, p, ctx.N)
+    if len(C) != d:
+        raise InvalidInput("C has the wrong shape")
     step, G = _gamma_stepper(weights, A, ctx)
     if initial_guess is not None:
-        n = len(G[0][0])
-        if len(initial_guess) != d or any(len(row) != d for row in initial_guess):
+        guess = SeriesMat(initial_guess, p, ctx.N)
+        if len(guess) != d:
             raise InvalidInput("initial guess has the wrong shape")
-        G = [[list(e.coeffs[:n]) + [0] * (n - e.order) for e in row] for row in initial_guess]
-        for i, row in enumerate(initial_guess):
-            for j, e in enumerate(row):
-                if (e.var, e.p, e.N) != (PI0, p, ctx.N):
-                    raise InvalidInput("initial guess must be a pi0-matrix over the context")
-                if e.constant_term() != (1 if i == j else 0):
-                    raise InvalidInput("initial guess must be Id mod pi0")
+        if non_identity_entry(guess) is not None:
+            raise InvalidInput("initial guess must be Id mod pi0")
+        G = [[list(e) for e in row] for row in guess.pad(len(G[0][0])).rows]
 
     window, iterations = iterate_to_window(step, G, target, max_iter)
-    G_out = lists_to_smat(PI0, p, ctx.N, window)
+    G_out = SeriesMat._trusted(p, ctx.N, window)
     _assert_solution(C, G_out, ctx)
     return G_out, iterations
 
@@ -388,9 +230,9 @@ def non_identity_entry(G: SeriesMat) -> tuple[int, int] | None:
     return next(
         (
             (i, j)
-            for i, row in enumerate(G)
-            for j, e in enumerate(row)
-            if e.constant_term() != int(i == j)
+            for i, row in enumerate(G.constant_terms())
+            for j, c in enumerate(row)
+            if c != int(i == j)
         ),
         None,
     )
@@ -399,24 +241,30 @@ def non_identity_entry(G: SeriesMat) -> tuple[int, int] | None:
 def residual_entry(
     L: SeriesMat, Y: SeriesMat, R: SeriesMat, ctx: CycloContext
 ) -> tuple[int, int] | None:
-    """The first entry (i, j) at which L*phi(Y) - Y*R is nonzero, or None.
+    """The first entry (i, j) at which L*phi(Y) and Y*R differ, or None.
 
-    phi(Y) is taken at most at the user window, and each product entry is
-    no longer than the Y entries it reads, so for Y at the window the
-    residual is checked on exactly the window.
+    phi(Y) is taken at most at the user window, and a product is no longer
+    than its operands, so for Y at the window the two sides are compared on
+    exactly the window.
     """
-    res = smat_sub(
-        smat_mul(L, smat_substitute(Y, ctx.phi_sub, ctx.profile.M_pi0)), smat_mul(Y, R)
-    )
+    lhs = L @ Y.substitute(ctx.phi_sub, ctx.profile.M_pi0)
+    rhs = Y @ R
+    n = min(lhs.order, rhs.order)
     return next(
-        ((i, j) for i, row in enumerate(res) for j, e in enumerate(row) if not e.is_zero()),
+        (
+            (i, j)
+            for i, (lrow, rrow) in enumerate(zip(lhs.rows, rhs.rows))
+            if lrow != rrow
+            for j, (a, b) in enumerate(zip(lrow, rrow))
+            if a[:n] != b[:n]
+        ),
         None,
     )
 
 
 def commutation_entry(C: SeriesMat, G: SeriesMat, ctx: CycloContext) -> tuple[int, int] | None:
     """The first entry at which C*phi(G) - G*gamma(C) is nonzero on the user window."""
-    return residual_entry(C, G, smat_substitute(C, ctx.gamma_sub, ctx.profile.M_pi0), ctx)
+    return residual_entry(C, G, C.substitute(ctx.gamma_sub, ctx.profile.M_pi0), ctx)
 
 
 def _assert_solution(C: SeriesMat, G: SeriesMat, ctx: CycloContext) -> None:
@@ -491,7 +339,7 @@ def verify_wach_axioms(w: WachModule) -> AxiomReport:
     )
 
     total = sum(w.weights)
-    det = smat_det(w.C)
+    det = w.C.det()
     if total > det.order:
         checks.append(
             CheckResult("det_q_height", False, f"window too small for q^{total}")
@@ -517,8 +365,8 @@ def tensor_wach(w1: WachModule, w2: WachModule) -> WachModule:
     out = WachModule(
         ctx=w1.ctx,
         weights=weights,
-        C=smat_kron(w1.C, w2.C),
-        G=smat_kron(w1.G, w2.G),
+        C=w1.C.kron(w2.C),
+        G=w1.G.kron(w2.G),
         source=None,
         iterations_used=max(w1.iterations_used, w2.iterations_used),
     )
@@ -537,8 +385,8 @@ def direct_sum_wach(w1: WachModule, w2: WachModule) -> WachModule:
     return WachModule(
         ctx=w1.ctx,
         weights=w1.weights + w2.weights,
-        C=smat_block_diag(w1.C, w2.C),
-        G=smat_block_diag(w1.G, w2.G),
+        C=w1.C.block_diag(w2.C),
+        G=w1.G.block_diag(w2.G),
         source=None,
         iterations_used=max(w1.iterations_used, w2.iterations_used),
     )
@@ -568,7 +416,7 @@ def check_lattice_stability(w: WachModule, L: LatticeSub) -> StabilityReport:
         Finv = matrix_inverse_mod(L.F)
     except SingularModP as exc:
         raise SingularBasis(str(exc)) from exc
-    X = smat_scalar_sandwich(Finv, w.G, L.F)
+    X = w.G.sandwich(Finv, L.F).rows
     p, N = w.ctx.p, w.ctx.N
     violations: list[str] = []
     for j in L.included():
@@ -577,13 +425,13 @@ def check_lattice_stability(w: WachModule, L: LatticeSub) -> StabilityReport:
             entry = X[i][j]
             ai = L.exponents[i]
             if ai is None:
-                if any((c * p**aj) % p**N for c in entry.coeffs):
+                if any((c * p**aj) % p**N for c in entry):
                     violations.append(
                         f"column {j}: row {i} is omitted but X[{i}][{j}]*p^{aj} != 0"
                     )
             else:
                 need = min(ai, N)
-                for k, c in enumerate(entry.coeffs):
+                for k, c in enumerate(entry):
                     if (pval(c, p, N) + aj) < need:
                         violations.append(
                             f"column {j}: coefficient pi0^{k} of row {i} not divisible "

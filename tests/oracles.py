@@ -4,9 +4,8 @@ These deliberately avoid the library code paths they check: kernels are
 enumerated exhaustively, series products and compositions are recomputed by
 schoolbook convolution and Horner's rule on plain ints, and lattice
 membership is decided by plain Z/p^N linear algebra on stacked coefficient
-vectors.  The series constructors, the binary power and the matrix
-truncation below are test helpers only: the library itself has no use for
-them.
+vectors.  The series constructors and the binary power below are test
+helpers only: the library itself has no use for them.
 """
 
 from __future__ import annotations
@@ -36,6 +35,11 @@ def x_series(var: str, p: int, N: int, order: int) -> TruncSeries:
     return TruncSeries(var, p, N, tuple(coeffs))
 
 
+def shift_multiply(f: TruncSeries, k: int) -> TruncSeries:
+    """Multiply by X^k; the valid order grows by k (coefficients are known)."""
+    return TruncSeries(f.var, f.p, f.N, (0,) * k + f.coeffs)
+
+
 def series_pow(f: TruncSeries, e: int) -> TruncSeries:
     """e-th power by binary powering, e >= 0."""
     if e < 0:
@@ -48,11 +52,6 @@ def series_pow(f: TruncSeries, e: int) -> TruncSeries:
         base = series_multiply(base, base) if e > 1 else base
         e >>= 1
     return result
-
-
-def smat_truncate(X, order: int):
-    """The series matrix X with every entry cut to at most `order` coefficients."""
-    return tuple(tuple(e.truncate(min(order, e.order)) for e in row) for row in X)
 
 
 def brute_kernel(A: PMatrix) -> set[tuple[int, ...]]:

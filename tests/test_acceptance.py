@@ -14,15 +14,16 @@ import time
 
 import pytest
 
-from oracles import lattice_membership_oracle, make_series, repeated_binomial, series_pow, smat_truncate, x_series
+from oracles import lattice_membership_oracle, make_series, repeated_binomial, series_pow, shift_multiply, x_series
 from wachkit.cli import main as cli_main
 from wachkit.cyclo import apply_operator, build_context, get_context, projector
 from wachkit.flmod import LatticeSub, direct_sum_fl, make_fl, tensor_fl, unit_fl
 from wachkit.padic import PMatrix
-from wachkit.reduction import roundtrip_check, normalize_basis, _smat_series_inverse
+from wachkit.reduction import roundtrip_check, normalize_basis
 from wachkit.series import (
     PI,
     PI0,
+    SeriesMat,
     Substitution,
     TruncSeries,
     binomial_power,
@@ -34,7 +35,6 @@ from wachkit.series import (
     series_invert_unit,
     series_multiply,
     series_scale,
-    shift_multiply,
     weierstrass_divide_q_power,
     zero_series,
 )
@@ -43,12 +43,6 @@ from wachkit.wach import (
     check_lattice_stability,
     commutation_entry,
     direct_sum_wach,
-    smat,
-    smat_add,
-    smat_eq,
-    smat_identity,
-    smat_map,
-    smat_mul,
     solve_gamma_matrix,
     solve_wach,
     tensor_wach,
@@ -138,24 +132,31 @@ def test_c04_uniqueness(suite, solved):
         ctx = w.ctx
         mw = ctx.work.M_pi0
         pn = ctx.pn
-        guess = smat_map(
-            smat_identity(m.rank, m.p, 16, mw),
-            lambda e: series_add(
-                e,
-                shift_multiply(
-                    TruncSeries(PI0, m.p, 16, tuple(rng.randrange(pn) for _ in range(mw - 1))),
-                    1,
-                ),
-            ),
+        guess = SeriesMat(
+            [
+                [
+                    series_add(
+                        e,
+                        shift_multiply(
+                            TruncSeries(PI0, m.p, 16, tuple(rng.randrange(pn) for _ in range(mw - 1))),
+                            1,
+                        ),
+                    )
+                    for e in row
+                ]
+                for row in SeriesMat.identity(m.rank, m.p, 16, mw)
+            ],
+            m.p,
+            16,
         )
         G2, _ = solve_gamma_matrix(w.C, m.weights, m.A, ctx, initial_guess=guess)
-        assert smat_eq(G2, w.G), f"distinct fixed point for p={m.p}, {m.weights}"
+        assert G2 == w.G, f"distinct fixed point for p={m.p}, {m.weights}"
     note(f"04 uniqueness from random starts ({len(suite)} modules): PASS")
 
 
 def _perm_conjugate(X, perm):
     d = len(X)
-    return smat([[X[perm.index(i)][perm.index(j)] for j in range(d)] for i in range(d)])
+    return SeriesMat([[X[perm.index(i)][perm.index(j)] for j in range(d)] for i in range(d)], X.p, X.N)
 
 
 def test_c05_functoriality(suite, solved):
@@ -170,15 +171,15 @@ def test_c05_functoriality(suite, solved):
                 ms = direct_sum_fl(m1, m2)
                 ws = solve_wach(ms, ctx)
                 block = direct_sum_wach(w1, w2)
-                assert smat_eq(ws.G, _perm_conjugate(block.G, list(ms.sort_perm)))
-                assert smat_eq(ws.C, _perm_conjugate(block.C, list(ms.sort_perm)))
+                assert ws.G == _perm_conjugate(block.G, list(ms.sort_perm))
+                assert ws.C == _perm_conjugate(block.C, list(ms.sort_perm))
                 sums += 1
             if tensors < 3 and m1.h + m2.h <= p - 2 and m1.rank * m2.rank <= 6:
                 mt = tensor_fl(m1, m2)
                 wt = solve_wach(mt, ctx)
                 kron = tensor_wach(w1, w2)
-                assert smat_eq(wt.G, _perm_conjugate(kron.G, list(mt.sort_perm)))
-                assert smat_eq(wt.C, _perm_conjugate(kron.C, list(mt.sort_perm)))
+                assert wt.G == _perm_conjugate(kron.G, list(mt.sort_perm))
+                assert wt.C == _perm_conjugate(kron.C, list(mt.sort_perm))
                 tensors += 1
     assert sums >= 3 and tensors >= 1
     note(f"05 functoriality: PASS ({sums} direct sums, {tensors} tensors)")
@@ -270,33 +271,36 @@ def test_c08_normalize_and_recognize():
             w = solve_wach(m, ctx)
             mw = ctx.work.M_pi0
             pn = ctx.pn
-            R = smat(
+            R = SeriesMat(
                 [
                     [
                         TruncSeries(PI0, p, 16, tuple(rng.randrange(pn) for _ in range(15)))
                         for _ in range(d)
                     ]
                     for _ in range(d)
-                ]
+                ],
+                p,
+                16,
             )
-            P0 = smat_add(
-                smat_identity(d, p, 16, mw),
-                smat_map(R, lambda e: pad(shift_multiply(e, 1), mw)),
+            P0 = SeriesMat.identity(d, p, 16, mw) + SeriesMat(
+                [[pad(shift_multiply(e, 1), mw) for e in row] for row in R], p, 16
             )
             qpow = q_powers(ctx.work.q, m.h)
-            AQ = smat(
+            AQ = SeriesMat(
                 [
                     [series_scale(qpow[m.weights[j]], m.A.at(i, j)) for j in range(d)]
                     for i in range(d)
-                ]
+                ],
+                p,
+                16,
             )
-            phi_P0 = smat_map(P0, ctx.phi_sub.apply)
-            C_pert = smat_mul(smat_mul(_smat_series_inverse(P0), AQ), phi_P0)
+            phi_P0 = SeriesMat([[ctx.phi_sub.apply(e) for e in row] for row in P0], p, 16)
+            C_pert = P0.unipotent_inverse() @ AQ @ phi_P0
             # normalize_basis certifies residual == 0 on the window internally
             P = normalize_basis(C_pert, m, ctx)
-            assert smat_eq(P, smat_truncate(_smat_series_inverse(P0), 16))
+            assert P == P0.unipotent_inverse().pad(16)
             G2, _ = solve_gamma_matrix(w.C, m.weights, m.A, ctx)
-            assert smat_eq(G2, w.G)
+            assert G2 == w.G
             cases += 1
     note(f"08 normalize-and-recognize planted perturbations: PASS ({cases} cases)")
 

@@ -1,9 +1,11 @@
+import contextlib
 import copy
+import io
 import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wachkit.cli import main
@@ -15,7 +17,7 @@ from wachkit.serialize import (
     fl_to_dict,
     wach_from_dict,
     wach_to_dict,
-    _smat_to_json,
+    _matrix_to_json,
 )
 from wachkit.errors import SchemaError, WachkitError
 from wachkit.suite import random_unit_matrix
@@ -23,6 +25,8 @@ from wachkit.wach import WachModule
 
 
 FL_SIMPLE = {"kind": "fl", "p": 3, "N": 4, "weights": [0, 1], "A": [["1", "0"], ["0", "1"]]}
+# C = A*diag(q^r) = diag(1, 3 + pi0): already normal, P = Id
+PERTURBED_SIMPLE = {"kind": "perturbed", "fl": FL_SIMPLE, "C": [[["1"], ["0"]], [["0"], ["3", "1"]]]}
 
 
 def write(tmp_path, name, payload):
@@ -92,11 +96,11 @@ class TestParse:
 
     def test_wach_roundtrip(self, ctx3):
         from wachkit.flmod import unit_fl
-        from wachkit.wach import smat_eq, solve_wach
+        from wachkit.wach import solve_wach
 
         w = solve_wach(unit_fl(3, 16, 1, 2), ctx3)
         again = wach_from_dict(wach_to_dict(w))
-        assert smat_eq(again.C, w.C) and smat_eq(again.G, w.G)
+        assert again.C == w.C and again.G == w.G
         assert again.weights == w.weights
 
 
@@ -166,6 +170,25 @@ class TestCommands:
         assert main(["reduce", "-i", wout, "--h-max", "1", "--out", red]) == 0
         data = json.loads(open(red).read())
         assert data["fil_ranks"] == [2, 1, 0] and data["weights"] == [0, 1]
+
+    @pytest.mark.parametrize("flag", ["--prec-p", "--prec-pi0", "--chi-gamma", "--max-iter"])
+    def test_solve_flags_on_a_wach_input_are_validation_errors(self, tmp_path, capsys, flag):
+        # a solved input has nothing for these flags to act on; they used to
+        # be ignored, so --max-iter 0 exited 0 here and 3 on an FL input
+        src = write(tmp_path, "m.json", FL_SIMPLE)
+        wout = str(tmp_path / "w.json")
+        assert main(["build", "-i", src, "--out", wout]) == 0
+        capsys.readouterr()
+        assert main(["reduce", "-i", wout, flag, "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+
+    def test_normalize_wrong_shape_is_a_validation_error(self, tmp_path, capsys):
+        # a 1x1 C for a rank-2 module used to end in an IndexError traceback
+        src = write(tmp_path, "pert.json", PERTURBED_SIMPLE | {"C": [[["1"]]]})
+        assert main(["normalize", "-i", src]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "base, tamper",
@@ -270,7 +293,7 @@ class TestCommands:
         payload = {
             "kind": "perturbed",
             "fl": fl_to_dict(m),
-            "C": _smat_to_json(C_pert),
+            "C": _matrix_to_json(C_pert),
         }
         src = write(tmp_path, "pert.json", payload)
         out = str(tmp_path / "P.json")
@@ -348,3 +371,33 @@ def test_wach_loader_raises_only_wachkit_errors(wach_p5, path, value):
     except WachkitError:
         return
     assert isinstance(w, WachModule)
+
+
+# the C and fl slots of a perturbed file, and positions inside them
+PERTURBED_SLOTS = [
+    ("C",), ("C", 0), ("C", 1), ("C", 0, 0), ("C", 1, 1), ("C", 1, 1, 0), ("C", 0, 1, 0),
+    ("fl",), ("fl", "kind"), ("fl", "weights"), ("fl", "weights", 0), ("fl", "weights", 1),
+    ("fl", "A"), ("fl", "A", 0), ("fl", "A", 1, 1), ("fl", "labels"),
+]
+# p and N take small values: a large prime is a valid input whose bootstrap
+# runs for minutes
+SMALL = st.integers(-2, 12) | st.sampled_from([None, True, 2.5, "5", "x", [3], {}])
+PERTURBED_CASES = st.tuples(st.sampled_from(PERTURBED_SLOTS), JSON_VALUES) | st.tuples(
+    st.sampled_from([("fl", "p"), ("fl", "N")]), SMALL
+)
+
+
+@given(case=PERTURBED_CASES)
+@example(case=(("C",), [[["1"]]]))
+@example(case=(("fl", "labels"), 5))
+@settings(max_examples=200, deadline=None)
+def test_normalize_exits_with_a_code_on_any_perturbed_file(tmp_path_factory, case):
+    path, value = case
+    src = tmp_path_factory.getbasetemp() / "perturbed.json"
+    src.write_text(dumps_canonical(replaced(PERTURBED_SIMPLE, path, value)), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["normalize", "-i", str(src)])
+    assert code in range(5)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

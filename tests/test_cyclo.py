@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import make_series, series_pow, x_series
+from oracles import make_series, series_pow, shift_multiply, x_series
 from wachkit.cyclo import (
     GAMMA,
     PHI,
@@ -24,7 +24,6 @@ from wachkit.series import (
     series_invert_unit,
     series_multiply,
     series_scale,
-    shift_multiply,
     zero_series,
 )
 

@@ -16,6 +16,7 @@ from wachkit.flmod import make_fl
 from wachkit.series import (
     PI,
     PI0,
+    SeriesMat,
     Substitution,
     TruncSeries,
     series_add,
@@ -25,7 +26,7 @@ from wachkit.series import (
     series_sub,
 )
 from wachkit.suite import random_unit_matrix
-from wachkit.wach import smat, smat_mul, solve_wach, verify_wach_axioms
+from wachkit.wach import solve_wach, verify_wach_axioms
 
 PRIMES = (3, 5, 7, 13, 17)
 
@@ -318,29 +319,30 @@ def test_sandwich_largest_slot_sums(p):
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
-def test_smat_mul_keeps_per_entry_orders(p):
-    # entry (i, j) of a product is exact to the shortest order among the
-    # X_ik and Y_kj, as a sum of series_multiply results is
+def test_series_mat_product_at_the_shorter_order(p):
+    # X*Y is exact to the shorter of the two orders, as series_multiply is
     rng = random.Random(500 + p)
     N = 16
     pn = p**N
-    orders = [[20, 7], [13, 20]]
-    X = smat([[TruncSeries(PI0, p, N, [rng.randrange(pn) for _ in range(o)]) for o in row] for row in orders])
-    Y = smat([[TruncSeries(PI0, p, N, [rng.randrange(pn) for _ in range(o)]) for o in row] for row in [[20, 20], [9, 20]]])
-    got = smat_mul(X, Y)
-    for i in range(2):
-        for j in range(2):
-            n = min(min(X[i][k].order, Y[k][j].order) for k in range(2))
-            expect = oracle_matmul([[list(x.coeffs) for x in X[i]]], [[list(Y[k][j].coeffs)] for k in range(2)], pn, n)
-            assert got[i][j].coeffs == tuple(expect[0][0])
+    X, Y = (
+        SeriesMat([[TruncSeries(PI0, p, N, [rng.randrange(pn) for _ in range(o)]) for _ in range(2)] for _ in range(2)], p, N)
+        for o in (20, 13)
+    )
+    for got in (X @ Y, (Y @ X)):
+        assert got.order == 13
+    expect = oracle_matmul([[list(e.coeffs) for e in row] for row in X], [[list(e.coeffs) for e in row] for row in Y], pn, 13)
+    assert [[list(e.coeffs) for e in row] for row in X @ Y] == expect
 
 
 def test_smat_mul_rejects_mixed_rings():
+    # a series matrix holds pi0-series over one ring, and a product takes two
     a = TruncSeries(PI0, 5, 4, (1, 2))
     with pytest.raises(VariableMismatch):
-        smat_mul(smat([[a]]), smat([[TruncSeries(PI, 5, 4, (1, 2))]]))
+        SeriesMat([[a, a], [a, TruncSeries(PI, 5, 4, (1, 2))]], 5, 4)
     with pytest.raises(ProfileMismatch):
-        smat_mul(smat([[a]]), smat([[TruncSeries(PI0, 5, 3, (1, 2))]]))
+        SeriesMat([[a, a], [a, TruncSeries(PI0, 5, 3, (1, 2))]], 5, 4)
+    with pytest.raises(ProfileMismatch):
+        SeriesMat([[a]], 5, 4) @ SeriesMat([[TruncSeries(PI0, 5, 3, (1, 2))]], 5, 3)
 
 
 def test_trusted_series_match_public_constructor(ctx5):

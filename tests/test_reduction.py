@@ -2,31 +2,28 @@ import random
 
 import pytest
 
-from oracles import full_fil_lattice, smat_truncate
-from wachkit.errors import AxiomViolation, NoConvergence, NotCongruent
+from oracles import full_fil_lattice, shift_multiply
+from wachkit.errors import (
+    AxiomViolation,
+    InvalidInput,
+    NoConvergence,
+    NotCongruent,
+    ProfileMismatch,
+    VariableMismatch,
+)
 from wachkit.flmod import make_fl, unit_fl
 from wachkit.padic import PMatrix
 from wachkit.reduction import (
     _fil_lattice,
     _phi_r_image,
-    _smat_series_inverse,
     normalize_basis,
     recover_filtration,
     reduce_mod_pi0,
     roundtrip_check,
 )
-from wachkit.series import PI0, TruncSeries, constant_series, pad, q_powers, series_scale, shift_multiply
+from wachkit.series import PI, PI0, SeriesMat, TruncSeries, constant_series, pad, q_powers, series_scale
 from wachkit.suite import random_unit_matrix
-from wachkit.wach import (
-    WachModule,
-    smat,
-    smat_add,
-    smat_eq,
-    smat_identity,
-    smat_map,
-    smat_mul,
-    solve_wach,
-)
+from wachkit.wach import WachModule, solve_wach
 
 
 def planted_perturbation(ctx, m, seed):
@@ -35,7 +32,7 @@ def planted_perturbation(ctx, m, seed):
     mw = ctx.work.M_pi0
     pn = ctx.pn
     d = m.rank
-    R = smat(
+    R = SeriesMat(
         [
             [
                 TruncSeries(
@@ -44,21 +41,24 @@ def planted_perturbation(ctx, m, seed):
                 for _ in range(d)
             ]
             for _ in range(d)
-        ]
+        ],
+        m.p,
+        m.N,
     )
-    P0 = smat_add(
-        smat_identity(d, m.p, m.N, mw),
-        smat_map(R, lambda e: pad(shift_multiply(e, 1), mw)),
+    P0 = SeriesMat.identity(d, m.p, m.N, mw) + SeriesMat(
+        [[pad(shift_multiply(e, 1), mw) for e in row] for row in R], m.p, m.N
     )
     qpow = q_powers(ctx.work.q, m.h)
-    AQ = smat(
+    AQ = SeriesMat(
         [
             [series_scale(qpow[m.weights[j]], m.A.at(i, j)) for j in range(d)]
             for i in range(d)
-        ]
+        ],
+        m.p,
+        m.N,
     )
-    phi_P0 = smat_map(P0, ctx.phi_sub.apply)
-    C_pert = smat_mul(smat_mul(_smat_series_inverse(P0), AQ), phi_P0)
+    phi_P0 = SeriesMat([[ctx.phi_sub.apply(e) for e in row] for row in P0], m.p, m.N)
+    C_pert = P0.unipotent_inverse() @ AQ @ phi_P0
     return C_pert, P0, AQ
 
 
@@ -88,7 +88,7 @@ class TestReduce:
             ctx=ctx3,
             weights=w.weights,
             C=w.C,
-            G=smat([[constant_series(PI0, 2, 3, 16, 16)]]),
+            G=SeriesMat([[constant_series(PI0, 2, 3, 16, 16)]], 3, 16),
         )
         with pytest.raises(AxiomViolation):
             reduce_mod_pi0(bad)
@@ -137,7 +137,7 @@ class TestRecoverFiltration:
         perturbed = WachModule(
             ctx=ctx3,
             weights=m.weights,
-            C=smat_truncate(C_pert, 16),
+            C=C_pert.pad(16),
             G=w.G,  # G is ignored by the filtration solve
         )
         red0 = recover_filtration(w, m.h)
@@ -169,9 +169,9 @@ class TestNormalize:
     def test_identity_perturbation(self, ctx3):
         m = make_fl(3, 16, (1,), PMatrix(1, 1, (1,), 3, 16))
         qpow = q_powers(ctx3.work.q, 1)
-        AQ = smat([[qpow[1]]])
+        AQ = SeriesMat([[qpow[1]]], 3, 16)
         P = normalize_basis(AQ, m, ctx3)
-        assert smat_eq(P, smat_identity(1, 3, 16, 16))
+        assert P == SeriesMat.identity(1, 3, 16, 16)
 
     def test_plant_and_recover(self, contexts):
         rng = random.Random(3)
@@ -182,24 +182,26 @@ class TestNormalize:
             C_pert, P0, AQ = planted_perturbation(ctx, m, seed=p)
             P = normalize_basis(C_pert, m, ctx)
             # P must invert the planted base change on the user window
-            P0inv = _smat_series_inverse(P0)
-            assert smat_eq(P, smat_truncate(P0inv, 16))
+            P0inv = P0.unipotent_inverse()
+            assert P == P0inv.pad(16)
 
     def test_scalar_perturbation_p3(self, ctx3):
         # rank 1, r = 1, perturbation a*(1+pi0)
         m = make_fl(3, 16, (1,), PMatrix(1, 1, (1,), 3, 16))
         mw = ctx3.work.M_pi0
         q = ctx3.work.q
-        pert = smat(
-            [[TruncSeries(PI0, 3, 16, tuple((q.coeffs[k] + q.coeff(k - 1) if k else q.coeffs[0]) for k in range(mw)))]]
+        pert = SeriesMat(
+            [[TruncSeries(PI0, 3, 16, tuple((q.coeffs[k] + q.coeff(k - 1) if k else q.coeffs[0]) for k in range(mw)))]],
+            3,
+            16,
         )  # (1 + X) * q
         P = normalize_basis(pert, m, ctx3)
         # residual is certified inside normalize_basis; P must be nontrivial
-        assert not smat_eq(P, smat_identity(1, 3, 16, 16))
+        assert P != SeriesMat.identity(1, 3, 16, 16)
 
     def test_not_congruent(self, ctx3):
         m = make_fl(3, 16, (1,), PMatrix(1, 1, (1,), 3, 16))
-        wrong = smat([[constant_series(PI0, 5, 3, 16, ctx3.work.M_pi0)]])
+        wrong = SeriesMat([[constant_series(PI0, 5, 3, 16, ctx3.work.M_pi0)]], 3, 16)
         with pytest.raises(NotCongruent):
             normalize_basis(wrong, m, ctx3)
 
@@ -213,9 +215,40 @@ class TestNormalize:
             normalize_basis(C_pert, m, ctx5, max_iter=1)
 
 
+    @pytest.mark.parametrize(
+        "shape, error",
+        [
+            ("1x1", InvalidInput),
+            ("3x3", InvalidInput),
+            ("ragged", InvalidInput),
+            ("pi-series", VariableMismatch),
+            ("other-modulus", ProfileMismatch),
+        ],
+    )
+    def test_malformed_input_is_typed(self, ctx5, shape, error):
+        m = make_fl(5, 16, (0, 1), PMatrix.identity(2, 5, 16))
+        one = constant_series(PI0, 1, 5, 16, 16)
+        C = {
+            "1x1": [[one]],
+            "3x3": [[one] * 3] * 3,
+            "ragged": [[one, one], [one]],
+            "pi-series": [[one, one], [one, constant_series(PI, 1, 5, 16, 16)]],
+            "other-modulus": [[one, one], [one, constant_series(PI0, 1, 5, 15, 16)]],
+        }[shape]
+        with pytest.raises(error):
+            normalize_basis(C, m, ctx5)
+
+
 class TestRoundtrip:
     def test_rank_one(self, ctx3):
         rep = roundtrip_check(unit_fl(3, 16, 0, 1), ctx3)
+        assert rep.ok
+
+    def test_reports_the_five_checks(self, ctx5):
+        m = make_fl(5, 16, (0, 2), random_unit_matrix(random.Random(10), 2, 5, 16))
+        rep = roundtrip_check(m, ctx5, seed=3)
+        names = tuple(name for name, _, _ in rep.checks)
+        assert names == ("validate", "solve", "fil_ranks", "weights_and_A", "normalize")
         assert rep.ok
 
     def test_boundary_weight(self, contexts):

@@ -11,6 +11,7 @@ from oracles import (
     repeated_binomial,
     schoolbook_mul,
     series_pow,
+    shift_multiply,
     x_series,
 )
 from wachkit.errors import (
@@ -38,7 +39,6 @@ from wachkit.series import (
     series_invert_unit,
     series_multiply,
     shift_divide_exact,
-    shift_multiply,
     weierstrass_divide_exact,
     weierstrass_divide_q_power,
     zero_series,

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from oracles import horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_pow
+from oracles import horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_pow, shift_multiply
 from wachkit.cyclo import build_context, get_context
 from wachkit.errors import (
     InvalidInput,
@@ -16,13 +16,13 @@ from wachkit.flmod import LatticeSub, make_fl, unit_fl
 from wachkit.padic import PMatrix, matrix_inverse_mod
 from wachkit.series import (
     PI0,
+    SeriesMat,
     TruncSeries,
     constant_series,
     q_divide_exact,
     q_powers,
     series_add,
     series_multiply,
-    shift_multiply,
 )
 from wachkit.suite import random_unit_matrix
 from wachkit.wach import (
@@ -31,12 +31,6 @@ from wachkit.wach import (
     check_lattice_stability,
     commutation_entry,
     direct_sum_wach,
-    smat,
-    smat_det,
-    smat_eq,
-    smat_identity,
-    smat_map,
-    smat_scalar_sandwich,
     solve_gamma_matrix,
     solve_wach,
     tensor_wach,
@@ -44,11 +38,11 @@ from wachkit.wach import (
 )
 
 
-def perm_smat_conjugate(X, perm, p, N):
+def perm_conjugate(X, perm, p, N):
     """P X P^T for the permutation sending basis vector k to position perm[k]."""
     d = len(X)
-    return smat(
-        [[X[perm.index(i)][perm.index(j)] for j in range(d)] for i in range(d)]
+    return SeriesMat(
+        [[X[perm.index(i)][perm.index(j)] for j in range(d)] for i in range(d)], p, N
     )
 
 
@@ -120,18 +114,25 @@ class TestSolver:
         w = solve_wach(m, ctx5)
         mw = ctx5.work.M_pi0
         pn = ctx5.pn
-        guess = smat_map(
-            smat_identity(2, 5, 16, mw),
-            lambda e: series_add(
-                e,
-                shift_multiply(
-                    TruncSeries(PI0, 5, 16, tuple(rng.randrange(pn) for _ in range(mw - 1))),
-                    1,
-                ),
-            ),
+        guess = SeriesMat(
+            [
+                [
+                    series_add(
+                        e,
+                        shift_multiply(
+                            TruncSeries(PI0, 5, 16, tuple(rng.randrange(pn) for _ in range(mw - 1))),
+                            1,
+                        ),
+                    )
+                    for e in row
+                ]
+                for row in SeriesMat.identity(2, 5, 16, mw)
+            ],
+            5,
+            16,
         )
         G2, _ = solve_gamma_matrix(w.C, m.weights, m.A, ctx5, initial_guess=guess)
-        assert smat_eq(G2, w.G)
+        assert G2 == w.G
 
     def test_no_convergence_budget(self, ctx3):
         m = make_fl(3, 16, (1,), PMatrix(1, 1, (1,), 3, 16))
@@ -255,10 +256,8 @@ class TestSolver:
             m = make_fl(p, 16, (0, p - 2), random_unit_matrix(rng, 2, p, 16))
             w = solve_wach(m, ctx)
             w2 = solve_wach(m, ctx2)
-            from wachkit.wach import smat_mul, smat_substitute
-
-            expected = smat_mul(w.G, smat_substitute(w.G, ctx.gamma_sub))
-            assert smat_eq(w2.G, expected)
+            expected = w.G @ w.G.substitute(ctx.gamma_sub, 16)
+            assert w2.G == expected
 
 
 class TestVerify:
@@ -282,7 +281,7 @@ class TestVerify:
             ctx=ctx3,
             weights=w.weights,
             C=w.C,
-            G=smat([[bad_entry]]),
+            G=SeriesMat([[bad_entry]], 3, 16),
             iterations_used=w.iterations_used,
         )
         rep = verify_wach_axioms(tampered)
@@ -294,7 +293,7 @@ class TestVerify:
             ctx=ctx3,
             weights=w.weights,
             C=w.C,
-            G=smat([[series_add(w.G[0][0], constant_series(PI0, 1, 3, 16, 16))]]),
+            G=SeriesMat([[series_add(w.G[0][0], constant_series(PI0, 1, 3, 16, 16))]], 3, 16),
         )
         rep = verify_wach_axioms(tampered)
         assert "gamma_trivial_mod_pi0" in rep.failed()
@@ -302,7 +301,7 @@ class TestVerify:
     def test_wrong_height_fails_det(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 1, 1), ctx3)
         q_sq = series_pow(w.C[0][0], 2)  # height 2 but declared weight 1
-        tampered = WachModule(ctx=ctx3, weights=(1,), C=smat([[q_sq]]), G=w.G)
+        tampered = WachModule(ctx=ctx3, weights=(1,), C=SeriesMat([[q_sq]], 3, 16), G=w.G)
         rep = verify_wach_axioms(tampered)
         assert "det_q_height" in rep.failed()
 
@@ -310,7 +309,7 @@ class TestVerify:
         rng = random.Random(7)
         m = make_fl(3, 16, (0, 1, 1), random_unit_matrix(rng, 3, 3, 16))
         C = build_phi_matrix(m, ctx3)
-        det = smat_det(C)
+        det = C.det()
         # oracle: det(A*diag(q^r)) = det(A) * q^(sum r)
         detA = (
             m.A.at(0, 0) * (m.A.at(1, 1) * m.A.at(2, 2) - m.A.at(1, 2) * m.A.at(2, 1))
@@ -335,10 +334,10 @@ class TestFunctoriality:
         mt = tensor_fl(m1, m2)
         wt = solve_wach(mt, ctx5)
         # the direct solve lives in the weight-sorted basis
-        G_lex_sorted = perm_smat_conjugate(t.G, list(mt.sort_perm), 5, 16)
-        C_lex_sorted = perm_smat_conjugate(t.C, list(mt.sort_perm), 5, 16)
-        assert smat_eq(wt.G, G_lex_sorted)
-        assert smat_eq(wt.C, C_lex_sorted)
+        G_lex_sorted = perm_conjugate(t.G, list(mt.sort_perm), 5, 16)
+        C_lex_sorted = perm_conjugate(t.C, list(mt.sort_perm), 5, 16)
+        assert wt.G == G_lex_sorted
+        assert wt.C == C_lex_sorted
 
     def test_sum_matches_direct_solve(self, ctx3):
         rng = random.Random(21)
@@ -350,14 +349,14 @@ class TestFunctoriality:
 
         ms = direct_sum_fl(m1, m2)
         ws = solve_wach(ms, ctx3)
-        G_sorted = perm_smat_conjugate(s.G, list(ms.sort_perm), 3, 16)
-        assert smat_eq(ws.G, G_sorted)
+        G_sorted = perm_conjugate(s.G, list(ms.sort_perm), 3, 16)
+        assert ws.G == G_sorted
 
     def test_tensor_unit(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 1, 2), ctx3)
         unit = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
         t = tensor_wach(w, unit)
-        assert smat_eq(t.C, w.C) and smat_eq(t.G, w.G)
+        assert t.C == w.C and t.G == w.G
 
 
 class TestLatticeStability:
@@ -404,21 +403,21 @@ class TestLatticeStability:
         assert found_unstable
 
     def test_short_entry_cuts_only_its_own_terms(self, ctx3):
-        # a loaded G may be ragged: one short off-diagonal entry must not
+        # a ragged G is zero-extended: one short off-diagonal entry must not
         # shorten the check of the others (X = F^-1 G F = G for F = Id)
         p, N = 3, 16
         one = constant_series(PI0, 1, p, N, 8)
         bad = TruncSeries(PI0, p, N, (0, 0, 0, 1, 0, 0, 0, 0))  # pi0^3: not in p*R
         short = constant_series(PI0, 0, p, N, 1)
-        ww = WachModule(ctx3, (0, 0), smat_identity(2, p, N, 8), smat([[one, short], [bad, one]]))
+        ww = WachModule(ctx3, (0, 0), SeriesMat.identity(2, p, N, 8), SeriesMat([[one, short], [bad, one]], p, N))
         report = check_lattice_stability(ww, LatticeSub(2, PMatrix.identity(2, p, N), (0, 1)))
         assert report.violations == (
             "column 0: coefficient pi0^3 of row 1 not divisible by p^1",
         )
         F = PMatrix.from_lists([[0, 1], [1, 0]], p, N)
-        X = smat_scalar_sandwich(F, ww.G, F)
-        assert [[e.order for e in row] for row in X] == [[8, 8], [1, 8]]
-        assert X[0][1] == bad
+        X = ww.G.sandwich(F, F)
+        assert [[e.order for e in row] for row in X] == [[8, 8], [8, 8]]
+        assert X[0][1] == bad and X[1][0].is_zero()
 
     def test_singular_basis(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
