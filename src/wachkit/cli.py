@@ -162,7 +162,10 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     if args.generate:
-        primes = tuple(int(x) for x in args.primes.split(","))
+        try:
+            primes = tuple(int(x) for x in args.primes.split(","))
+        except ValueError:
+            raise InvalidInput(f"--primes {args.primes!r} is not a comma-separated list of integers") from None
         modules = generate_suite(
             args.seed, primes=primes, count=args.count, max_rank=args.max_rank
         )

@@ -13,9 +13,10 @@ algorithms for manipulating formal power series", J. ACM 25 (1978), for the
 power-table substitution.
 
 Series matrices are nested lists of coefficient lists.  Their products
-(:func:`mat_mul`) and scalar sandwiches (:class:`Sandwich`) are accumulated
-on the packed entries, so an output entry costs one unpack however many
-terms it sums; only this module knows the slot layout.
+(:func:`mat_mul`), scalar sandwiches (:class:`Sandwich`) and affine
+products (:class:`AffineProduct`) are accumulated on the packed entries, so
+an output entry costs one unpack however many terms it sums; only this
+module knows the slot layout.
 """
 
 from __future__ import annotations
@@ -168,4 +169,51 @@ class Sandwich:
         return [
             [unpack(sum([c * P[kl] for kl, c in t]), width, n, pn) for t in trow]
             for trow in self.terms
+        ]
+
+
+class AffineProduct:
+    """out = (K + F*E)*B truncated to n, with E_kl = sum_t X_kl[t]*H_l[t].
+
+    F and the offset K are series matrices, B a scalar matrix, and H_l, the
+    basis of column l, a list of series (columns may share one list).  A
+    call takes the coordinate lists X_kl; coordinates beyond len(H_l) are
+    not read.  The products F_ik*H_l[t] and K*B are formed once, on packed
+    ints cut to n slots, so a call sums each entry of F*E as one packed
+    combination of them, combines those by B's scalars and unpacks each
+    output entry once: no series product and no other unpack.
+    """
+
+    def __init__(self, F, bases, B, pn: int, n: int, offset):
+        d = len(F)
+        # an output slot sums, over the nonzero B_lj, one K residue or d*T
+        # coordinates times a slot of F_ik*H_l[t], itself n products
+        most = max(map(len, bases))
+        width = slot_width(pn, len(B) * (d * most * n + 1), factors=4)
+        self.width, self.n, self.pn = width, n, pn
+        mask = (1 << (8 * width * n)) - 1
+        Fp = [[pack(e[:n], width) for e in row] for row in F]
+        products: dict[int, list] = {}
+        for basis in bases:
+            if id(basis) not in products:
+                Hp = [pack(h[:n], width) for h in basis]
+                products[id(basis)] = [[[f * h & mask for h in Hp] for f in row] for row in Fp]
+        # products[l][i][k][t] = F_ik*H_l[t]
+        self.products = [products[id(basis)] for basis in bases]
+        self.terms = [[(l, b) for l, b in enumerate(col) if b] for col in zip(*B)]
+        Kp = [[pack(e[:n], width) for e in row] for row in offset]
+        self.offset = [[sum([b * krow[l] for l, b in t]) for t in self.terms] for krow in Kp]
+
+    def __call__(self, X) -> list[list[list[int]]]:
+        width, n, pn = self.width, self.n, self.pn
+        FE = [
+            [
+                sum([sum(map(mul, x, fh)) for x, fh in zip(col, prod[i])])
+                for col, prod in zip(zip(*X), self.products)
+            ]
+            for i in range(len(self.offset))
+        ]
+        return [
+            [unpack(k + sum([b * row[l] for l, b in t]), width, n, pn) for k, t in zip(krow, self.terms)]
+            for krow, row in zip(self.offset, FE)
         ]

@@ -48,7 +48,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _check_modulus(p: int, N: int) -> None:
+def check_modulus(p: int, N: int) -> None:
     if p < 3 or N < 1 or not _is_prime(p):
         raise InvalidInput(f"need an odd prime p >= 3 and N >= 1, got p={p}, N={N}")
 
@@ -73,7 +73,7 @@ class PScalar:
     N: int
 
     def __post_init__(self) -> None:
-        _check_modulus(self.p, self.N)
+        check_modulus(self.p, self.N)
         object.__setattr__(self, "value", self.value % self.p**self.N)
 
     @property
@@ -121,7 +121,7 @@ def teichmueller_lift(a: int, p: int, N: int) -> PScalar:
 
     Computed by iterating x -> x^p, which stabilizes in at most N steps.
     """
-    _check_modulus(p, N)
+    check_modulus(p, N)
     if a % p == 0:
         raise InvalidInput("Teichmueller lift needs a nonzero residue mod p")
     pn = p**N
@@ -145,7 +145,7 @@ class PMatrix:
     N: int
 
     def __post_init__(self) -> None:
-        _check_modulus(self.p, self.N)
+        check_modulus(self.p, self.N)
         if len(self.entries) != self.rows * self.cols:
             raise InvalidInput("entry count does not match dimensions")
         pn = self.p**self.N

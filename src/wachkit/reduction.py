@@ -15,8 +15,21 @@ P = Id + pi0*Cm with P^(-1)*C_pert*phi(P) = A*Q by iterating
 
     Cm  <-  [Delta + u*q^(p-1)*C_pert*phi(Cm)] * Q^(-1) * A^(-1),
 
-which contracts because the column factor q^(p-1-r_j) has positive valuation
-for weights <= p-2.
+with Delta = (C_pert - A*Q)/pi0, which contracts because the column factor
+q^(p-1-r_j) has positive valuation for weights <= p-2.  No composition,
+series product or division runs in the loop.  As u*q^(p-1) = phi(pi0)/pi0,
+column j of the bracket divided by q^(r_j) is
+
+    Delta_j / q^(r_j)  +  C_pert * sum_t Cm_j[t] * Q_(t+1)^(r_j),
+
+over the context's table of exact quotients Q_k^(r) = phi(pi0)^k/(pi0*q^r),
+the table the Gamma-solve reads at r = p-1.  The division by q^(r_j) is
+Z/p^N-linear and the second term is a multiple of q^(r_j) for every Cm,
+each Q_k^(r) having been divided exactly when the table was built; so the
+bracket is divisible iff Delta_j is, and Delta is divided once per call,
+with that check, instead of in every step.  The products
+C_pert_ik*Q_(t+1)^(r) are packed once per call, and a step is one packed
+combination per entry followed by A^(-1) (kernels.AffineProduct).
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from .errors import (
 )
 from .flmod import FLModule, require_valid, validate_fl
 from .padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval
-from .series import SeriesMat, q_divide_exact, q_divmod, q_powers, series_multiply
+from .series import SeriesMat, q_divide_exact, q_divmod
 from .wach import (
     WachModule,
     iterate_to_window,
@@ -152,8 +165,8 @@ def recover_filtration(w: WachModule, h_max: int) -> FilteredReduction:
     adapted basis from the q-divisibility conditions."""
     ctx = w.ctx
     p, N = ctx.p, ctx.N
-    if h_max > p - 2:
-        raise InvalidInput("h_max exceeds p-2")
+    if not 0 <= h_max <= p - 2:
+        raise InvalidInput(f"h_max {h_max} is outside [0, p-2]")
     d = w.rank
 
     lattices = [_fil_lattice(w, r) for r in range(h_max + 2)]
@@ -214,6 +227,48 @@ def recover_filtration(w: WachModule, h_max: int) -> FilteredReduction:
 # basis normalization (recognition direction)
 
 
+def _normalization_step(
+    Cp: SeriesMat, AQ: SeriesMat, weights: tuple[int, ...], A: PMatrix, ctx: CycloContext
+) -> tuple[kernels.AffineProduct, int]:
+    """The update of normalize_basis on coefficient lists, and its order m.
+
+    Cp and AQ are at the guard order.  The step maps Cm, d x d coefficient
+    lists at order m = M_pi0 - 1 (what P = Id + pi0*Cm reads), to
+
+        (D + Cp*E)*A^(-1),   D_ij = Delta_ij / q^(r_j),
+        E_kj = sum_t Cm_kj[t] * Q_(t+1)^(r_j),
+
+    the module docstring's update on the window.  Coefficient k of a step
+    reads Cm's coefficients t <= k only, as Q_(t+1)^(r) has valuation t, so
+    the window is closed under the step.  The table Q^(r) is divided at u's
+    order n; its canonical division disturbs only coefficients from
+    n - r - N on, so below m it is u*q^(p-1-r)*phi(pi0)^t when
+    n >= m + N + r, which holds at every profile (n - m - N = p + 3) and is
+    asserted.  D is divided once, at order n as the table is, and raises
+    NotDivisible when a column of Delta is not a multiple of q^(r_j).
+    """
+    p, N, pn = ctx.p, ctx.N, ctx.pn
+    m = ctx.profile.M_pi0 - 1
+    n = ctx.work.u.order
+    if n < m + N + max(weights):
+        raise AssertionError("quotient table too short for the normalization window")
+    D = [
+        [
+            q_divide_exact([(x - y) % pn for x, y in zip(c[1 : n + 1], a[1 : n + 1])], p, pn, r)
+            for r, c, a in zip(weights, crow, arow)
+        ]
+        for crow, arow in zip(Cp.rows, AQ.rows)
+    ]
+    bases = {}
+    for r in set(weights):
+        table = ctx.phi_sub.quotients(n, r)
+        reads = max((k for k, Q in enumerate(table) if any(Q[:m])), default=0)
+        bases[r] = [Q[:m] for Q in table[1 : reads + 1]]
+    Ainv = matrix_inverse_mod(A).to_lists()
+    step = kernels.AffineProduct(Cp.rows, [bases[r] for r in weights], Ainv, pn, m, D)
+    return step, m
+
+
 def normalize_basis(
     C_perturbed: SeriesMat,
     target: FLModule,
@@ -227,7 +282,10 @@ def normalize_basis(
     InvalidInput for a wrong shape, NotCongruent if C_perturbed does not
     reduce to A*diag(p^(r_j)) mod pi0, NotDivisible if the perturbation is
     not realizable over the ring, and NoConvergence if the iteration budget
-    is exhausted.
+    is exhausted.  The iteration is the affine map of the module docstring
+    on the coefficients of Cm that P reads; it stops when two successive
+    iterates agree there, and the residual C_perturbed*phi(P) = P*A*Q is
+    certified on the user window before P is returned.
     """
     require_valid(target)
     p, N = ctx.p, ctx.N
@@ -253,42 +311,11 @@ def normalize_basis(
                 )
 
     Cp = Cp.pad(mw)
-    uq = series_multiply(work.u, q_powers(work.q, p - 1)[p - 1])
-
-    # The loop runs on coefficient lists.  S = delta + u*q^(p-1)*Cp*phi(Cm)
-    # lives at u's order n, with delta = (Cp - A*Q)/pi0; u*q^(p-1) is folded
-    # into Cp once, so S is one packed matrix product.  Cm = S*Q^(-1)*A^(-1)
-    # is kept at its read order m: phi(Cm) mod pi0^n reads Cm's first
-    # terms(n) coefficients and the window test its first M_pi0, so
-    # coefficients from m on are never read.
-    n = uq.order
-    m = min(mw, max(ctx.phi_sub.terms(n), t_order))
-    pn = ctx.pn
-    CpU = [[kernels.series_mul(uq.coeffs, e, pn, n) for e in row] for row in Cp.rows]
-    delta_l = [
-        [([(x - y) % pn for x, y in zip(c, a)] + [0])[1 : n + 1] for c, a in zip(crow, arow)]
-        for crow, arow in zip(Cp.rows, AQ.rows)
-    ]
-    ident = PMatrix.identity(d, p, N).to_lists()
-    right = kernels.Sandwich(ident, matrix_inverse_mod(A).to_lists(), pn, m)
-    compose = ctx.phi_sub.compose
-
-    def step(Cm: list) -> list:
-        S = kernels.mat_mul(CpU, [[compose(e, n) for e in row] for row in Cm], pn, n)
-        # Q^(-1): the exact division of column j by q^(r_j)
-        quot = [
-            [
-                q_divide_exact([(x + y) % pn for x, y in zip(a, b)], p, pn, r)
-                for r, a, b in zip(weights, drow, srow)
-            ]
-            for drow, srow in zip(delta_l, S)
-        ]
-        return right(quot)
-
+    step, m = _normalization_step(Cp, AQ, weights, A, ctx)
     zero = [[[0] * m for _ in range(d)] for _ in range(d)]
-    window, _ = iterate_to_window(step, zero, t_order, max_iter)
+    window, _ = iterate_to_window(step, zero, m, max_iter)
     P = SeriesMat._trusted(p, N, [
-        [(int(i == j),) + tuple(e[: t_order - 1]) for j, e in enumerate(row)]
+        [(int(i == j),) + tuple(e) for j, e in enumerate(row)]
         for i, row in enumerate(window)
     ])
     # certify the residual on the user window: C_pert*phi(P) = P*A*Q

@@ -190,10 +190,14 @@ def report_to_dict(checks, seed: int | None = None) -> dict:
 
 
 def load_json(path: str) -> dict:
+    """The JSON object in a file; SchemaError for a missing file, bad JSON or another top level."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError(f"{path}: no such file") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: expected a JSON object at the top level")
+    return data

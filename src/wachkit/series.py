@@ -37,7 +37,7 @@ from .errors import (
     ProfileMismatch,
     VariableMismatch,
 )
-from .padic import PScalar, _check_modulus
+from .padic import PScalar, check_modulus
 
 PI = "pi"
 PI0 = "pi0"
@@ -60,7 +60,7 @@ class TruncationProfile:
     M_pi: int
 
     def __post_init__(self) -> None:
-        _check_modulus(self.p, self.N)
+        check_modulus(self.p, self.N)
         if self.M_pi0 < self.N:
             raise InvalidInput(
                 f"M_pi0 = {self.M_pi0} must be >= N = {self.N} "
@@ -366,8 +366,10 @@ def series_invert_unit(f: TruncSeries) -> TruncSeries:
 
 # Power tables kept per image, and quotient tables likewise.  The library's
 # own calls ask an image for at most three orders (the user window, the guard
-# order and one below it) and one quotient table; the cap bounds memory when
-# loaded artifacts bring series of many other lengths.
+# order and one below it), and for the Gamma-solve's quotient table and one
+# per distinct weight of a normalization; the cap bounds memory when loaded
+# artifacts bring series of many other lengths.  A normalization with more
+# than three distinct weights rebuilds some quotient tables on each call.
 _TABLES_KEPT = 4
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 
+from .errors import InvalidInput
 from .flmod import FLModule, make_fl
-from .padic import PMatrix
+from .padic import PMatrix, check_modulus
 
 
 def random_unit_matrix(rng: random.Random, d: int, p: int, N: int) -> PMatrix:
@@ -31,5 +32,9 @@ def generate_suite(
     N: int = 16,
 ) -> list[FLModule]:
     """Deterministic list of random modules, cycling through the primes."""
+    if not primes or count < 0 or max_rank < 1:
+        raise InvalidInput("a suite needs a prime, a count >= 0 and max_rank >= 1")
+    for p in primes:
+        check_modulus(p, N)
     rng = random.Random(seed)
     return [random_fl(rng, primes[i % len(primes)], N, max_rank) for i in range(count)]

@@ -13,12 +13,15 @@ from __future__ import annotations
 import itertools
 import math
 
+from wachkit import kernels
 from wachkit.errors import InvalidInput
-from wachkit.padic import PMatrix, howell_form, howell_kernel, howell_member
+from wachkit.padic import PMatrix, howell_form, howell_kernel, howell_member, matrix_inverse_mod
 from wachkit.series import (
     TruncSeries,
     constant_series,
     pad,
+    q_divide_exact,
+    q_powers,
     series_multiply,
     weierstrass_divide_q_power,
 )
@@ -210,3 +213,39 @@ def full_fil_lattice(w, r: int) -> PMatrix:
     if not xs:
         return PMatrix(0, d, (), p, N)
     return howell_form(PMatrix.from_lists(xs, p, N))
+
+
+def normalization_step_by_division(Cp, AQ, weights, A: PMatrix, ctx):
+    """The normalization update computed as written, with a division per step.
+
+    Cp and AQ are SeriesMats at the guard order.  The step takes Cm at any
+    order and returns [Delta + u*q^(p-1)*Cp*phi(Cm)]*Q^(-1)*A^(-1) at the
+    order of its input: phi(Cm) by d^2 table compositions at u's order n, the
+    product with u*q^(p-1)*Cp packed, each column divided exactly by q^(r_j)
+    (NotDivisible otherwise), then the scalar product by A^(-1).
+    """
+    p, pn = ctx.p, ctx.pn
+    work = ctx.work
+    uq = series_multiply(work.u, q_powers(work.q, p - 1)[p - 1])
+    n = uq.order
+    CpU = [[kernels.series_mul(uq.coeffs, e, pn, n) for e in row] for row in Cp.rows]
+    delta = [
+        [[(x - y) % pn for x, y in zip(c[1 : n + 1], a[1 : n + 1])] for c, a in zip(crow, arow)]
+        for crow, arow in zip(Cp.rows, AQ.rows)
+    ]
+    ident = PMatrix.identity(len(weights), p, ctx.N).to_lists()
+    Ainv = matrix_inverse_mod(A).to_lists()
+
+    def step(Cm):
+        m = len(Cm[0][0])
+        S = kernels.mat_mul(CpU, [[ctx.phi_sub.compose(e, n) for e in row] for row in Cm], pn, n)
+        quot = [
+            [
+                q_divide_exact([(x + y) % pn for x, y in zip(a, b)], p, pn, r)
+                for r, a, b in zip(weights, drow, srow)
+            ]
+            for drow, srow in zip(delta, S)
+        ]
+        return kernels.Sandwich(ident, Ainv, pn, m)(quot)
+
+    return step

@@ -190,6 +190,28 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["build", "verify", "reduce", "tensor", "normalize"])
+    def test_non_object_file_is_a_parse_error(self, tmp_path, capsys, command):
+        # reduce and tensor read the kind of a top-level [1] with .get, which
+        # ended in an AttributeError traceback
+        src = write(tmp_path, "top.json", [1])
+        argv = [command, src, src] if command == "tensor" else [command, "-i", src]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "top level" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--primes", "x"), ("--primes", ""), ("--primes", "3,9"), ("--primes", "0"),
+         ("--max-rank", "0"), ("--count", "-1")],
+    )
+    def test_bad_suite_arguments_are_validation_errors(self, capsys, flags):
+        # --primes x ended in a ValueError traceback from int(), and a prime
+        # below 3 or --max-rank 0 in one from random.randint
+        assert main(["roundtrip", "--generate", "--count", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "base, tamper",
         [
@@ -373,6 +395,24 @@ def test_wach_loader_raises_only_wachkit_errors(wach_p5, path, value):
     assert isinstance(w, WachModule)
 
 
+def _assert_typed_exit(argv):
+    """main(argv) exits with a code in 0..4, and a nonzero one prints one error: line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in range(5)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _write_case(tmp_path_factory, name, base, case):
+    """base with the slot at case's path replaced by its value; the empty path replaces the file."""
+    path, value = case
+    src = tmp_path_factory.getbasetemp() / name
+    src.write_text(dumps_canonical(replaced(base, path, value) if path else value), encoding="utf-8")
+    return str(src)
+
+
 # the C and fl slots of a perturbed file, and positions inside them
 PERTURBED_SLOTS = [
     ("C",), ("C", 0), ("C", 1), ("C", 0, 0), ("C", 1, 1), ("C", 1, 1, 0), ("C", 0, 1, 0),
@@ -385,6 +425,14 @@ SMALL = st.integers(-2, 12) | st.sampled_from([None, True, 2.5, "5", "x", [3], {
 PERTURBED_CASES = st.tuples(st.sampled_from(PERTURBED_SLOTS), JSON_VALUES) | st.tuples(
     st.sampled_from([("fl", "p"), ("fl", "N")]), SMALL
 )
+# the slots of an fl file, and the whole file (the empty path)
+FL_SLOTS = [("kind",), ("weights",), ("weights", 0), ("weights", 1), ("A",), ("A", 0), ("A", 1, 1), ("labels",)]
+FL_CASES = (
+    st.tuples(st.sampled_from(FL_SLOTS), JSON_VALUES)
+    | st.tuples(st.sampled_from([("p",), ("N",)]), SMALL)
+    | st.tuples(st.just(()), JSON_VALUES)
+)
+WACH_CASES = st.tuples(st.sampled_from(WACH_SLOTS), JSON_VALUES)
 
 
 @given(case=PERTURBED_CASES)
@@ -392,12 +440,25 @@ PERTURBED_CASES = st.tuples(st.sampled_from(PERTURBED_SLOTS), JSON_VALUES) | st.
 @example(case=(("fl", "labels"), 5))
 @settings(max_examples=200, deadline=None)
 def test_normalize_exits_with_a_code_on_any_perturbed_file(tmp_path_factory, case):
-    path, value = case
-    src = tmp_path_factory.getbasetemp() / "perturbed.json"
-    src.write_text(dumps_canonical(replaced(PERTURBED_SIMPLE, path, value)), encoding="utf-8")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["normalize", "-i", str(src)])
-    assert code in range(5)
-    if code:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    src = _write_case(tmp_path_factory, "perturbed.json", PERTURBED_SIMPLE, case)
+    _assert_typed_exit(["normalize", "-i", src])
+
+
+@given(case=st.tuples(st.just("fl"), FL_CASES) | st.tuples(st.just("wach"), WACH_CASES))
+@example(case=("fl", ((), [1])))
+@example(case=("wach", (("meta", "weights"), [-2, -2])))
+@settings(max_examples=150, deadline=None)
+def test_reduce_exits_with_a_code_on_any_input(tmp_path_factory, wach_p5, case):
+    # a top-level [1] ended in an AttributeError traceback
+    kind, slot = case
+    src = _write_case(tmp_path_factory, "reduce.json", FL_SIMPLE if kind == "fl" else wach_p5, slot)
+    _assert_typed_exit(["reduce", "-i", src])
+
+
+@given(first=FL_CASES, second=FL_CASES)
+@example(first=((), [1]), second=((), [1]))
+@settings(max_examples=100, deadline=None)
+def test_tensor_exits_with_a_code_on_any_pair_of_files(tmp_path_factory, first, second):
+    one = _write_case(tmp_path_factory, "tensor1.json", FL_SIMPLE, first)
+    two = _write_case(tmp_path_factory, "tensor2.json", FL_SIMPLE, second)
+    _assert_typed_exit(["tensor", one, two])

@@ -319,6 +319,36 @@ def test_sandwich_largest_slot_sums(p):
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
+def test_affine_product_matches_schoolbook(p):
+    # (K + F*E)*B with E_kl = sum_t X_kl[t]*H_l[t], on random entries and on
+    # the fullest slots (every coefficient and scalar p^N - 1, 18 basis
+    # members); two columns share a basis, and coordinates past a column's
+    # basis are not read
+    rng = random.Random(470 + p)
+    for N in (1, 8, 16):
+        pn = p**N
+        n = guard_order(p, N, 16)
+        for d in (1, 3):
+            ident = [[int(i == j) for j in range(d)] for i in range(d)]
+            B = [[rng.randrange(pn) for _ in range(d)] for _ in range(d)]
+            B[0][0] = 0  # a zero scalar is skipped, not misplaced
+            F, K = (_random_matrix(rng, d, d, pn, n) for _ in range(2))
+            shared = [[rng.randrange(pn) for _ in range(n)] for _ in range(5)]
+            own = [[rng.randrange(pn) for _ in range(n + 2)] for _ in range(3)]
+            full = [[[pn - 1] * n] * d] * d
+            cases = [
+                (F, [shared, own, shared][:d], B, K, _random_matrix(rng, d, d, pn, 7)),
+                (full, [[[pn - 1] * n] * 18] * d, [[pn - 1] * d] * d, full, [[[pn - 1] * 18] * d] * d),
+            ]
+            for F_, bases, B_, K_, X in cases:
+                E = [[_combine(x, basis, pn, n) for x, basis in zip(row, bases)] for row in X]
+                FE = oracle_matmul(F_, E, pn, n)
+                inner = [[[(a + b) % pn for a, b in zip(k, e)] for k, e in zip(kr, er)] for kr, er in zip(K_, FE)]
+                got = kernels.AffineProduct(F_, bases, B_, pn, n, K_)(X)
+                assert got == scalar_matmul(ident, inner, B_, pn)
+
+
+@pytest.mark.parametrize("p", MATRIX_PRIMES)
 def test_series_mat_product_at_the_shorter_order(p):
     # X*Y is exact to the shorter of the two orders, as series_multiply is
     rng = random.Random(500 + p)

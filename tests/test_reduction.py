@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from oracles import full_fil_lattice, shift_multiply
+from oracles import full_fil_lattice, normalization_step_by_division, schoolbook_mul, shift_multiply
+from wachkit.cyclo import get_context
 from wachkit.errors import (
     AxiomViolation,
     InvalidInput,
     NoConvergence,
     NotCongruent,
+    NotDivisible,
     ProfileMismatch,
     VariableMismatch,
 )
@@ -15,6 +17,7 @@ from wachkit.flmod import make_fl, unit_fl
 from wachkit.padic import PMatrix
 from wachkit.reduction import (
     _fil_lattice,
+    _normalization_step,
     _phi_r_image,
     normalize_basis,
     recover_filtration,
@@ -23,7 +26,7 @@ from wachkit.reduction import (
 )
 from wachkit.series import PI, PI0, SeriesMat, TruncSeries, constant_series, pad, q_powers, series_scale
 from wachkit.suite import random_unit_matrix
-from wachkit.wach import WachModule, solve_wach
+from wachkit.wach import WachModule, phi_matrix, solve_wach
 
 
 def planted_perturbation(ctx, m, seed):
@@ -163,6 +166,8 @@ class TestRecoverFiltration:
         w = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
         with pytest.raises(Exception):
             recover_filtration(w, 5)
+        with pytest.raises(InvalidInput):  # no steps to recover: was an IndexError
+            recover_filtration(w, -1)
 
 
 class TestNormalize:
@@ -237,6 +242,74 @@ class TestNormalize:
         }[shape]
         with pytest.raises(error):
             normalize_basis(C, m, ctx5)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+    def test_step_matches_the_division_oracle(self, p):
+        # the packed affine step against the update computed with d^2
+        # compositions and a division by q^(r_j) per step, on random Cm (whose
+        # coefficients past the window the oracle reads and must ignore), for
+        # every weight; C' = A*Q + pi0*R*Q has Delta = R*Q
+        ctx = get_context(p)
+        rng = random.Random(600 + p)
+        pn, mw = ctx.pn, ctx.work.M_pi0
+        qpow = q_powers(ctx.work.q, p - 2)
+        for r in range(p - 1):
+            weights = tuple(sorted((r, rng.randrange(p - 1))))
+            A = random_unit_matrix(rng, 2, p, 16)
+            AQ = phi_matrix(A, weights, ctx.work.q)
+            Cp = SeriesMat._trusted(p, 16, [
+                [
+                    [(x + y) % pn for x, y in zip(a, [0] + schoolbook_mul(
+                        [rng.randrange(pn) for _ in range(mw)], qpow[rj].coeffs, pn, mw - 1
+                    ))]
+                    for a, rj in zip(row, weights)
+                ]
+                for row in AQ.rows
+            ])
+            step, m = _normalization_step(Cp, AQ, weights, A, ctx)
+            oracle = normalization_step_by_division(Cp, AQ, weights, A, ctx)
+            assert m == ctx.profile.M_pi0 - 1
+            for _ in range(2):
+                Cm = [[[rng.randrange(pn) for _ in range(m + 5)] for _ in range(2)] for _ in range(2)]
+                expect = [[e[:m] for e in row] for row in oracle(Cm)]
+                assert step([[e[:m] for e in row] for row in Cm]) == expect
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_quotient_table_is_the_series_on_the_window(self, p):
+        # Q_(t+1)^(r) = phi(pi0)^(t+1)/(pi0*q^r) is u*q^(p-1-r)*phi(pi0)^t
+        # below m = M_pi0 - 1, for every r and at every table order from u's
+        # up to the guard order
+        ctx = get_context(p)
+        work = ctx.work
+        pn, m = ctx.pn, ctx.profile.M_pi0 - 1
+        phi = list(work.phi_pi0.coeffs)
+        qpow = q_powers(work.q, p - 1)
+        for r in range(p):
+            series = schoolbook_mul(list(work.u.coeffs), list(qpow[p - 1 - r].coeffs), pn, m)
+            for n in (work.u.order, work.M_pi0 - 1, work.M_pi0):
+                table = ctx.phi_sub.quotients(n, r)
+                power = series
+                for t in range(len(table) - 1):
+                    assert table[t + 1][:m] == power
+                    power = schoolbook_mul(power, phi, pn, m)
+                assert not any(power)  # the table stops where the powers vanish
+
+    def test_delta_not_divisible(self, ctx5):
+        # C' = A*Q + pi0*E with E nonzero only in the weight-2 column: Delta's
+        # column is a nonzero constant, which q^2 does not divide; in the
+        # weight-0 column the same perturbation is realizable
+        rng = random.Random(14)
+        m = make_fl(5, 16, (0, 2), random_unit_matrix(rng, 2, 5, 16))
+        AQ = phi_matrix(m.A, m.weights, ctx5.work.q)
+
+        def perturbed(j):
+            rows = [[list(e) for e in row] for row in AQ.rows]
+            rows[0][j][1] = (rows[0][j][1] + 1) % ctx5.pn
+            return SeriesMat._trusted(5, 16, rows)
+
+        with pytest.raises(NotDivisible):
+            normalize_basis(perturbed(1), m, ctx5)
+        assert normalize_basis(perturbed(0), m, ctx5) is not None
 
 
 class TestRoundtrip:

@@ -28,6 +28,7 @@ ALLOWED = {
     "howell_member",
     "smith_elementary_divisors",
     "PMatrix.matvec",
+    "series_multiply",
 }
 
 
