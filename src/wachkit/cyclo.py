@@ -78,8 +78,6 @@ class CycloWork:
     M_pi0: int
     M_pi: int
     pi0_in_pi: TruncSeries
-    phi_pi: TruncSeries
-    gamma_pi: TruncSeries
     torsion_pi: tuple[TruncSeries, ...]
     phi_pi0: TruncSeries
     gamma_pi0: TruncSeries
@@ -212,9 +210,6 @@ def build_context(
     if pi0_in_pi_w.coeff(p - 1) % p == 0:
         raise AssertionError("pi0 bootstrap: leading coefficient not a unit")
 
-    phi_pi_w = series_sub(binomial_power(p, p, N, mpw, var=PI), one)
-    gamma_pi_w = series_sub(binomial_power(chi, p, N, mpw, var=PI), one)
-
     # images of pi0 back to pi0-coordinates; _in_s0 doubles as the
     # Gamma_f-invariance assertion.  Both read the powers of pi0(pi) from one
     # table, built here and dropped with it: no later operation asks for this
@@ -244,8 +239,6 @@ def build_context(
         M_pi0=mw,
         M_pi=mpw,
         pi0_in_pi=pi0_in_pi_w,
-        phi_pi=phi_pi_w,
-        gamma_pi=gamma_pi_w,
         torsion_pi=tuple(torsion_w),
         phi_pi0=phi_pi0_w,
         gamma_pi0=gamma_pi0_w,

@@ -13,15 +13,15 @@ algorithms for manipulating formal power series", J. ACM 25 (1978), for the
 power-table substitution.
 
 Series matrices are nested lists of coefficient lists.  Their products
-(:func:`mat_mul`), scalar sandwiches (:class:`Sandwich`) and affine
-products (:class:`AffineProduct`) are accumulated on the packed entries, so
-an output entry costs one unpack however many terms it sums; only this
-module knows the slot layout.
+(:func:`mat_mul`) and the affine maps of the fixed-point solvers
+(:class:`AffineMap`) are accumulated on the packed entries, so an output
+entry costs one unpack however many terms it sums; only this module knows
+the slot layout.
 """
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import mul
 
 _from_bytes = int.from_bytes
 
@@ -104,116 +104,72 @@ def mat_mul(X, Y, pn: int, n: int) -> list[list[list[int]]]:
     return [[unpack(sum(map(mul, xr, col)), width, n, pn) for col in cols] for xr in Xp]
 
 
-class Sandwich:
-    """out_ij = sum_(k,l) A_ik*B_lj * (K_kl + E_kl*F_kl), truncated to n.
+class AffineMap:
+    """out = L*(K + Y)*R truncated to n, with Y_il = sum over terms[i][l] of f*E.
 
-    A and B are scalar matrices (nested lists of residues mod pn); E, the
-    entrywise factor F and the offset K are series matrices.  F and K are
-    fixed, so they are packed once; a call packs E's entries, sums each
-    output entry's terms on the packed ints and unpacks it once.  Without F
-    and K this is the product A*E*B.  terms[i][j] lists (k*m + l, A_ik*B_lj)
-    for the nonzero scalars, m = len(B).
+    L and R are scalar matrices (nested lists of residues mod pn), K a
+    series matrix, and terms[i][l] a list of triples (k, f, H): a series f
+    and a list of series H, read against column l of the argument,
+    E = sum_t X_kl[t]*H[t].  A call takes X, a matrix of coordinate lists
+    of K's shape; coordinates beyond len(H) are not read.  With no terms the map is the
+    constant L*K*R.
 
-    With a basis (a list of series, packed once), a call's E entries are
-    coordinate lists over it: E_kl = sum_t E_kl[t]*basis[t], formed on the
-    packed basis, so E is never packed or unpacked.
-    """
-
-    def __init__(self, A, B, pn: int, n: int, factor=None, offset=None, basis=None):
-        m = len(B)
-        cols = list(zip(*B))
-        self.terms = []
-        for row in A:
-            trow = []
-            for col in cols:
-                t = [(k * m + l, a * b % pn) for k, a in enumerate(row) for l, b in enumerate(col)]
-                trow.append([(kl, c) for kl, c in t if c])
-            self.terms.append(trow)
-        # a term's slot is a scalar times the sum of one K residue and at
-        # most n products E*F (one E residue without F), where each E residue
-        # is itself a sum of len(basis) products with a basis
-        per_term = (1 if factor is None else n) * (1 if basis is None else len(basis))
-        per_term += offset is not None
-        factors = 2 + (factor is not None) + (basis is not None)
-        most = max(len(t) for row in self.terms for t in row)
-        width = slot_width(pn, most * per_term, factors=factors)
-        self.width, self.n, self.pn = width, n, pn
-        self.factor = None if factor is None else self._pack(factor)
-        self.offset = None if offset is None else self._pack(offset)
-        self.basis = None if basis is None else self._pack([basis])
-
-    def _pack(self, M) -> list[int]:
-        """M's entries packed, row-major; a list repeated in M is packed once."""
-        width, n = self.width, self.n
-        seen: dict[int, int] = {}
-        out = []
-        for row in M:
-            for e in row:
-                x = seen.get(id(e))
-                if x is None:
-                    x = seen[id(e)] = pack(e[:n], width) if any(e) else 0
-                out.append(x)
-        return out
-
-    def __call__(self, E) -> list[list[list[int]]]:
-        width, n, pn = self.width, self.n, self.pn
-        if self.basis is None:
-            P = self._pack(E)
-        else:
-            basis = self.basis
-            P = [sum(map(mul, e, basis)) for row in E for e in row]
-        if self.factor is not None:
-            P = list(map(mul, P, self.factor))
-        if self.offset is not None:
-            P = list(map(add, P, self.offset))
-        return [
-            [unpack(sum([c * P[kl] for kl, c in t]), width, n, pn) for t in trow]
-            for trow in self.terms
-        ]
-
-
-class AffineProduct:
-    """out = (K + F*E)*B truncated to n, with E_kl = sum_t X_kl[t]*H_l[t].
-
-    F and the offset K are series matrices, B a scalar matrix, and H_l, the
-    basis of column l, a list of series (columns may share one list).  A
-    call takes the coordinate lists X_kl; coordinates beyond len(H_l) are
-    not read.  The products F_ik*H_l[t] and K*B are formed once, on packed
-    ints cut to n slots, so a call sums each entry of F*E as one packed
-    combination of them, combines those by B's scalars and unpacks each
+    Each distinct product f*H[t] (by object identity of f and H) is formed
+    once, on packed ints cut to n slots, and K is packed once.  A call sums
+    each entry's terms as one packed combination of those products, adds K,
+    combines the entries by the nonzero scalars L_ik*R_lj and unpacks each
     output entry once: no series product and no other unpack.
     """
 
-    def __init__(self, F, bases, B, pn: int, n: int, offset):
-        d = len(F)
-        # an output slot sums, over the nonzero B_lj, one K residue or d*T
-        # coordinates times a slot of F_ik*H_l[t], itself n products
-        most = max(map(len, bases))
-        width = slot_width(pn, len(B) * (d * most * n + 1), factors=4)
+    def __init__(self, L, R, K, terms, pn: int, n: int):
+        m = len(R)
+        cols = list(zip(*R))
+        # scalars[i][j] lists (k*m + l, L_ik*R_lj) for the nonzero scalars
+        self.scalars = []
+        for row in L:
+            srow = []
+            for col in cols:
+                s = [(k * m + l, a * b % pn) for k, a in enumerate(row) if a for l, b in enumerate(col)]
+                srow.append([(kl, c) for kl, c in s if c])
+            self.scalars.append(srow)
+        # an output slot sums, over the scalars, one K residue and each
+        # coordinate times a slot of f*H[t], itself at most n products
+        most = max(len(s) for row in self.scalars for s in row)
+        reads = max((sum(len(H) for _, _, H in t) for row in terms for t in row), default=0)
+        width = slot_width(pn, most * (reads * n + 1), factors=4)
         self.width, self.n, self.pn = width, n, pn
         mask = (1 << (8 * width * n)) - 1
-        Fp = [[pack(e[:n], width) for e in row] for row in F]
-        products: dict[int, list] = {}
-        for basis in bases:
-            if id(basis) not in products:
-                Hp = [pack(h[:n], width) for h in basis]
-                products[id(basis)] = [[[f * h & mask for h in Hp] for f in row] for row in Fp]
-        # products[l][i][k][t] = F_ik*H_l[t]
-        self.products = [products[id(basis)] for basis in bases]
-        self.terms = [[(l, b) for l, b in enumerate(col) if b] for col in zip(*B)]
-        Kp = [[pack(e[:n], width) for e in row] for row in offset]
-        self.offset = [[sum([b * krow[l] for l, b in t]) for t in self.terms] for krow in Kp]
+        # each f, each H's members and each product f*H[t] packed once;
+        # while terms holds them, distinct objects have distinct ids
+        packed: dict[int, object] = {}
+        products: dict[tuple[int, int], list[int]] = {}
+        # terms, row-major: (k*m + l, packed f*H[t]) for each term of entry (i, l)
+        self.terms = []
+        for trow in terms:
+            for l, t in enumerate(trow):
+                entry = []
+                for k, f, H in t:
+                    key = idf, idH = id(f), id(H)
+                    prods = products.get(key)
+                    if prods is None:
+                        if idf not in packed:
+                            packed[idf] = pack(f[:n], width)
+                        if idH not in packed:
+                            packed[idH] = [pack(h[:n], width) for h in H]
+                        fp = packed[idf]
+                        prods = products[key] = [fp * h & mask for h in packed[idH]]
+                    entry.append((k * m + l, prods))
+                self.terms.append(entry)
+        self.offset = [pack(e[:n], width) for row in K for e in row]
 
     def __call__(self, X) -> list[list[list[int]]]:
         width, n, pn = self.width, self.n, self.pn
-        FE = [
-            [
-                sum([sum(map(mul, x, fh)) for x, fh in zip(col, prod[i])])
-                for col, prod in zip(zip(*X), self.products)
-            ]
-            for i in range(len(self.offset))
+        X = [x for row in X for x in row]
+        Y = [
+            c + sum([sum(map(mul, X[kl], prods)) for kl, prods in t])
+            for c, t in zip(self.offset, self.terms)
         ]
         return [
-            [unpack(k + sum([b * row[l] for l, b in t]), width, n, pn) for k, t in zip(krow, self.terms)]
-            for krow, row in zip(self.offset, FE)
+            [unpack(sum([c * Y[kl] for kl, c in s]), width, n, pn) for s in srow]
+            for srow in self.scalars
         ]

@@ -201,18 +201,6 @@ class PMatrix:
                     out[rbase + j] = (out[rbase + j] + aik * other.entries[obase + j]) % pn
         return PMatrix(self.rows, other.cols, tuple(out), self.p, self.N)
 
-    def add(self, other: "PMatrix") -> "PMatrix":
-        self._same(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InvalidInput("dimension mismatch in matrix sum")
-        return PMatrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-            self.p,
-            self.N,
-        )
-
     def transpose(self) -> "PMatrix":
         ents = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
         return PMatrix(self.cols, self.rows, ents, self.p, self.N)

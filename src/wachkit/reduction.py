@@ -29,7 +29,8 @@ each Q_k^(r) having been divided exactly when the table was built; so the
 bracket is divisible iff Delta_j is, and Delta is divided once per call,
 with that check, instead of in every step.  The products
 C_pert_ik*Q_(t+1)^(r) are packed once per call, and a step is one packed
-combination per entry followed by A^(-1) (kernels.AffineProduct).
+combination per entry followed by A^(-1): the affine-map kernel
+(kernels.AffineMap) that the Gamma-solve's step runs on too.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
 )
 from .flmod import FLModule, require_valid, validate_fl
 from .padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval
-from .series import SeriesMat, q_divide_exact, q_divmod
+from .series import SeriesMat, cut_table, q_divide_exact, q_divmod
 from .wach import (
     WachModule,
     iterate_to_window,
@@ -229,7 +230,7 @@ def recover_filtration(w: WachModule, h_max: int) -> FilteredReduction:
 
 def _normalization_step(
     Cp: SeriesMat, AQ: SeriesMat, weights: tuple[int, ...], A: PMatrix, ctx: CycloContext
-) -> tuple[kernels.AffineProduct, int]:
+) -> tuple[kernels.AffineMap, int]:
     """The update of normalize_basis on coefficient lists, and its order m.
 
     Cp and AQ are at the guard order.  The step maps Cm, d x d coefficient
@@ -238,13 +239,14 @@ def _normalization_step(
         (D + Cp*E)*A^(-1),   D_ij = Delta_ij / q^(r_j),
         E_kj = sum_t Cm_kj[t] * Q_(t+1)^(r_j),
 
-    the module docstring's update on the window.  Coefficient k of a step
-    reads Cm's coefficients t <= k only, as Q_(t+1)^(r) has valuation t, so
-    the window is closed under the step.  The table Q^(r) is divided at u's
-    order n; its canonical division disturbs only coefficients from
-    n - r - N on, so below m it is u*q^(p-1-r)*phi(pi0)^t when
-    n >= m + N + r, which holds at every profile (n - m - N = p + 3) and is
-    asserted.  D is divided once, at order n as the table is, and raises
+    the module docstring's update on the window: a kernels.AffineMap with
+    L = Id, R = A^(-1), K = D and the terms (k, Cp_ik, Q^(r_j)[1:]), k < d,
+    for entry (i, j).  Coefficient k of a step reads Cm's coefficients
+    t <= k only, as Q_(t+1)^(r) has valuation t, so the window is closed
+    under the step.  The table Q^(r) is divided at u's order n; its
+    canonical division disturbs only coefficients from n - r - N on, so
+    below m it is u*q^(p-1-r)*phi(pi0)^t when n >= m + N + r, which holds
+    at every profile (n - m - N = p + 3) and is asserted.  D is divided once, at order n as the table is, and raises
     NotDivisible when a column of Delta is not a multiple of q^(r_j).
     """
     p, N, pn = ctx.p, ctx.N, ctx.pn
@@ -259,14 +261,13 @@ def _normalization_step(
         ]
         for crow, arow in zip(Cp.rows, AQ.rows)
     ]
-    bases = {}
-    for r in set(weights):
-        table = ctx.phi_sub.quotients(n, r)
-        reads = max((k for k, Q in enumerate(table) if any(Q[:m])), default=0)
-        bases[r] = [Q[:m] for Q in table[1 : reads + 1]]
+    bases = {r: cut_table(ctx.phi_sub.quotients(n, r), m)[1:] for r in set(weights)}
+    terms = [
+        [[(k, f, bases[r]) for k, f in enumerate(row)] for r in weights] for row in Cp.rows
+    ]
+    ident = [[int(i == j) for j in range(len(weights))] for i in range(len(weights))]
     Ainv = matrix_inverse_mod(A).to_lists()
-    step = kernels.AffineProduct(Cp.rows, [bases[r] for r in weights], Ainv, pn, m, D)
-    return step, m
+    return kernels.AffineMap(ident, Ainv, D, terms, pn, m), m
 
 
 def normalize_basis(

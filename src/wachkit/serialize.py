@@ -12,7 +12,8 @@ Schemas:
 * WachModule: {"kind": "wach", "p": int, "N": int, "M_pi0": int,
                "chi_gamma": "dec", "C": [[[coeff, ...], ...], ...],
                "G": like C, "meta": {"weights": [...], "iterations_used": n}},
-              every C and G series with exactly M_pi0 coefficients
+              every C and G series with exactly M_pi0 coefficients and
+              every weight in [0, p-2]
 * perturbed:  {"kind": "perturbed", "fl": FLModule, "C": like wach C},
               a square C whose series may have any length; a shorter
               series is exact, extended by zeros to the longest
@@ -157,6 +158,8 @@ def wach_from_dict(data: dict, where: str = "wach") -> WachModule:
     weights = tuple(_as_int(x, f"{where}.meta.weights") for x in weights)
     if len(weights) != len(C):
         raise SchemaError(f"{where}: weights length differs from matrix rank")
+    if any(not 0 <= r <= p - 2 for r in weights):
+        raise SchemaError(f"{where}.meta.weights: each weight must lie in [0, p-2] = [0, {p - 2}]")
     iters = _as_int(meta.get("iterations_used", 0), f"{where}.meta.iterations_used")
     return WachModule(ctx=ctx, weights=weights, C=C, G=G, source=None, iterations_used=iters)
 

@@ -264,9 +264,10 @@ class SeriesMat:
         return SeriesMat._trusted(self.p, self.N, rows)
 
     def sandwich(self, A, B) -> "SeriesMat":
-        """A*X*B for scalar matrices A and B (PMatrix)."""
-        out = kernels.Sandwich(A.to_lists(), B.to_lists(), self.pn, self.order)(self.rows)
-        return SeriesMat._trusted(self.p, self.N, out)
+        """A*X*B for scalar matrices A and B (PMatrix): an affine map with no terms."""
+        no_terms = [[[] for _ in row] for row in self.rows]
+        AXB = kernels.AffineMap(A.to_lists(), B.to_lists(), self.rows, no_terms, self.pn, self.order)
+        return SeriesMat._trusted(self.p, self.N, AXB(self.rows))
 
     def kron(self, other: "SeriesMat") -> "SeriesMat":
         """Kronecker product: entry (i1*d2 + i2, j1*d2 + j2) is X_(i1 j1) * Y_(i2 j2)."""
@@ -364,19 +365,12 @@ def series_invert_unit(f: TruncSeries) -> TruncSeries:
     return TruncSeries._trusted(f.var, f.p, f.N, tuple(out))
 
 
-# Power tables kept per image, and quotient tables likewise.  The library's
-# own calls ask an image for at most three orders (the user window, the guard
-# order and one below it), and for the Gamma-solve's quotient table and one
-# per distinct weight of a normalization; the cap bounds memory when loaded
-# artifacts bring series of many other lengths.  A normalization with more
-# than three distinct weights rebuilds some quotient tables on each call.
+# Power tables kept per image.  The library's own calls ask an image for at
+# most three orders (the user window, the guard order and one below it); the
+# cap bounds memory when loaded artifacts bring series of many other lengths.
+# Quotient tables are not capped: the library asks for them only at the two
+# orders the context fixes, one per weight and r = p - 1, so at most p exist.
 _TABLES_KEPT = 4
-
-
-def _make_room(cache: dict) -> None:
-    """Drop the least recently used entry of a full table cache."""
-    if len(cache) >= _TABLES_KEPT:
-        del cache[next(iter(cache))]
 
 
 class Substitution:
@@ -385,9 +379,10 @@ class Substitution:
     The powers g^0, g^1, ... truncated at an order n are packed the first
     time order n is asked for and kept (the last few orders used); each
     substitution at that order is then one big-int linear combination and
-    one unpack.  The quotient tables of :meth:`quotients` are kept the same
-    way.  The tables are a cache: they are not pickled, and equality of the
-    objects that hold a Substitution should not look at it.
+    one unpack.  The quotient tables of :meth:`quotients` are kept for
+    every (order, exponent) asked for.  The tables are a cache: they are
+    not pickled, and equality of the objects that hold a Substitution should
+    not look at it.
     """
 
     def __init__(self, image: TruncSeries):
@@ -406,7 +401,8 @@ class Substitution:
         if entry is None:
             g = self.image
             entry = kernels.power_table(g.coeffs, g.pn, n)
-            _make_room(tables)
+            if len(tables) >= _TABLES_KEPT:  # drop the least recently used
+                del tables[next(iter(tables))]
         tables[n] = entry  # most recently used last
         return entry
 
@@ -425,16 +421,14 @@ class Substitution:
         """
         if not 0 <= r < n:
             raise InvalidInput("division exponent out of range")
-        tables = self._quotients
-        entry = tables.pop((n, r), None)
+        entry = self._quotients.get((n, r))
         if entry is None:
             g = self.image
             powers = self.powers(n)
             next(powers)  # g^0 = 1 has no part above the constant term
             entry = [[0] * (n - 1 - r)]
             entry += [q_divide_exact(gk[1:], g.p, g.pn, r) for gk in powers]
-            _make_room(tables)
-        tables[n, r] = entry
+            self._quotients[n, r] = entry
         return entry
 
     def powers(self, n: int):
@@ -561,6 +555,16 @@ def _q_remainder(stages: list[int], p: int, pn: int, r: int) -> tuple[int, ...]:
                     nxt[t + 1] = (nxt[t + 1] + basis[t]) % pn
         basis = nxt
     return tuple(rem)
+
+
+def cut_table(table: list[list[int]], m: int) -> list[list[int]]:
+    """table's members up to the last one nonzero below order m, each cut to m.
+
+    A combination sum_t x_t*table[t] mod X^m reads no coordinate x_t past
+    these, so a fixed-point step over a quotient table keeps only them.
+    """
+    reads = 1 + max((t for t, Q in enumerate(table) if any(Q[:m])), default=0)
+    return [Q[:m] for Q in table[:reads]]
 
 
 def q_divide_exact(coeffs: list[int], p: int, pn: int, r: int) -> list[int]:

@@ -49,10 +49,11 @@ from .errors import (
     SingularBasis,
     SingularModP,
     ValidationFailed,
+    WeightOverflow,
 )
 from .flmod import FLModule, LatticeSub, require_valid
 from .padic import PMatrix, matrix_inverse_mod, pval
-from .series import SeriesMat, TruncSeries, q_powers, weierstrass_divide_q_power
+from .series import SeriesMat, TruncSeries, cut_table, q_powers, weierstrass_divide_q_power
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +107,9 @@ def _gamma_stepper(weights: tuple[int, ...], A: PMatrix, ctx: CycloContext):
     E is linear in G - Id: entry by entry it is sum_t G_ij[t]*Q_t over the
     context's table Q_t = phi(pi0)^t / (pi0*q^(p-1)) (t >= 1), whose
     exactness the table proves once when it is built.  So a step is one
-    kernels.Sandwich call with that basis, and each output entry is unpacked
-    once; the only check left per step is that G is Id mod pi0.
+    kernels.AffineMap call with one term (i, F_ij, Q) per entry, and each
+    output entry is unpacked once; the only check left per step is that G
+    is Id mod pi0.
 
     Orders: the table is divided at the working order n = min(guard order,
     order of v^-1), because its top-down division makes low quotient
@@ -126,12 +128,10 @@ def _gamma_stepper(weights: tuple[int, ...], A: PMatrix, ctx: CycloContext):
     n = min(work.M_pi0, work.v_gamma_inv.order)
     table = ctx.phi_sub.quotients(n, p - 1)
     m = ctx.profile.M_pi0
-    while True:  # reads grows with m, up to len(table) <= n
-        reads = 1 + max((t for t, Q in enumerate(table) if any(Q[:m])), default=0)
-        if reads <= m:
-            break
-        m = reads
-    basis = table[:reads]
+    basis = cut_table(table, m)
+    while len(basis) > m:  # what a step reads grows with m, up to len(table) <= n
+        m = len(basis)
+        basis = cut_table(table, m)
     A_l = A.to_lists()
     Ainv_l = matrix_inverse_mod(A).to_lists()
 
@@ -144,11 +144,11 @@ def _gamma_stepper(weights: tuple[int, ...], A: PMatrix, ctx: CycloContext):
         for ri in set(weights)
         for rj in set(weights)
     }
-    F = [[factor[ri, rj] for rj in weights] for ri in weights]
+    terms = [[[(i, factor[ri, rj], basis)] for rj in weights] for i, ri in enumerate(weights)]
     ident = [[[int(i == j)] + [0] * (m - 1) for j in range(d)] for i in range(d)]
     zero = [0] * m
     diag_v = [[vpow[r] if i == j else zero for j in range(d)] for i, r in enumerate(weights)]
-    sandwich = kernels.Sandwich(A_l, Ainv_l, pn, m, factor=F, offset=diag_v, basis=basis)
+    affine = kernels.AffineMap(A_l, Ainv_l, diag_v, terms, pn, m)
 
     def step(G: list) -> list:
         # G - Id differs from G in the constant terms only, which Q_0 = 0
@@ -157,7 +157,7 @@ def _gamma_stepper(weights: tuple[int, ...], A: PMatrix, ctx: CycloContext):
             for j, e in enumerate(row):
                 if e[0] != (i == j):
                     raise NotDivisible("low coefficients are nonzero")
-        return sandwich(G)
+        return affine(G)
 
     return step, ident
 
@@ -356,12 +356,18 @@ def verify_wach_axioms(w: WachModule) -> AxiomReport:
 
 
 def tensor_wach(w1: WachModule, w2: WachModule) -> WachModule:
-    """Kronecker product module (lexicographic basis order), axioms re-verified."""
+    """Kronecker product module (lexicographic basis order), axioms re-verified.
+
+    Raises WeightOverflow if a weight r + s exceeds p - 2, as tensor_fl does.
+    """
     if w1.ctx is not w2.ctx and (
         w1.ctx.profile != w2.ctx.profile or w1.ctx.chi_gamma != w2.ctx.chi_gamma
     ):
         raise InvalidInput("tensor of modules over different contexts")
     weights = tuple(r + s for r in w1.weights for s in w2.weights)
+    p = w1.ctx.p
+    if max(weights) > p - 2:  # as tensor_fl: the artifact must load again
+        raise WeightOverflow(f"weight {max(weights)} exceeds p-2 = {p - 2}")
     out = WachModule(
         ctx=w1.ctx,
         weights=weights,

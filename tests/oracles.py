@@ -222,7 +222,8 @@ def normalization_step_by_division(Cp, AQ, weights, A: PMatrix, ctx):
     order and returns [Delta + u*q^(p-1)*Cp*phi(Cm)]*Q^(-1)*A^(-1) at the
     order of its input: phi(Cm) by d^2 table compositions at u's order n, the
     product with u*q^(p-1)*Cp packed, each column divided exactly by q^(r_j)
-    (NotDivisible otherwise), then the scalar product by A^(-1).
+    (NotDivisible otherwise), then the scalar product by A^(-1), coefficient
+    by coefficient.
     """
     p, pn = ctx.p, ctx.pn
     work = ctx.work
@@ -233,7 +234,6 @@ def normalization_step_by_division(Cp, AQ, weights, A: PMatrix, ctx):
         [[(x - y) % pn for x, y in zip(c[1 : n + 1], a[1 : n + 1])] for c, a in zip(crow, arow)]
         for crow, arow in zip(Cp.rows, AQ.rows)
     ]
-    ident = PMatrix.identity(len(weights), p, ctx.N).to_lists()
     Ainv = matrix_inverse_mod(A).to_lists()
 
     def step(Cm):
@@ -246,6 +246,9 @@ def normalization_step_by_division(Cp, AQ, weights, A: PMatrix, ctx):
             ]
             for drow, srow in zip(delta, S)
         ]
-        return kernels.Sandwich(ident, Ainv, pn, m)(quot)
+        return [
+            [[sum(e[t] * a for e, a in zip(qrow, col)) % pn for t in range(m)] for col in zip(*Ainv)]
+            for qrow in quot
+        ]
 
     return step

@@ -240,6 +240,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("weights", [[-2, -2], [7, 7]])
+    def test_weights_outside_the_range_are_a_parse_error(self, wach_p5, tmp_path, capsys, weights):
+        # p = 5 allows weights in [0, 3]; [-2, -2] used to exit 2 with an
+        # internal "division exponent out of range", [7, 7] exit 4 at det_q_height
+        bad = write(tmp_path, "bad.json", replaced(wach_p5, ("meta", "weights"), weights))
+        for argv in (["verify", "-i", bad], ["reduce", "-i", bad]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "[0, p-2]" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("p", [4, 9])
     def test_composite_prime_is_a_validation_error(self, tmp_path, capsys, p):
         # a composite p used to die in the bootstrap with a ValueError traceback

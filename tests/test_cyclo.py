@@ -19,11 +19,13 @@ from wachkit.series import (
     PI,
     PI0,
     Substitution,
+    binomial_power,
     constant_series,
     series_add,
     series_invert_unit,
     series_multiply,
     series_scale,
+    series_sub,
     zero_series,
 )
 
@@ -79,12 +81,17 @@ class TestUnitIdentities:
     def test_closed_form_images_match_composition(self, contexts, p):
         # phi(pi0) and gamma(pi0) are built as Teichmueller sums over the
         # exponents p*omega_a and chi*omega_a; composing pi0_in_pi with
-        # phi(pi) and gamma(pi) gives the same images
+        # phi(pi) = (1+pi)^p - 1 and gamma(pi) = (1+pi)^chi - 1 gives the
+        # same images
         ctx = contexts[p]
         w = ctx.work
         earned = (p - 1) * w.M_pi0  # pi-degrees an order-M_pi0 pi0-series fixes
         pi0_sub = Substitution(w.pi0_in_pi)
-        for image, op_pi in ((w.phi_pi0, w.phi_pi), (w.gamma_pi0, w.gamma_pi)):
+        one = constant_series(PI, 1, p, ctx.N, w.M_pi)
+        phi_pi, gamma_pi = (
+            series_sub(binomial_power(e, p, ctx.N, w.M_pi, var=PI), one) for e in (p, ctx.chi_gamma)
+        )
+        for image, op_pi in ((w.phi_pi0, phi_pi), (w.gamma_pi0, gamma_pi)):
             composed = Substitution(op_pi).apply(w.pi0_in_pi)
             pure = _in_s0(composed, pi0_sub, w.M_pi0)
             assert pure == image

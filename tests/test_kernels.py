@@ -13,6 +13,7 @@ from wachkit import series as series_module
 from wachkit.cyclo import build_context, context_to_dict, get_context, guard_order
 from wachkit.errors import InvalidInput, NotDivisible, ProfileMismatch, VariableMismatch
 from wachkit.flmod import make_fl
+from wachkit.padic import PMatrix
 from wachkit.series import (
     PI,
     PI0,
@@ -123,8 +124,8 @@ def test_context_tables_match_horner(contexts, p):
 
 
 def test_table_cache_is_bounded(ctx5):
-    # one object asked for many orders keeps only the last few tables, and
-    # an evicted order is rebuilt exactly
+    # one object asked for many orders keeps only the last few power tables,
+    # and an evicted order is rebuilt exactly
     sub = Substitution(ctx5.work.phi_pi0)
     top = ctx5.work.M_pi0
     f = [random.Random(7).randrange(ctx5.pn) for _ in range(top)]
@@ -133,13 +134,14 @@ def test_table_cache_is_bounded(ctx5):
     for n in list(range(1, top + 1)) + [1, top]:
         assert sub.apply(series, n).coeffs == tuple(expected[:n])
         assert len(sub._tables) <= series_module._TABLES_KEPT
-    # quotient tables likewise (exact from order N + r on: what truncation
-    # cuts off leaves a remainder divisible by p^(n-r))
+    # quotient tables are kept at every order asked for, and not rebuilt
+    # (exact from order N + r on: what truncation cuts off leaves a
+    # remainder divisible by p^(n-r))
     first = sub.quotients(top, 4)
-    for n in list(range(20, top + 1)) + [top]:
+    for n in range(20, top + 1):
         assert len(sub.quotients(n, 4)) == sub.terms(n)
-        assert len(sub._quotients) <= series_module._TABLES_KEPT
-    assert sub.quotients(top, 4) == first
+    assert len(sub._quotients) == top - 19
+    assert sub.quotients(top, 4) is first
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 17))
@@ -233,8 +235,14 @@ def test_mat_mul_largest_slot_sums(p):
             assert kernels.mat_mul(X, Y, pn, n) == [[expect] * 2] * 2
 
 
+def _constant_map(L, R, K, pn, n):
+    """L*K*R by the affine-map kernel: with no terms, no coordinate is read."""
+    return kernels.AffineMap(L, R, K, [[[] for _ in row] for row in K], pn, n)([])
+
+
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
 def test_sandwich_matches_schoolbook(p):
+    # the constant map A*T*B (what SeriesMat.sandwich computes)
     rng = random.Random(400 + p)
     for N in (1, 8, 16):
         pn = p**N
@@ -244,7 +252,12 @@ def test_sandwich_matches_schoolbook(p):
             B = [[rng.randrange(pn) for _ in range(m)] for _ in range(m)]
             A[0][0] = 0  # a zero scalar is skipped, not misplaced
             for T in (_random_matrix(rng, d, m, pn, n), [[[pn - 1] * n] * m] * d):
-                assert kernels.Sandwich(A, B, pn, n)(T) == scalar_matmul(A, T, B, pn)
+                assert _constant_map(A, B, T, pn, n) == scalar_matmul(A, T, B, pn)
+            if d == m:
+                T = SeriesMat._trusted(p, N, _random_matrix(rng, d, d, pn, n))
+                got = T.sandwich(PMatrix.from_lists(A, p, N), PMatrix.from_lists(B, p, N))
+                expect = scalar_matmul(A, [list(row) for row in T.rows], B, pn)
+                assert [list(map(list, row)) for row in got.rows] == expect
 
 
 def _combine(coords, basis, pn, n):
@@ -252,11 +265,16 @@ def _combine(coords, basis, pn, n):
     return [sum(c * b[k] for c, b in zip(coords, basis) if k < len(b)) % pn for k in range(n)]
 
 
+def _gamma_terms(F, basis):
+    """The Gamma-step's terms: one term (i, F_il, basis) for entry (i, l)."""
+    return [[[(i, f, basis)] for f in row] for i, row in enumerate(F)]
+
+
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
 def test_sandwich_with_factor_and_offset(p):
-    # A*(K + E o F)*B with o the entrywise product, on random entries and on
-    # the fullest slots (every coefficient and scalar p^N - 1); E given
-    # directly, or as coordinate lists over a basis
+    # the Gamma-step's shape A*(K + E o F)*B, with o the entrywise product
+    # and E_il = sum_t X_il[t]*basis[t], on random entries and on the fullest
+    # slots (every coefficient and scalar p^N - 1)
     rng = random.Random(450 + p)
     for N in (1, 8, 16):
         pn = p**N
@@ -265,87 +283,87 @@ def test_sandwich_with_factor_and_offset(p):
             A = [[rng.randrange(pn) for _ in range(d)] for _ in range(d)]
             B = [[rng.randrange(pn) for _ in range(d)] for _ in range(d)]
             full = [[pn - 1] * d] * d
-            E, F, K = (_random_matrix(rng, d, d, pn, n) for _ in range(3))
-            E[0][0] = E[0][0][: n // 2]  # a short entry counts as zero-padded
+            F, K = (_random_matrix(rng, d, d, pn, n) for _ in range(2))
+            K[0][0] = K[0][0][: n // 2]  # a short entry counts as zero-padded
+            F[-1][0] = F[0][-1]  # a factor shared by two entries
             fullest = [[[pn - 1] * n] * d] * d
             # a basis with a short member and one longer than n; coordinate
-            # lists longer than the basis are cut to it
+            # lists longer than the basis are cut to it, a short one is
+            # zero-padded
             basis = [[rng.randrange(pn) for _ in range(n - 3)] for _ in range(5)]
             basis += [[rng.randrange(pn) for _ in range(n + 2)]]
             coords = _random_matrix(rng, d, d, pn, 7)
             coords[0][0] = coords[0][0][:2]
             cases = [
-                (A, B, E, F, K, None, E),
-                (full, full, fullest, fullest, fullest, None, fullest),
+                (A, B, F, K, basis, coords),
+                (full, full, fullest, fullest, fullest[0], [[[pn - 1] * 6] * d] * d),
             ]
-            for C_, basis_ in ((coords, basis), ([[[pn - 1] * 6] * d] * d, fullest[0])):
-                E_ = [[_combine(c, basis_, pn, n) for c in row] for row in C_]
-                cases.append((A, B, E_, F, K, basis_, C_))
-            for A_, B_, E_, F_, K_, basis_, arg in cases:
+            for A_, B_, F_, K_, basis_, X in cases:
+                E = [[_combine(x, basis_, pn, n) for x in row] for row in X]
                 inner = [
                     [
-                        [(a + b) % pn for a, b in zip(k, schoolbook_mul(e, f, pn, n))]
+                        [(a + b) % pn for a, b in zip(k + [0] * (n - len(k)), schoolbook_mul(e, f, pn, n))]
                         for k, e, f in zip(kr, er, fr)
                     ]
-                    for kr, er, fr in zip(K_, E_, F_)
+                    for kr, er, fr in zip(K_, E, F_)
                 ]
-                expect = scalar_matmul(A_, inner, B_, pn)
-                got = kernels.Sandwich(A_, B_, pn, n, factor=F_, offset=K_, basis=basis_)(arg)
-                assert got == expect
+                got = kernels.AffineMap(A_, B_, K_, _gamma_terms(F_, basis_), pn, n)(X)
+                assert got == scalar_matmul(A_, inner, B_, pn)
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
 def test_sandwich_largest_slot_sums(p):
-    # every scalar and coefficient p^N - 1 = -1: a term of A*(K + E o F)*B
-    # is K + (k+1) = k at slot k (K + E = -2 without F), summed over d^2
-    # terms, the fullest slots either form can have.  Over a basis of L
-    # members, E = L at every slot; with B all 1 the scalars stay -1, so a
-    # term is 1 + L*(k+1) (1 - L without F).
+    # every scalar and coefficient p^N - 1 = -1, the fullest slots an affine
+    # map can have.  The constant map sums d^2 terms (-1)*(-1)*K = -1.  In
+    # the Gamma-step's shape over a basis of L members, with R all 1 so the
+    # scalars stay -1, F*basis[t] is k+1 at slot k, so Y = -L*(k+1) and a
+    # term is -(K + Y) = 1 + L*(k+1).
     for N in range(1, 17):
         pn = p**N
         for n, d in itertools.product((guard_order(p, N, 16), 200), (1, 4)):
             full, ones = [[pn - 1] * d] * d, [[[pn - 1] * n] * d] * d
-            got = kernels.Sandwich(full, full, pn, n, factor=ones, offset=ones)(ones)
-            assert got == [[[d * d * k % pn for k in range(n)]] * d] * d
-            got = kernels.Sandwich(full, full, pn, n, offset=ones)(ones)
-            assert got == [[[-2 * d * d % pn] * n] * d] * d
+            assert _constant_map(full, full, ones, pn, n) == [[[-d * d % pn] * n] * d] * d
             L, unit = 18, [[1] * d] * d
             basis, coords = [[pn - 1] * n] * L, [[[pn - 1] * L] * d] * d
-            sandwich = kernels.Sandwich(full, unit, pn, n, factor=ones, offset=ones, basis=basis)
+            affine = kernels.AffineMap(full, unit, ones, _gamma_terms(ones, basis), pn, n)
             expect = [d * d * (1 + L * (k + 1)) % pn for k in range(n)]
-            assert sandwich(coords) == [[expect] * d] * d
-            got = kernels.Sandwich(full, unit, pn, n, offset=ones, basis=basis)(coords)
-            assert got == [[[d * d * (1 - L) % pn] * n] * d] * d
+            assert affine(coords) == [[expect] * d] * d
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
 def test_affine_product_matches_schoolbook(p):
-    # (K + F*E)*B with E_kl = sum_t X_kl[t]*H_l[t], on random entries and on
-    # the fullest slots (every coefficient and scalar p^N - 1, 18 basis
-    # members); two columns share a basis, and coordinates past a column's
-    # basis are not read
+    # the normalization's shape L*(K + F*E)*R with E_kl = sum_t X_kl[t]*H_l[t]
+    # and terms (k, F_ik, H_l) for k < d, on random entries (L = Id, as the
+    # normalization has it, and a random L) and on the fullest slots (every
+    # coefficient and scalar p^N - 1, 18 basis members); two columns share
+    # a basis, and coordinates past a column's basis are not read
     rng = random.Random(470 + p)
     for N in (1, 8, 16):
         pn = p**N
         n = guard_order(p, N, 16)
         for d in (1, 3):
             ident = [[int(i == j) for j in range(d)] for i in range(d)]
-            B = [[rng.randrange(pn) for _ in range(d)] for _ in range(d)]
-            B[0][0] = 0  # a zero scalar is skipped, not misplaced
+            L = [[rng.randrange(pn) for _ in range(d)] for _ in range(d)]
+            R = [[rng.randrange(pn) for _ in range(d)] for _ in range(d)]
+            R[0][0] = 0  # a zero scalar is skipped, not misplaced
             F, K = (_random_matrix(rng, d, d, pn, n) for _ in range(2))
             shared = [[rng.randrange(pn) for _ in range(n)] for _ in range(5)]
             own = [[rng.randrange(pn) for _ in range(n + 2)] for _ in range(3)]
             full = [[[pn - 1] * n] * d] * d
+            neg = [[pn - 1] * d] * d
+            bases = [shared, own, shared][:d]
             cases = [
-                (F, [shared, own, shared][:d], B, K, _random_matrix(rng, d, d, pn, 7)),
-                (full, [[[pn - 1] * n] * 18] * d, [[pn - 1] * d] * d, full, [[[pn - 1] * 18] * d] * d),
+                (ident, F, bases, R, K, _random_matrix(rng, d, d, pn, 7)),
+                (L, F, bases, R, K, _random_matrix(rng, d, d, pn, 7)),
+                (neg, full, [[[pn - 1] * n] * 18] * d, neg, full, [[[pn - 1] * 18] * d] * d),
             ]
-            for F_, bases, B_, K_, X in cases:
-                E = [[_combine(x, basis, pn, n) for x, basis in zip(row, bases)] for row in X]
+            for L_, F_, bases_, R_, K_, X in cases:
+                E = [[_combine(x, basis, pn, n) for x, basis in zip(row, bases_)] for row in X]
                 FE = oracle_matmul(F_, E, pn, n)
                 inner = [[[(a + b) % pn for a, b in zip(k, e)] for k, e in zip(kr, er)] for kr, er in zip(K_, FE)]
-                got = kernels.AffineProduct(F_, bases, B_, pn, n, K_)(X)
-                assert got == scalar_matmul(ident, inner, B_, pn)
+                terms = [[[(k, f, basis) for k, f in enumerate(row)] for basis in bases_] for row in F_]
+                got = kernels.AffineMap(L_, R_, K_, terms, pn, n)(X)
+                assert got == scalar_matmul(L_, inner, R_, pn)
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from wachkit.reduction import (
     reduce_mod_pi0,
     roundtrip_check,
 )
-from wachkit.series import PI, PI0, SeriesMat, TruncSeries, constant_series, pad, q_powers, series_scale
+from wachkit.series import PI, PI0, SeriesMat, Substitution, TruncSeries, constant_series, pad, q_powers, series_scale
 from wachkit.suite import random_unit_matrix
 from wachkit.wach import WachModule, phi_matrix, solve_wach
 
@@ -293,6 +294,29 @@ class TestNormalize:
                     assert table[t + 1][:m] == power
                     power = schoolbook_mul(power, phi, pn, m)
                 assert not any(power)  # the table stops where the powers vanish
+
+    def test_normalization_keeps_its_quotient_tables(self, monkeypatch):
+        # a normalization reads one quotient table per distinct weight: at
+        # p = 7 with weights 0..4 it builds five on the first call and none
+        # on later ones (the cache used to keep four, so every call rebuilt
+        # all five)
+        ctx = pickle.loads(pickle.dumps(get_context(7)))  # its tables are not pickled
+        builds = []
+        powers = Substitution.powers
+
+        def counted(sub, n):
+            builds.append(n)
+            return powers(sub, n)
+
+        monkeypatch.setattr(Substitution, "powers", counted)
+        m = make_fl(7, 16, (0, 1, 2, 3, 4), random_unit_matrix(random.Random(15), 5, 7, 16))
+        C = phi_matrix(m.A, m.weights, ctx.work.q)
+        counts = []
+        for _ in range(3):
+            before = len(builds)
+            normalize_basis(C, m, ctx)
+            counts.append(len(builds) - before)
+        assert counts == [5, 0, 0]
 
     def test_delta_not_divisible(self, ctx5):
         # C' = A*Q + pi0*E with E nonzero only in the weight-2 column: Delta's

@@ -106,3 +106,27 @@ def test_every_cli_flag_is_read_by_its_handler():
             if action.dest != "help" and action.dest not in reads:
                 unread.append(f"{command} {'/'.join(action.option_strings) or action.dest}")
     assert not unread, "flags no handler reads: " + ", ".join(unread)
+
+
+def test_no_kernel_parameter_defaults_to_none():
+    # a parameter that defaults to None is an optional mode of a kernel; the
+    # kernels have one path each, so every argument is given
+    tree = ast.parse((SRC / "kernels.py").read_text(encoding="utf-8"))
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [
+        (f"{node.name}.{item.name}", item)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+    ]
+    optional = []
+    for name, fn in functions:
+        args = fn.args
+        params = args.posonlyargs + args.args
+        pairs = list(zip(params[len(params) - len(args.defaults) :], args.defaults))
+        pairs += zip(args.kwonlyargs, args.kw_defaults)
+        optional += [
+            f"{name}({a.arg})" for a, default in pairs if isinstance(default, ast.Constant) and default.value is None
+        ]
+    assert not optional, "kernel parameters that default to None: " + ", ".join(optional)

@@ -11,6 +11,7 @@ from wachkit.errors import (
     NotDivisible,
     SingularBasis,
     ValidationFailed,
+    WeightOverflow,
 )
 from wachkit.flmod import LatticeSub, make_fl, unit_fl
 from wachkit.padic import PMatrix, matrix_inverse_mod
@@ -357,6 +358,12 @@ class TestFunctoriality:
         unit = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
         t = tensor_wach(w, unit)
         assert t.C == w.C and t.G == w.G
+
+    def test_tensor_weight_overflow(self, ctx5):
+        # (0, 3) x (0, 3) has weight 6 > p - 2: its artifact would not load
+        w = solve_wach(make_fl(5, 16, (0, 3), random_unit_matrix(random.Random(22), 2, 5, 16)), ctx5)
+        with pytest.raises(WeightOverflow):
+            tensor_wach(w, w)
 
 
 class TestLatticeStability:
