@@ -17,6 +17,7 @@ from .wach import (
     WachModule,
     build_phi_matrix,
     check_lattice_stability,
+    direct_sum_wach,
     solve_gamma_matrix,
     solve_wach,
     tensor_wach,
@@ -61,6 +62,7 @@ __all__ = [
     "solve_wach",
     "verify_wach_axioms",
     "tensor_wach",
+    "direct_sum_wach",
     "check_lattice_stability",
     "FilteredReduction",
     "reduce_mod_pi0",

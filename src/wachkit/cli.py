@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cyclo import get_context
+from .cyclo import CycloContext, get_context
 from .errors import (
     AxiomViolation,
     InvalidInput,
@@ -57,7 +57,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _context_for(m, args) -> "object":
+def _context_for(m, args) -> CycloContext:
     """The context of an FL module; --prec-p may lower its N, never raise it."""
     N = m.N
     if args.prec_p:

@@ -145,7 +145,7 @@ def guard_order(p: int, N: int, M_pi0: int) -> int:
 
 
 def _validate_chi(chi: int, p: int) -> None:
-    if chi % p != 1 % p or (chi - 1) % p != 0:
+    if (chi - 1) % p != 0:
         raise InvalidInput("chi(gamma) must be congruent to 1 mod p")
     if (chi - 1) % (p * p) == 0:
         raise InvalidInput("chi(gamma) must not be 1 mod p^2 (needs a topological generator)")
@@ -165,7 +165,6 @@ def build_context(
     N: int = 16,
     M_pi0: int = 16,
     chi_gamma: int | None = None,
-    M_pi: int | None = None,
 ) -> CycloContext:
     """Construct the cyclotomic bootstrap data for an odd prime p.
 
@@ -174,7 +173,7 @@ def build_context(
     """
     chi = (1 + p) if chi_gamma is None else int(chi_gamma)
     _validate_chi(chi, p)
-    profile = TruncationProfile(p, N, M_pi0, M_pi or default_pi_order(p, M_pi0))
+    profile = TruncationProfile.default(p, N, M_pi0)
 
     mw = guard_order(p, N, M_pi0)
     mpw = default_pi_order(p, mw)
@@ -331,47 +330,23 @@ def _project_from_images(
     return series_scale(acc, norm)
 
 
-def decompose_gamma_f(
-    ctx: CycloContext, f: TruncSeries, verify: bool = True
-) -> tuple[TruncSeries, ...]:
+def decompose_gamma_f(ctx: CycloContext, f: TruncSeries) -> tuple[TruncSeries, ...]:
     """Split a pi-series into its p-1 torsion-character eigencomponents.
 
-    The components sum to f exactly at the truncation.  With verify=True
-    (default) each component is certified to transform by omega_a^i under a
-    generating torsion substitution, which pins its eigenspace.
+    The components sum to f exactly at the truncation.  Each component is
+    certified to transform by omega_a^i under a generating torsion
+    substitution, which pins its eigenspace.
     """
     images = _torsion_images(ctx, f)
     comps = tuple(_project_from_images(ctx, i, f, images) for i in range(ctx.p - 1))
-    if verify:
-        a = ctx.primitive_root()
-        sub = ctx.torsion_subs[a - 1]
-        omega = ctx.teich[a - 1]
-        pn = ctx.pn
-        for i, comp in enumerate(comps):
-            moved = sub.apply(comp)
-            scaled = series_scale(comp, pow(omega, i, pn)).truncate(moved.order)
-            if moved != scaled:
-                raise AssertionError(f"component {i} left its eigenspace")
+    a = ctx.primitive_root()
+    sub = ctx.torsion_subs[a - 1]
+    omega = ctx.teich[a - 1]
+    pn = ctx.pn
+    for i, comp in enumerate(comps):
+        moved = sub.apply(comp)
+        scaled = series_scale(comp, pow(omega, i, pn)).truncate(moved.order)
+        if moved != scaled:
+            raise AssertionError(f"component {i} left its eigenspace")
     return comps
 
-
-def context_to_dict(ctx: CycloContext) -> dict:
-    """Serializable form of the bootstrap fields (decimal-string series)."""
-
-    def ser(s: TruncSeries) -> list[str]:
-        return [str(c) for c in s.coeffs]
-
-    return {
-        "p": ctx.p,
-        "N": ctx.N,
-        "M_pi0": ctx.profile.M_pi0,
-        "M_pi": ctx.profile.M_pi,
-        "chi_gamma": str(ctx.chi_gamma),
-        "teich": [str(t) for t in ctx.teich],
-        "pi0_in_pi": ser(ctx.pi0_in_pi),
-        "phi_pi0": ser(ctx.phi_pi0),
-        "gamma_pi0": ser(ctx.gamma_pi0),
-        "q": ser(ctx.q),
-        "u": ser(ctx.u),
-        "v_gamma": ser(ctx.v_gamma),
-    }

@@ -205,13 +205,6 @@ class PMatrix:
         ents = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
         return PMatrix(self.cols, self.rows, ents, self.p, self.N)
 
-    def matvec(self, v: list[int]) -> list[int]:
-        pn = self.modulus
-        return [
-            sum(self.at(i, j) * v[j] for j in range(self.cols)) % pn
-            for i in range(self.rows)
-        ]
-
     def kron(self, other: "PMatrix") -> "PMatrix":
         self._same(other)
         r, c = self.rows * other.rows, self.cols * other.cols
@@ -346,24 +339,6 @@ def howell_kernel(A: PMatrix) -> PMatrix:
     if not gens:
         return PMatrix(0, m, (), A.p, A.N)
     return PMatrix.from_lists(gens, A.p, A.N)
-
-
-def howell_member(H: PMatrix, v: list[int]) -> bool:
-    """Decide membership of v in the row span of a Howell form H."""
-    pn = H.modulus
-    res = [x % pn for x in v]
-    for i in range(H.rows):
-        row = H.row(i)
-        col = next(j for j in range(H.cols) if row[j])
-        piv = row[col]
-        pv = pval(piv, H.p, H.N)
-        if res[col]:
-            if pval(res[col], H.p, H.N) < pv:
-                return False
-            f = res[col] // H.p**pv
-            for j in range(col, H.cols):
-                res[j] = (res[j] - f * row[j]) % pn
-    return not any(res)
 
 
 def smith_elementary_divisors(A: PMatrix) -> list[int]:

@@ -49,7 +49,14 @@ from .errors import (
     WachkitError,
 )
 from .flmod import FLModule, require_valid, validate_fl
-from .padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval
+from .padic import (
+    PMatrix,
+    howell_form,
+    howell_kernel,
+    matrix_inverse_mod,
+    pval,
+    smith_elementary_divisors,
+)
 from .series import SeriesMat, cut_table, q_divide_exact, q_divmod
 from .wach import (
     WachModule,
@@ -85,13 +92,14 @@ def reduce_mod_pi0(w: WachModule) -> tuple[PMatrix, PMatrix]:
 def _fil_lattice(w: WachModule, r: int) -> PMatrix:
     """Canonical generators of Fil^r as rows of a Howell form.
 
-    Row i2*r + t of the system is the coefficient of (X+p)^t in the
-    Weierstrass remainder of (C*x)_i2 by q^r, linear in the unknowns x (the
-    module docstring says why the lift terms y_k drop out).  The remainders
-    are taken at the guard order (module entries are exact polynomials on
-    the user window, so zero-padding is exact); at the user window the
-    canonical division junk would pollute them mod p^N and fake near-p^N
-    kernel vectors.
+    Row i2*r + t of the system is the coefficient of X^t in the Weierstrass
+    remainder of (C*x)_i2 by q^r, linear in the unknowns x (the module
+    docstring says why the lift terms y_k drop out).  Its coefficients in the
+    basis (X+p)^t would give the same kernel, as that change of basis is
+    unitriangular.  The remainders are taken at the guard order (module
+    entries are exact polynomials on the user window, so zero-padding is
+    exact); at the user window the canonical division junk would pollute
+    them mod p^N and fake near-p^N kernel vectors.
     """
     ctx = w.ctx
     p, N = ctx.p, ctx.N
@@ -139,28 +147,6 @@ def _phi_r_image(w: WachModule, x: list[int], r: int) -> list[int]:
     return out
 
 
-def _mod_p_rank(vectors: list[list[int]], p: int) -> int:
-    if not vectors:
-        return 0
-    work = [[x % p for x in v] for v in vectors]
-    rank, col, n = 0, 0, len(work[0])
-    while rank < len(work) and col < n:
-        piv = next((i for i in range(rank, len(work)) if work[i][col] % p), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [(v * inv) % p for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def recover_filtration(w: WachModule, h_max: int) -> FilteredReduction:
     """Recover fil_ranks, weights, the divided Frobenius matrix and an
     adapted basis from the q-divisibility conditions."""
@@ -195,7 +181,9 @@ def recover_filtration(w: WachModule, h_max: int) -> FilteredReduction:
             if len(chosen) == fil_ranks[r]:
                 break
             cand = list(lat.row(i))
-            if _mod_p_rank([v for _, v in chosen] + [cand], p) > len(chosen):
+            # the rank mod p is the number of unit Smith divisors over Z/p
+            vectors = PMatrix.from_lists([v for _, v in chosen] + [cand], p, 1)
+            if smith_elementary_divisors(vectors).count(0) > len(chosen):
                 chosen.append((r, cand))
         if len(chosen) != fil_ranks[r]:
             raise PrecisionExhausted(f"cannot complete a basis of Fil^{r}")

@@ -406,12 +406,8 @@ class Substitution:
         tables[n] = entry  # most recently used last
         return entry
 
-    def terms(self, n: int) -> int:
-        """How many leading coefficients of f the substitution f(g) mod X^n reads."""
-        return len(self._table(n)[1])
-
     def quotients(self, n: int, r: int) -> list[list[int]]:
-        """Q_k = (g^k mod X^n) / (X*(X+p)^r) for k < terms(n), each of length n-1-r.
+        """Q_k = (g^k mod X^n) / (X*(X+p)^r) for each g^k of :meth:`powers`, of length n-1-r.
 
         For f with f(0) = 0, (f(g) mod X^n) / (X*(X+p)^r) is the linear
         combination sum_k f_k*Q_k (Q_0 = 0), as the division is Z/p^N-linear.

@@ -15,7 +15,7 @@ import math
 
 from wachkit import kernels
 from wachkit.errors import InvalidInput
-from wachkit.padic import PMatrix, howell_form, howell_kernel, howell_member, matrix_inverse_mod
+from wachkit.padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod
 from wachkit.series import (
     TruncSeries,
     constant_series,
@@ -61,10 +61,20 @@ def brute_kernel(A: PMatrix) -> set[tuple[int, ...]]:
     """All solutions of A x = 0 mod p^N by exhaustive enumeration."""
     pn = A.modulus
     out = set()
+    rows = [A.row(i) for i in range(A.rows)]
     for x in itertools.product(range(pn), repeat=A.cols):
-        if all(v == 0 for v in A.matvec(list(x))):
+        if all(sum(a * b for a, b in zip(row, x)) % pn == 0 for row in rows):
             out.add(x)
     return out
+
+
+def in_row_span(H: PMatrix, v: list[int]) -> bool:
+    """Membership of v in the row span of a Howell form H.
+
+    The Howell form is canonical, so v lies in the span iff adding it as a
+    row leaves the form unchanged.
+    """
+    return howell_form(PMatrix.from_lists(H.to_lists() + [v], H.p, H.N)) == H
 
 
 def span_of_rows(K: PMatrix) -> set[tuple[int, ...]]:
@@ -174,7 +184,7 @@ def lattice_membership_oracle(w, L) -> bool:
                 for k in range(min(M, e.order)):
                     image[r][k] = (image[r][k] + e.coeffs[k] * col[i]) % pn
         flat = [image[r][k] for r in range(d) for k in range(M)]
-        if not howell_member(H, flat):
+        if not in_row_span(H, flat):
             return False
     return True
 

@@ -1,17 +1,17 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_kernel, span_of_rows
+from oracles import brute_kernel, in_row_span, span_of_rows
 from wachkit.errors import InvalidInput, NonUnit, SingularModP
 from wachkit.padic import (
     PMatrix,
     PScalar,
     howell_form,
     howell_kernel,
-    howell_member,
     matrix_inverse_mod,
     pval,
     scalar_inverse,
@@ -164,9 +164,12 @@ class TestHowellKernel:
 
     def test_member(self):
         H = howell_form(PMatrix.from_lists([[3, 1], [0, 9]], 3, 3))
-        assert howell_member(H, [3, 1])
-        assert howell_member(H, [6, 11])
-        assert not howell_member(H, [1, 0])
+        assert in_row_span(H, [3, 1])
+        assert in_row_span(H, [6, 11])
+        assert not in_row_span(H, [1, 0])
+        span = span_of_rows(H)
+        for v in itertools.product(range(27), repeat=2):
+            assert in_row_span(H, list(v)) == (v in span)
 
 
 class TestSmith:
@@ -188,6 +191,26 @@ class TestSmith:
                 except SingularModP:
                     continue
             assert smith_elementary_divisors(U.mul(D).mul(matrix_inverse_mod(U))) == [1, 2]
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_rank_mod_p_against_brute_kernel(self, p):
+        # the rank mod p that recover_filtration reads, the number of unit
+        # Smith divisors at N = 1, is cols - log_p |kernel| by enumeration
+        rng = random.Random(40 + p)
+        full_rank = set()
+        for _ in range(30):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            # a product through k inner columns has rank at most k, so
+            # k < min(rows, cols) makes M rank-deficient
+            k = rng.randint(0, min(rows, cols))
+            left = PMatrix(rows, k, tuple(rng.randrange(p) for _ in range(rows * k)), p, 1)
+            right = PMatrix(k, cols, tuple(rng.randrange(p) for _ in range(k * cols)), p, 1)
+            M = left.mul(right)
+            kernel_size = len(brute_kernel(M))
+            rank = smith_elementary_divisors(M).count(0)
+            assert p ** (cols - rank) == kernel_size
+            full_rank.add(rank == min(rows, cols))
+        assert full_rank == {True, False}  # full-rank and rank-deficient cases ran
 
     def test_pval(self):
         assert pval(0, 3, 4) == 4

@@ -2,10 +2,18 @@
 that its handler ignores.
 
 Every top-level function and class of ``src/wachkit``, and every method that
-is not a dunder, must be referenced (as a name or an attribute) somewhere in
-the library outside its own definition, be exported in ``wachkit.__all__``,
-or be one of the public helpers listed below.  A helper that only tests need
-lives in ``tests/oracles.py``.
+is not a dunder, must have a library caller, be exported in
+``wachkit.__all__``, or be one of the public helpers listed below.  A helper
+that only tests need lives in ``tests/oracles.py``.
+
+A caller is a reference resolved to the definition, not a matching bare name:
+
+* a top-level function or class is used when a ``Name`` in its own module
+  refers to it outside its own body, when another library module imports it
+  by name (a re-export in ``__init__`` alone does not count), or when another
+  library module reads it as ``<module>.<name>``;
+* a method is used when an attribute load outside its own body names it; an
+  attribute on ``self`` or ``cls`` counts only for the enclosing class.
 """
 
 import argparse
@@ -17,18 +25,12 @@ from wachkit import cli
 
 SRC = Path(wachkit.__file__).parent
 
-# public helpers with no library caller that the tests use as API
+# public helpers with no library caller, and why they stay
 ALLOWED = {
-    "torsion",
-    "projector",
-    "TruncationProfile.default",
-    "unit_fl",
-    "direct_sum_wach",
-    "context_to_dict",
-    "howell_member",
-    "smith_elementary_divisors",
-    "PMatrix.matvec",
-    "series_multiply",
+    "cyclo.torsion": "OperatorTag constructor for the exported apply_operator",
+    "cyclo.projector": "OperatorTag constructor for the exported apply_operator",
+    "flmod.unit_fl": "the unit object of the FL category",
+    "series.series_multiply": "the series product the benchmark's kernel probe times",
 }
 
 
@@ -36,44 +38,96 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _definitions(tree: ast.Module):
-    """(qualified name, node) of top-level functions, classes and their methods."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
-                    yield f"{node.name}.{item.name}", item
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
 
 
-def _references(node: ast.AST, enclosing: tuple = ()):
-    """(name, enclosing definitions) of every Name and Attribute under node."""
+def _definitions(trees: dict[str, ast.Module]) -> dict[str, ast.AST]:
+    """Top-level functions and classes and their methods, by qualified name.
+
+    "module.name" for a function or class, "module.Class.method" for a method.
+    """
+    defs = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                        defs[f"{module}.{node.name}.{item.name}"] = item
+    return defs
+
+
+def _walk(node: ast.AST, enclosing: tuple = ()):
+    """(node, enclosing definitions) of every node under node."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         enclosing += (node,)
-    if isinstance(node, ast.Name):
-        yield node.id, enclosing
-    elif isinstance(node, ast.Attribute):
-        yield node.attr, enclosing
+    yield node, enclosing
     for child in ast.iter_child_nodes(node):
-        yield from _references(child, enclosing)
+        yield from _walk(child, enclosing)
+
+
+def _module_aliases(tree: ast.Module) -> dict[str, str]:
+    """Local names that a module binds to library modules (``from . import kernels``)."""
+    return {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+
+
+def _references(trees: dict[str, ast.Module], defs: dict[str, ast.AST]):
+    """(qualified name, enclosing definitions) of every reference that counts."""
+    methods: dict[str, list[str]] = {}
+    for key in defs:
+        if key.count(".") == 2:
+            methods.setdefault(key.rsplit(".", 1)[1], []).append(key)
+    for module, tree in trees.items():
+        aliases = _module_aliases(tree)
+        for node, enclosing in _walk(tree):
+            if isinstance(node, ast.Name):
+                yield f"{module}.{node.id}", enclosing
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module and module != "__init__":
+                for alias in node.names:
+                    yield f"{node.module}.{alias.name}", enclosing
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                if owner in aliases:
+                    yield f"{aliases[owner]}.{node.attr}", enclosing
+                elif owner in ("self", "cls"):
+                    classes = [d for d in enclosing if isinstance(d, ast.ClassDef)]
+                    if classes:
+                        yield f"{module}.{classes[-1].name}.{node.attr}", enclosing
+                else:
+                    for key in methods.get(node.attr, ()):
+                        yield key, enclosing
+
+
+def _used(trees: dict[str, ast.Module], defs: dict[str, ast.AST]) -> set[str]:
+    """The definitions referenced from outside their own bodies."""
+    return {
+        key
+        for key, enclosing in _references(trees, defs)
+        if key in defs and not any(d is defs[key] for d in enclosing)
+    }
+
+
+def _exported(key: str) -> bool:
+    return key.split(".", 1)[1] in wachkit.__all__
 
 
 def test_every_library_name_has_a_library_caller():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-    refs: dict[str, list[tuple]] = {}
-    for tree in trees.values():
-        for name, enclosing in _references(tree):
-            refs.setdefault(name, []).append(enclosing)
-    unused = []
-    for module, tree in trees.items():
-        for qualname, node in _definitions(tree):
-            if qualname in ALLOWED or qualname in wachkit.__all__:
-                continue
-            outside = [e for e in refs.get(node.name, []) if not any(d is node for d in e)]
-            if not outside:
-                unused.append(f"{module}: {qualname}")
+    trees = _trees()
+    defs = _definitions(trees)
+    used = _used(trees, defs)
+    unused = [key for key in defs if key not in used and not _exported(key) and key not in ALLOWED]
     assert not unused, "no library caller: " + ", ".join(unused)
+    # an entry stays on ALLOWED only while it names a definition that nothing
+    # else keeps
+    stale = [key for key in ALLOWED if key not in defs or key in used or _exported(key)]
+    assert not stale, "stale ALLOWED entries: " + ", ".join(stale)
 
 
 def _args_read(fn: ast.FunctionDef) -> set[str]:
