@@ -14,7 +14,7 @@ All fields exposed on the context are truncated to the user profile.
 Internally everything is computed at a guard order M_pi0 + N + p: the
 canonical quotient of a Weierstrass division carries noise in its top
 coefficients, and the guard keeps every coefficient in the user window exact
-(see the valuation argument in wach.solve_gamma_matrix).  The guard data
+(see the valuation argument of guard_order).  The guard data
 rides along on ``ctx.work`` for the solver modules, with the pi-images
 phi(pi), gamma(pi) and the torsion images (1+pi)^(omega_a) - 1.
 """
@@ -171,9 +171,9 @@ def build_context(
     chi_gamma is an exact integer representative of the cyclotomic character
     of the chosen Gamma_0-generator (default 1 + p).
     """
+    profile = TruncationProfile.default(p, N, M_pi0)  # checks p first
     chi = (1 + p) if chi_gamma is None else int(chi_gamma)
     _validate_chi(chi, p)
-    profile = TruncationProfile.default(p, N, M_pi0)
 
     mw = guard_order(p, N, M_pi0)
     mpw = default_pi_order(p, mw)

@@ -9,28 +9,19 @@ r <= p-1, so the condition is that q^r divides C*x: a linear system over
 Z/p^N in x alone, solved by the Howell kernel.  The divided Frobenius on
 Fil^r is the constant term of the exact quotient by (X+p)^r.
 
-normalize_basis is the recognition recursion: given C_pert = A*Q + pi0*(...)
-presenting a module isomorphic to the target, it finds the base change
-P = Id + pi0*Cm with P^(-1)*C_pert*phi(P) = A*Q by iterating
+normalize_basis is the recognition recursion: given C' = A*Q + pi0*(...)
+presenting a module isomorphic to the target, with Q = diag(q^(r_j)), it
+finds the base change P = Id mod pi0 with C'*phi(P) = P*A*Q: the lift of
+the identity (wach.lift_identity, which has the derivation) with C2 = C'
+and C1 = A*Q.  Writing P = Id + pi0*X, the equation is
 
-    Cm  <-  [Delta + u*q^(p-1)*C_pert*phi(Cm)] * Q^(-1) * A^(-1),
+    X = (K + Y)*A^(-1),   K = Delta*Q^(-1),   Y_ij = sum_k C'_ik*phi(pi0*X_kj)/(pi0*q^(r_j)),
 
-with Delta = (C_pert - A*Q)/pi0, which contracts because the column factor
-q^(p-1-r_j) has positive valuation for weights <= p-2.  No composition,
-series product or division runs in the loop.  As u*q^(p-1) = phi(pi0)/pi0,
-column j of the bracket divided by q^(r_j) is
-
-    Delta_j / q^(r_j)  +  C_pert * sum_t Cm_j[t] * Q_(t+1)^(r_j),
-
-over the context's table of exact quotients Q_k^(r) = phi(pi0)^k/(pi0*q^r),
-the table the Gamma-solve reads at r = p-1.  The division by q^(r_j) is
-Z/p^N-linear and the second term is a multiple of q^(r_j) for every Cm,
-each Q_k^(r) having been divided exactly when the table was built; so the
-bracket is divisible iff Delta_j is, and Delta is divided once per call,
-with that check, instead of in every step.  The products
-C_pert_ik*Q_(t+1)^(r) are packed once per call, and a step is one packed
-combination per entry followed by A^(-1): the affine-map kernel
-(kernels.AffineMap) that the Gamma-solve's step runs on too.
+with Delta = (C' - A*Q)/pi0: L = Id, R = A^(-1) and the factors (k, C'_ik)
+for entry (i, j).  C'*phi(pi0*X) is a multiple of pi0*q^(p-1), hence of
+pi0*q^(r_j), for every X, so the update is integral iff each column
+Delta_j is a multiple of q^(r_j); K is divided once per call, with that
+check (NotDivisible).
 """
 
 from __future__ import annotations
@@ -39,13 +30,13 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from . import kernels
 from .cyclo import CycloContext
 from .errors import (
     AxiomViolation,
     InvalidInput,
     NotCongruent,
     PrecisionExhausted,
+    ValidationFailed,
     WachkitError,
 )
 from .flmod import FLModule, require_valid, validate_fl
@@ -57,15 +48,8 @@ from .padic import (
     pval,
     smith_elementary_divisors,
 )
-from .series import SeriesMat, cut_table, q_divide_exact, q_divmod
-from .wach import (
-    WachModule,
-    iterate_to_window,
-    non_identity_entry,
-    phi_matrix,
-    residual_entry,
-    solve_wach,
-)
+from .series import SeriesMat, q_divide_exact, q_divmod
+from .wach import WachModule, lift_identity, non_identity_entry, phi_matrix, solve_wach
 
 
 @dataclass(frozen=True)
@@ -216,48 +200,6 @@ def recover_filtration(w: WachModule, h_max: int) -> FilteredReduction:
 # basis normalization (recognition direction)
 
 
-def _normalization_step(
-    Cp: SeriesMat, AQ: SeriesMat, weights: tuple[int, ...], A: PMatrix, ctx: CycloContext
-) -> tuple[kernels.AffineMap, int]:
-    """The update of normalize_basis on coefficient lists, and its order m.
-
-    Cp and AQ are at the guard order.  The step maps Cm, d x d coefficient
-    lists at order m = M_pi0 - 1 (what P = Id + pi0*Cm reads), to
-
-        (D + Cp*E)*A^(-1),   D_ij = Delta_ij / q^(r_j),
-        E_kj = sum_t Cm_kj[t] * Q_(t+1)^(r_j),
-
-    the module docstring's update on the window: a kernels.AffineMap with
-    L = Id, R = A^(-1), K = D and the terms (k, Cp_ik, Q^(r_j)[1:]), k < d,
-    for entry (i, j).  Coefficient k of a step reads Cm's coefficients
-    t <= k only, as Q_(t+1)^(r) has valuation t, so the window is closed
-    under the step.  The table Q^(r) is divided at u's order n; its
-    canonical division disturbs only coefficients from n - r - N on, so
-    below m it is u*q^(p-1-r)*phi(pi0)^t when n >= m + N + r, which holds
-    at every profile (n - m - N = p + 3) and is asserted.  D is divided once, at order n as the table is, and raises
-    NotDivisible when a column of Delta is not a multiple of q^(r_j).
-    """
-    p, N, pn = ctx.p, ctx.N, ctx.pn
-    m = ctx.profile.M_pi0 - 1
-    n = ctx.work.u.order
-    if n < m + N + max(weights):
-        raise AssertionError("quotient table too short for the normalization window")
-    D = [
-        [
-            q_divide_exact([(x - y) % pn for x, y in zip(c[1 : n + 1], a[1 : n + 1])], p, pn, r)
-            for r, c, a in zip(weights, crow, arow)
-        ]
-        for crow, arow in zip(Cp.rows, AQ.rows)
-    ]
-    bases = {r: cut_table(ctx.phi_sub.quotients(n, r), m)[1:] for r in set(weights)}
-    terms = [
-        [[(k, f, bases[r]) for k, f in enumerate(row)] for r in weights] for row in Cp.rows
-    ]
-    ident = [[int(i == j) for j in range(len(weights))] for i in range(len(weights))]
-    Ainv = matrix_inverse_mod(A).to_lists()
-    return kernels.AffineMap(ident, Ainv, D, terms, pn, m), m
-
-
 def normalize_basis(
     C_perturbed: SeriesMat,
     target: FLModule,
@@ -268,16 +210,17 @@ def normalize_basis(
 
     C_perturbed is any d x d nested sequence of pi0-series over the context;
     each series is taken as exact at its stated truncation.  Raises
-    InvalidInput for a wrong shape, NotCongruent if C_perturbed does not
-    reduce to A*diag(p^(r_j)) mod pi0, NotDivisible if the perturbation is
-    not realizable over the ring, and NoConvergence if the iteration budget
-    is exhausted.  The iteration is the affine map of the module docstring
-    on the coefficients of Cm that P reads; it stops when two successive
-    iterates agree there, and the residual C_perturbed*phi(P) = P*A*Q is
-    certified on the user window before P is returned.
+    InvalidInput for a wrong shape, ValidationFailed if the target's modulus
+    is not the context's, NotCongruent if C_perturbed does not reduce to
+    A*diag(p^(r_j)) mod pi0, NotDivisible if the perturbation is not
+    realizable over the ring, and NoConvergence if the iteration budget is
+    exhausted.  P is the lift of the identity of the module docstring,
+    certified by C_perturbed*phi(P) = P*A*Q on the user window.
     """
     require_valid(target)
-    p, N = ctx.p, ctx.N
+    p, N, pn = ctx.p, ctx.N, ctx.pn
+    if (target.p, target.N) != (p, N):
+        raise ValidationFailed("target and context moduli differ")
     d = target.rank
     Cp = SeriesMat(C_perturbed, p, N)
     if len(Cp) != d:
@@ -285,10 +228,9 @@ def normalize_basis(
     weights = target.weights
     A = target.A
     work = ctx.work
-    mw = work.M_pi0
-    t_order = ctx.profile.M_pi0
+    M = ctx.profile.M_pi0
     if max_iter is None:
-        max_iter = N + t_order + p + 4
+        max_iter = N + M + p + 4
 
     AQ = phi_matrix(A, weights, work.q)
     expected = AQ.constant_terms()
@@ -299,17 +241,21 @@ def normalize_basis(
                     f"C mod pi0 differs from A*diag(p^r) at entry ({i},{j})"
                 )
 
-    Cp = Cp.pad(mw)
-    step, m = _normalization_step(Cp, AQ, weights, A, ctx)
-    zero = [[[0] * m for _ in range(d)] for _ in range(d)]
-    window, _ = iterate_to_window(step, zero, m, max_iter)
-    P = SeriesMat._trusted(p, N, [
-        [(int(i == j),) + tuple(e) for j, e in enumerate(row)]
-        for i, row in enumerate(window)
-    ])
-    # certify the residual on the user window: C_pert*phi(P) = P*A*Q
-    if residual_entry(Cp, P, AQ, ctx) is not None:
-        raise AxiomViolation("normalization residual is nonzero at the user window")
+    # K = Delta*Q^(-1), divided at u's order as the tables are
+    n = work.u.order
+    Cp = Cp.pad(work.M_pi0)
+    K = [
+        [
+            q_divide_exact([(x - y) % pn for x, y in zip(c[1 : n + 1], a[1 : n + 1])], p, pn, r)
+            for r, c, a in zip(weights, crow, arow)
+        ]
+        for crow, arow in zip(Cp.rows, AQ.rows)
+    ]
+    factors = [[list(enumerate(row))] * d for row in Cp.rows]
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    Ainv = matrix_inverse_mod(A).to_lists()
+    zero = [[[0] * (M - 1) for _ in range(d)] for _ in range(d)]
+    P, _ = lift_identity(ident, K, factors, Ainv, Cp, AQ, weights, ctx, max_iter, zero)
     return P
 
 

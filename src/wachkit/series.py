@@ -366,10 +366,11 @@ def series_invert_unit(f: TruncSeries) -> TruncSeries:
 
 
 # Power tables kept per image.  The library's own calls ask an image for at
-# most three orders (the user window, the guard order and one below it); the
-# cap bounds memory when loaded artifacts bring series of many other lengths.
-# Quotient tables are not capped: the library asks for them only at the two
-# orders the context fixes, one per weight and r = p - 1, so at most p exist.
+# most three orders (the user window, the guard order and u's order, where
+# the quotient tables are divided); the cap bounds memory when loaded
+# artifacts bring series of many other lengths.  Quotient tables are not
+# capped: the library asks for them only at u's order, one per weight, so
+# at most p - 1 exist.
 _TABLES_KEPT = 4
 
 

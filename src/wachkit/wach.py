@@ -1,38 +1,19 @@
 """Construction of the (phi, Gamma)-module matrices from Fontaine-Laffaille data.
 
 Given a rank-d datum (weights r_j, matrix A), the phi-action matrix is
-C = A*diag(q^(r_j)) with q = p + pi0.  The Gamma-generator matrix G is the
-unique fixed point congruent to Id mod pi0 of
+C = A*Q with Q = diag(q^(r_j)) and q = p + pi0.  The Gamma-generator matrix
+G is the unique G = Id mod pi0 with C*phi(G) = G*gamma(C): the lift of the
+identity (lift_identity, which has the derivation, the orders and the
+certificate) with C2 = C and C1 = gamma(C).  As gamma(C) = A*Q*diag(v^(r_j))
+with v = gamma(q)/q, writing G = Id + pi0*X the equation is
 
-    H  |->  A*Q*phi(H)*gamma(Q)^(-1)*A^(-1),
+    X = A*(K + Y)*A^(-1),   K = diag((v^(-r_j) - 1)/pi0),
+    Y_ij = q^(r_i)*v^(-r_j) * phi(pi0*X_ij)/(pi0*q^(r_j)),
 
-computed by the division-free reformulation: writing G_n = Id + Delta_n and
-extracting E_n = phi(Delta_n) / (pi0*q^(p-1)) (exact, because
-phi(pi0) = u*pi0*q^(p-1)),
-
-    G_(n+1) = A*diag(v^(-r_j))*A^(-1)
-              + pi0 * A*Q*E_n*diag(q^(p-1-r_j))*diag(v^(-r_j))*A^(-1),
-
-where v = gamma(q)/q.  Every intermediate stays integral because
-p-1-r_j >= 1 for weights <= p-2.
-
-Precision: E_n is linear in Delta_n, so it is the combination
-sum_t Delta_n[t]*Q_t over a per-context table of exact quotients
-Q_t = phi(pi0)^t / (pi0*q^(p-1)), divided once, with its exactness checked,
-at the context's guard order less the one order that v^(-1) lacks (the
-working order n); no division runs inside the loop.  The iterates are kept
-only at the read order m: the user window, or more if the low coefficients
-of the table read further (see _gamma_stepper).  Their coefficients below m
-equal those of the iteration at order n, and the iteration stops when two
-successive iterates agree on the user window.  Successive differences
-contract strictly in the (p, pi0)-adic filtration (the weighted valuation
-min_k (k + v_p(coeff_k)) grows by at least one per step, by the column
-factors q^(p-1-r_j)), so the window stabilizes on the truncation of the true
-fixed point within the default budget of M_pi0 + 4 steps at the default
-profile; exceeding the budget raises NoConvergence rather than looping.
-Noise from the canonical division quotients stays above the guard margin and
-never reaches the emitted window, so the commutation residual
-C*phi(G) - G*gamma(C) vanishes identically there.
+so L = A, R = A^(-1) and one factor (i, q^(r_i)*v^(-r_j)) per entry.  The
+iteration starts at G = Id (or at a given guess) and stops when two
+successive iterates agree on the user window; the default budget is
+M_pi0 + 4 steps, and exceeding it raises NoConvergence rather than looping.
 """
 
 from __future__ import annotations
@@ -45,7 +26,6 @@ from .errors import (
     AxiomViolation,
     InvalidInput,
     NoConvergence,
-    NotDivisible,
     SingularBasis,
     SingularModP,
     ValidationFailed,
@@ -94,74 +74,6 @@ def build_phi_matrix(m: FLModule, ctx: CycloContext) -> SeriesMat:
     return phi_matrix(m.A, m.weights, ctx.q)
 
 
-def _gamma_stepper(weights: tuple[int, ...], A: PMatrix, ctx: CycloContext):
-    """One update of the fixed-point iteration, on coefficient lists.
-
-    Returns (step, identity).  Both work on d x d nested lists of canonical
-    coefficient lists at the read order m, and
-
-        step(G) = A*(diag(v^(-r_j)) + T)*A^(-1),
-        T_ij = E_ij * F_ij,   E = phi(G - Id) / (pi0*q^(p-1)),
-        F_ij = pi0 * q^(r_i) * q^(p-1-r_j) * v^(-r_j).
-
-    E is linear in G - Id: entry by entry it is sum_t G_ij[t]*Q_t over the
-    context's table Q_t = phi(pi0)^t / (pi0*q^(p-1)) (t >= 1), whose
-    exactness the table proves once when it is built.  So a step is one
-    kernels.AffineMap call with one term (i, F_ij, Q) per entry, and each
-    output entry is unpacked once; the only check left per step is that G
-    is Id mod pi0.
-
-    Orders: the table is divided at the working order n = min(guard order,
-    order of v^-1), because its top-down division makes low quotient
-    coefficients depend on high ones.  Below an order m, a step reads
-    coefficient t of an iterate only through Q_t mod pi0^m, so it reads
-    the coefficients up to the last Q_t nonzero mod pi0^m (11 / 8 / 6 of
-    them at p = 3 / 5 / 7 and m = 16); the window test reads the first
-    M_pi0.  The iterates, F and diag(v^(-r_j)) are kept at the least such
-    m >= M_pi0 that covers what a step reads (M_pi0 at the default
-    profiles, against n = 39 / 43 / 47), and by induction their
-    coefficients below m are those of the iteration at order n.
-    """
-    p, pn = ctx.p, ctx.pn
-    d = len(weights)
-    work = ctx.work
-    n = min(work.M_pi0, work.v_gamma_inv.order)
-    table = ctx.phi_sub.quotients(n, p - 1)
-    m = ctx.profile.M_pi0
-    basis = cut_table(table, m)
-    while len(basis) > m:  # what a step reads grows with m, up to len(table) <= n
-        m = len(basis)
-        basis = cut_table(table, m)
-    A_l = A.to_lists()
-    Ainv_l = matrix_inverse_mod(A).to_lists()
-
-    vpow = [[1] + [0] * (m - 1)]
-    for _ in range(max(weights)):
-        vpow.append(kernels.series_mul(vpow[-1], work.v_gamma_inv.coeffs, pn, m))
-    qpow = q_powers(work.q, p - 1 + max(weights) - min(weights))
-    factor = {
-        (ri, rj): [0] + kernels.series_mul(qpow[p - 1 + ri - rj].coeffs, vpow[rj], pn, m - 1)
-        for ri in set(weights)
-        for rj in set(weights)
-    }
-    terms = [[[(i, factor[ri, rj], basis)] for rj in weights] for i, ri in enumerate(weights)]
-    ident = [[[int(i == j)] + [0] * (m - 1) for j in range(d)] for i in range(d)]
-    zero = [0] * m
-    diag_v = [[vpow[r] if i == j else zero for j in range(d)] for i, r in enumerate(weights)]
-    affine = kernels.AffineMap(A_l, Ainv_l, diag_v, terms, pn, m)
-
-    def step(G: list) -> list:
-        # G - Id differs from G in the constant terms only, which Q_0 = 0
-        # ignores; they must vanish for phi(G - Id) to be divisible by pi0
-        for i, row in enumerate(G):
-            for j, e in enumerate(row):
-                if e[0] != (i == j):
-                    raise NotDivisible("low coefficients are nonzero")
-        return affine(G)
-
-    return step, ident
-
-
 def solve_gamma_matrix(
     C: SeriesMat,
     weights: tuple[int, ...],
@@ -173,12 +85,12 @@ def solve_gamma_matrix(
     """Fixed-point solve for the Gamma-generator matrix G.
 
     Returns (G at the user window, iterations used).  C and initial_guess
-    are d x d nested sequences of pi0-series over the context.  The
-    iteration is the division-free update described in the module docstring;
-    it stops at exact stabilization of the user window and certifies the
-    commutation C*phi(G) = G*gamma(C) and triviality mod pi0 before returning.
+    are d x d nested sequences of pi0-series over the context.  G is the
+    lift of the identity with C2 = C and C1 = gamma(C) (see lift_identity
+    and the module docstring); it is certified to satisfy
+    C*phi(G) = G*gamma(C) on the user window before it is returned.
     """
-    p = ctx.p
+    p, N, pn = ctx.p, ctx.N, ctx.pn
     d = len(weights)
     if any(r < 0 or r > p - 2 for r in weights):
         raise ValidationFailed("weights must lie in [0, p-2]")
@@ -186,26 +98,109 @@ def solve_gamma_matrix(
         raise InvalidInput("a module of rank 0 has no matrices to solve for")
     if A.rows != d or A.cols != d:
         raise InvalidInput("A has the wrong shape")
-    target = ctx.profile.M_pi0
+    if (A.p, A.N) != (p, N):
+        raise ValidationFailed("A and context moduli differ")
+    M = ctx.profile.M_pi0
     if max_iter is None:
-        max_iter = target + 4
+        max_iter = M + 4
 
-    C = SeriesMat(C, p, ctx.N)
+    C = SeriesMat(C, p, N)
     if len(C) != d:
         raise InvalidInput("C has the wrong shape")
-    step, G = _gamma_stepper(weights, A, ctx)
+    m = M - 1
+    X = [[[0] * m for _ in range(d)] for _ in range(d)]
     if initial_guess is not None:
-        guess = SeriesMat(initial_guess, p, ctx.N)
+        guess = SeriesMat(initial_guess, p, N)
         if len(guess) != d:
             raise InvalidInput("initial guess has the wrong shape")
         if non_identity_entry(guess) is not None:
             raise InvalidInput("initial guess must be Id mod pi0")
-        G = [[list(e) for e in row] for row in guess.pad(len(G[0][0])).rows]
+        X = [[list(e[1:]) for e in row] for row in guess.pad(M).rows]
 
-    window, iterations = iterate_to_window(step, G, target, max_iter)
-    G_out = SeriesMat._trusted(p, ctx.N, window)
-    _assert_solution(C, G_out, ctx)
-    return G_out, iterations
+    # v^(-r) at order M, for K = (v^(-r) - 1)/pi0 and the factors q^(r_i)*v^(-r_j)
+    vpow = [[1] + [0] * m]
+    for _ in range(max(weights)):
+        vpow.append(kernels.series_mul(vpow[-1], ctx.work.v_gamma_inv.coeffs, pn, M))
+    qpow = q_powers(ctx.work.q, max(weights))
+    factor = {
+        (ri, rj): kernels.series_mul(qpow[ri].coeffs, vpow[rj], pn, m)
+        for ri in set(weights)
+        for rj in set(weights)
+    }
+    factors = [[[(i, factor[ri, rj])] for rj in weights] for i, ri in enumerate(weights)]
+    zero = [0] * m
+    K = [[vpow[r][1:] if i == j else zero for j in range(d)] for i, r in enumerate(weights)]
+    L = A.to_lists()
+    R = matrix_inverse_mod(A).to_lists()
+    gamma_C = C.substitute(ctx.gamma_sub, M)
+    return lift_identity(L, K, factors, R, C, gamma_C, weights, ctx, max_iter, X)
+
+
+def lift_identity(
+    L: list,
+    K: list,
+    factors: list,
+    R: list,
+    C2: SeriesMat,
+    C1: SeriesMat,
+    weights: tuple[int, ...],
+    ctx: CycloContext,
+    max_iter: int,
+    X: list,
+) -> tuple[SeriesMat, int]:
+    """The unique F = Id mod pi0 with C2*phi(F) = F*C1, and the steps taken.
+
+    Both fixed-point solves lift an identity morphism, which is unique by
+    full faithfulness (Berger, "Limites de representations cristallines",
+    Compositio 140, 2004): the Gamma-matrix G (C2 = C, C1 = gamma(C)) and
+    the normalizing base change P (C2 = C', C1 = A*Q).  Writing
+    F = Id + pi0*X, each caller rearranges its equation into
+
+        X  <-  L*(K + Y)*R,
+        Y_ij = sum over (k, f) in factors[i][j] of f * phi(pi0*X_kj)/(pi0*q^(r_j)),
+
+    with scalar matrices L and R, a series matrix K, and r_j the weight of
+    column j.  As phi(pi0) = u*pi0*q^(p-1),
+
+        phi(pi0*X_kj)/(pi0*q^r) = sum_t X_kj[t] * Q_(t+1)^(r),
+
+    over the context's table of exact quotients
+    Q_k^(r) = phi(pi0)^k/(pi0*q^r) (Substitution.quotients), divided once
+    per context with its exactness checked; so a step is one
+    kernels.AffineMap call, with no composition, series product or
+    division.  Q_(t+1)^(r) = u^(t+1)*pi0^t*q^((p-1)(t+1)-r), and the power
+    of q is positive for weights <= p-2: successive differences contract
+    strictly in the (p, pi0)-adic filtration, the weighted valuation
+    min_k (k + v_p(coeff_k)) growing by at least one per step.
+
+    Orders.  X, the start given by the caller, is kept at m = M_pi0 - 1, the
+    coefficients F reads on the user window.  Q_(t+1)^(r) has valuation t,
+    so coefficient k of a step reads X's coefficients t <= k only: the
+    window is closed under the step, and a repeated window is the
+    truncation of the fixed point.  Every table is divided at u's order n;
+    its canonical division disturbs only coefficients from n - r - N on,
+    so below m it is the series above when n >= m + N + r, which holds at
+    every profile (n - m - N = p + 3) and is asserted.  Exceeding max_iter
+    steps raises NoConvergence.  The result is certified with == on the
+    user window (AxiomViolation otherwise).
+    """
+    p, N = ctx.p, ctx.N
+    m = ctx.profile.M_pi0 - 1
+    n = ctx.work.u.order
+    if n < m + N + max(weights):
+        raise AssertionError("quotient table too short for the solve window")
+    bases = {r: cut_table(ctx.phi_sub.quotients(n, r), m)[1:] for r in set(weights)}
+    terms = [
+        [[(k, f, bases[r]) for k, f in fs] for fs, r in zip(row, weights)] for row in factors
+    ]
+    step = kernels.AffineMap(L, R, K, terms, ctx.pn, m)
+    window, iterations = iterate_to_window(step, X, m, max_iter)
+    F = SeriesMat._trusted(p, N, [
+        [(int(i == j),) + tuple(e) for j, e in enumerate(row)] for i, row in enumerate(window)
+    ])
+    if residual_entry(C2, F, C1, ctx) is not None:
+        raise AxiomViolation("fixed-point residual is nonzero at the user window")
+    return F, iterations
 
 
 def iterate_to_window(step, X: list, window: int, max_iter: int) -> tuple[list, int]:
@@ -265,14 +260,6 @@ def residual_entry(
 def commutation_entry(C: SeriesMat, G: SeriesMat, ctx: CycloContext) -> tuple[int, int] | None:
     """The first entry at which C*phi(G) - G*gamma(C) is nonzero on the user window."""
     return residual_entry(C, G, C.substitute(ctx.gamma_sub, ctx.profile.M_pi0), ctx)
-
-
-def _assert_solution(C: SeriesMat, G: SeriesMat, ctx: CycloContext) -> None:
-    bad = non_identity_entry(G)
-    if bad is not None:
-        raise AxiomViolation(f"G not Id mod pi0 at entry {bad}")
-    if commutation_entry(C, G, ctx) is not None:
-        raise AxiomViolation("commutation residual is nonzero at the user window")
 
 
 def solve_wach(m: FLModule, ctx: CycloContext, max_iter: int | None = None) -> WachModule:
@@ -418,6 +405,8 @@ def check_lattice_stability(w: WachModule, L: LatticeSub) -> StabilityReport:
     """
     if L.ambient_rank != w.rank:
         raise InvalidInput("lattice ambient rank differs from the module rank")
+    if (L.F.p, L.F.N) != (w.ctx.p, w.ctx.N):
+        raise ValidationFailed("lattice and module moduli differ")
     try:
         Finv = matrix_inverse_mod(L.F)
     except SingularModP as exc:

@@ -15,7 +15,7 @@ import math
 
 from wachkit import kernels
 from wachkit.errors import InvalidInput
-from wachkit.padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod
+from wachkit.padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval
 from wachkit.series import (
     TruncSeries,
     constant_series,
@@ -262,3 +262,26 @@ def normalization_step_by_division(Cp, AQ, weights, A: PMatrix, ctx):
         ]
 
     return step
+
+
+def difference_valuations(step, X, window: int, p: int, N: int, max_iter: int) -> list[int]:
+    """Weighted valuations min_k (k + v_p(c_k)) of successive differences of
+    the iterates of step from X, on the first `window` coefficients, up to
+    the first difference that vanishes there; AssertionError if none does
+    within max_iter steps."""
+    pn = p**N
+    vals = []
+    for _ in range(max_iter):
+        nxt = step(X)
+        diffs = [
+            k + pval((a - b) % pn, p, N)
+            for rx, ry in zip(nxt, X)
+            for ex, ey in zip(rx, ry)
+            for k, (a, b) in enumerate(zip(ex[:window], ey[:window]))
+            if a != b
+        ]
+        if not diffs:
+            return vals
+        vals.append(min(diffs))
+        X = nxt
+    raise AssertionError(f"no vanishing difference within {max_iter} steps")

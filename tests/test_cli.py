@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -109,17 +110,17 @@ class TestCommands:
         src = write(tmp_path, "m.json", FL_SIMPLE)
         out = str(tmp_path / "w.json")
         assert main(["build", "-i", src, "--out", out]) == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text(encoding="utf-8"))
         assert data["kind"] == "wach"
         assert data["meta"]["weights"] == [0, 1]
         rep = str(tmp_path / "rep.json")
         assert main(["verify", "-i", out, "--out", rep]) == 0
-        report = json.loads(open(rep).read())
+        report = json.loads(Path(rep).read_text(encoding="utf-8"))
         assert list(report) == ["checks"]
         assert all(c["pass"] for c in report["checks"])
         red = str(tmp_path / "red.json")
         assert main(["reduce", "-i", src, "--out", red]) == 0
-        rdata = json.loads(open(red).read())
+        rdata = json.loads(Path(red).read_text(encoding="utf-8"))
         assert rdata["fil_ranks"] == [2, 1, 0]
 
     def test_build_rank_one_trivial(self, tmp_path, capsys):
@@ -152,13 +153,13 @@ class TestCommands:
         src = write(tmp_path, "m.json", FL_SIMPLE)
         out = str(tmp_path / "w.json")
         main(["build", "-i", src, "--out", out])
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text(encoding="utf-8"))
         g = data["G"][1][1]
         g[1] = str((int(g[1]) + 1) % 3**4)
         bad = write(tmp_path, "tampered.json", data)
         rep = str(tmp_path / "rep.json")
         assert main(["verify", "-i", bad, "--out", rep]) == 4
-        checks = json.loads(open(rep).read())["checks"]
+        checks = json.loads(Path(rep).read_text(encoding="utf-8"))["checks"]
         failed = [c["name"] for c in checks if not c["pass"]]
         assert "commutation" in failed
 
@@ -168,7 +169,7 @@ class TestCommands:
         main(["build", "-i", src, "--out", wout])
         red = str(tmp_path / "red.json")
         assert main(["reduce", "-i", wout, "--h-max", "1", "--out", red]) == 0
-        data = json.loads(open(red).read())
+        data = json.loads(Path(red).read_text(encoding="utf-8"))
         assert data["fil_ranks"] == [2, 1, 0] and data["weights"] == [0, 1]
 
     @pytest.mark.parametrize("flag", ["--prec-p", "--prec-pi0", "--chi-gamma", "--max-iter"])
@@ -311,7 +312,7 @@ class TestCommands:
         b = write(tmp_path, "b.json", {"kind": "fl", "p": 5, "N": 4, "weights": [2], "A": [["3"]]})
         out = str(tmp_path / "t.json")
         assert main(["tensor", a, b, "--out", out]) == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text(encoding="utf-8"))
         assert data["weights"] == [3] and data["A"] == [["6"]]
 
     def test_normalize_command(self, tmp_path):
@@ -331,7 +332,7 @@ class TestCommands:
         out = str(tmp_path / "P.json")
         code = main(["normalize", "-i", src, "--prec-pi0", "6", "--out", out])
         assert code == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text(encoding="utf-8"))
         assert data["checks"][0]["pass"]
 
     def test_roundtrip_generated(self, tmp_path):
@@ -355,7 +356,7 @@ class TestCommands:
             ]
         )
         assert code == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text(encoding="utf-8"))
         assert data["seed"] == 7
         assert all(c["pass"] for c in data["checks"])
 
@@ -366,7 +367,7 @@ class TestDeterminism:
         out1, out2 = str(tmp_path / "w1.json"), str(tmp_path / "w2.json")
         main(["build", "-i", src, "--out", out1])
         main(["build", "-i", src, "--out", out2])
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_seeded_roundtrip_identical(self, tmp_path):
         outs = []
@@ -376,7 +377,7 @@ class TestDeterminism:
                 ["roundtrip", "--generate", "--seed", "3", "--count", "2",
                  "--primes", "3", "--max-rank", "2", "--out", out]
             )
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
 

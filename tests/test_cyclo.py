@@ -55,6 +55,14 @@ class TestBootstrapAnchors:
         with pytest.raises(InvalidInput):
             build_context(5, 4, 4, chi_gamma=26)  # 1 mod p^2
 
+    @pytest.mark.parametrize("p", [0, 1, 2, 4, 9])
+    def test_invalid_prime_is_reported_before_chi(self, p):
+        # the default chi = 1 + p is checked against p only once p is known
+        # to be an odd prime: p = 0 used to divide by zero, p = 1 to report
+        # a chi(gamma) error
+        with pytest.raises(InvalidInput, match="odd prime"):
+            build_context(p)
+
 
 class TestUnitIdentities:
     def test_phi_pi0_factorization(self, contexts):

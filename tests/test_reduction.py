@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import full_fil_lattice, normalization_step_by_division, schoolbook_mul, shift_multiply
+from oracles import difference_valuations, full_fil_lattice, normalization_step_by_division, schoolbook_mul, shift_multiply
 from wachkit.cyclo import get_context
 from wachkit.errors import (
     AxiomViolation,
@@ -18,7 +18,6 @@ from wachkit.flmod import make_fl, unit_fl
 from wachkit.padic import PMatrix
 from wachkit.reduction import (
     _fil_lattice,
-    _normalization_step,
     _phi_r_image,
     normalize_basis,
     recover_filtration,
@@ -26,7 +25,7 @@ from wachkit.reduction import (
     roundtrip_check,
 )
 from wachkit.series import PI, PI0, SeriesMat, Substitution, TruncSeries, constant_series, pad, q_powers, series_scale
-from wachkit.suite import random_unit_matrix
+from wachkit.suite import generate_suite, random_unit_matrix
 from wachkit.wach import WachModule, phi_matrix, solve_wach
 
 
@@ -245,11 +244,11 @@ class TestNormalize:
             normalize_basis(C, m, ctx5)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
-    def test_step_matches_the_division_oracle(self, p):
-        # the packed affine step against the update computed with d^2
-        # compositions and a division by q^(r_j) per step, on random Cm (whose
-        # coefficients past the window the oracle reads and must ignore), for
-        # every weight; C' = A*Q + pi0*R*Q has Delta = R*Q
+    def test_step_matches_the_division_oracle(self, solver_step, p):
+        # the step normalize_basis iterates against the update computed with
+        # d^2 compositions and a division by q^(r_j) per step, on random Cm
+        # (whose coefficients past the window the oracle reads and must
+        # ignore), for every weight; C' = A*Q + pi0*R*Q has Delta = R*Q
         ctx = get_context(p)
         rng = random.Random(600 + p)
         pn, mw = ctx.pn, ctx.work.M_pi0
@@ -267,9 +266,10 @@ class TestNormalize:
                 ]
                 for row in AQ.rows
             ])
-            step, m = _normalization_step(Cp, AQ, weights, A, ctx)
+            step, zero = solver_step(normalize_basis, Cp, make_fl(p, 16, weights, A), ctx)
             oracle = normalization_step_by_division(Cp, AQ, weights, A, ctx)
-            assert m == ctx.profile.M_pi0 - 1
+            m = ctx.profile.M_pi0 - 1
+            assert zero == [[[0] * m] * 2] * 2
             for _ in range(2):
                 Cm = [[[rng.randrange(pn) for _ in range(m + 5)] for _ in range(2)] for _ in range(2)]
                 expect = [[e[:m] for e in row] for row in oracle(Cm)]
@@ -299,8 +299,8 @@ class TestNormalize:
         # a normalization reads one quotient table per distinct weight: at
         # p = 7 with weights 0..4 it builds five on the first call and none
         # on later ones (the cache used to keep four, so every call rebuilt
-        # all five)
-        ctx = pickle.loads(pickle.dumps(get_context(7)))  # its tables are not pickled
+        # all five); and the Gamma-solve reads the same tables, so after a
+        # solve a normalization builds none
         builds = []
         powers = Substitution.powers
 
@@ -310,6 +310,11 @@ class TestNormalize:
 
         monkeypatch.setattr(Substitution, "powers", counted)
         m = make_fl(7, 16, (0, 1, 2, 3, 4), random_unit_matrix(random.Random(15), 5, 7, 16))
+
+        def fresh():  # a context's tables are not pickled
+            return pickle.loads(pickle.dumps(get_context(7)))
+
+        ctx = fresh()
         C = phi_matrix(m.A, m.weights, ctx.work.q)
         counts = []
         for _ in range(3):
@@ -317,6 +322,23 @@ class TestNormalize:
             normalize_basis(C, m, ctx)
             counts.append(len(builds) - before)
         assert counts == [5, 0, 0]
+
+        ctx = fresh()
+        w = solve_wach(m, ctx)
+        before = len(builds)
+        normalize_basis(w.C, m, ctx)
+        assert len(builds) == before
+
+    def test_successive_differences_contract(self, solver_step):
+        # as for the Gamma-solve: over the planted perturbations of the
+        # golden suite, the weighted valuation min(k + v_p(c_k)) of
+        # Cm_(n+1) - Cm_n strictly increases until the difference vanishes
+        for i, m in enumerate(generate_suite(7, count=33)):
+            ctx = get_context(m.p)
+            C_pert, _, _ = planted_perturbation(ctx, m, seed=i)
+            step, X = solver_step(normalize_basis, C_pert, m, ctx)
+            vals = difference_valuations(step, X, 15, m.p, 16, 40)
+            assert all(a < b for a, b in zip(vals, vals[1:])), (m.weights, vals)
 
     def test_delta_not_divisible(self, ctx5):
         # C' = A*Q + pi0*E with E nonzero only in the weight-2 column: Delta's

@@ -3,12 +3,11 @@ import time
 
 import pytest
 
-from oracles import horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_pow, shift_multiply
+from oracles import difference_valuations, horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_pow, shift_multiply
 from wachkit.cyclo import build_context, get_context
 from wachkit.errors import (
     InvalidInput,
     NoConvergence,
-    NotDivisible,
     SingularBasis,
     ValidationFailed,
     WeightOverflow,
@@ -25,13 +24,14 @@ from wachkit.series import (
     series_add,
     series_multiply,
 )
-from wachkit.suite import random_unit_matrix
+from wachkit.suite import generate_suite, random_unit_matrix
 from wachkit.wach import (
     WachModule,
     build_phi_matrix,
     check_lattice_stability,
     commutation_entry,
     direct_sum_wach,
+    phi_matrix,
     solve_gamma_matrix,
     solve_wach,
     tensor_wach,
@@ -148,40 +148,47 @@ class TestSolver:
         with pytest.raises(InvalidInput):
             solve_wach(m, ctx5)
 
-    def test_step_requires_identity_mod_pi0(self, ctx5):
-        # phi(G - Id) is divisible by pi0 only when G = Id mod pi0
-        from wachkit.wach import _gamma_stepper
-
+    @pytest.mark.parametrize(
+        "guess",
+        ["3x3", "off-diagonal constant", "diagonal constant"],
+    )
+    def test_initial_guess_errors_are_invalid_input(self, ctx5, guess):
+        # the guess is the solve's start, and G = Id + pi0*X needs it
+        # to be Id mod pi0
         m = make_fl(5, 16, (0, 3), random_unit_matrix(random.Random(6), 2, 5, 16))
-        step, ident = _gamma_stepper(m.weights, m.A, ctx5)
-        step(ident)
-        for i, j, c in ((0, 1, 1), (1, 1, 2), (1, 0, ctx5.pn - 1)):
-            G = [[list(e) for e in row] for row in ident]
-            G[i][j][0] = c
-            with pytest.raises(NotDivisible):
-                step(G)
+        C = build_phi_matrix(m, ctx5)
+        rows = [list(row) for row in SeriesMat.identity(2, 5, 16, 16).rows]
+        if guess == "3x3":
+            rows = SeriesMat.identity(3, 5, 16, 16).rows
+        elif guess == "off-diagonal constant":
+            rows[0][1] = (1,) + (0,) * 15
+        else:
+            rows[1][1] = (2,) + (0,) * 15
+        with pytest.raises(InvalidInput):
+            solve_gamma_matrix(C, m.weights, m.A, ctx5, initial_guess=SeriesMat._trusted(5, 16, rows))
 
     @pytest.mark.parametrize(
-        "p, N, M, m",
-        [(3, 16, 16, 16), (5, 16, 16, 16), (7, 16, 16, 16), (5, 8, 12, 12), (3, 1, 1, 2)],
+        "p, N, M, width",
+        [(3, 16, 16, 16), (5, 16, 16, 16), (7, 16, 16, 16), (5, 8, 12, 12), (11, 4, 9, 9), (3, 1, 1, 2)],
     )
-    def test_step_matches_compose_then_divide(self, p, N, M, m):
-        # one step against the update written out at the working order n:
-        # E = phi(G - Id) composed by Horner and divided by pi0*q^(p-1),
-        # then A*(diag(v^-r) + E o F)*A^-1 by schoolbook products.  The
-        # step keeps the first m coefficients, m >= M_pi0, which read fewer
-        # of G's (at M_pi0 = 1 it reads two, so m = 2); coefficients of G
-        # from m on are junk to the oracle and absent from the step's input.
-        from wachkit.wach import _gamma_stepper
-
+    def test_step_matches_compose_then_divide(self, solver_step, p, N, M, width):
+        # the step the Gamma-solve iterates, on X with G = Id + pi0*X, against
+        # the update written out at the working order n: E = phi(G - Id)
+        # composed by Horner and divided by pi0*q^(p-1), then
+        # G' = A*(diag(v^-r) + E o F)*A^-1 by schoolbook products, with
+        # F = pi0*q^(p-1+r_i-r_j)*v^(-r_j); the step is X' = (G' - Id)/pi0
+        # on the M - 1 coefficients G' reads on the window.  The step's input
+        # carries `width` >= M - 1 of X's coefficients: those from M - 1 on,
+        # and all of them from `width` on, must not change its output.
         ctx = get_context(p, N, M)
         pn, work = ctx.pn, ctx.work
         n = min(work.M_pi0, work.v_gamma_inv.order)
+        m = M - 1
         rng = random.Random(70 + p)
         weights = (0, 1, p - 2)
         A = random_unit_matrix(rng, 3, p, N)
-        step, ident = _gamma_stepper(weights, A, ctx)
-        assert [len(e) for row in ident for e in row] == [m] * 9
+        step, X0 = solver_step(solve_gamma_matrix, phi_matrix(A, weights, ctx.q), weights, A, ctx)
+        assert [len(e) for row in X0 for e in row] == [m] * 9
 
         def power(f, e):
             out = [1] + [0] * (n - 1)
@@ -191,16 +198,12 @@ class TestSolver:
 
         q = [p % pn, 1] + [0] * (n - 2)
         vinv = list(work.v_gamma_inv.coeffs[:n])
-        G = [
-            [[int(i == j)] + [rng.randrange(pn) for _ in range(n - 1)] for j in range(3)]
-            for i in range(3)
-        ]
+        X = [[[rng.randrange(pn) for _ in range(n - 1)] for j in range(3)] for i in range(3)]
         inner = []
         for i, ri in enumerate(weights):
             row = []
             for j, rj in enumerate(weights):
-                delta = [(G[i][j][0] - (i == j)) % pn] + G[i][j][1:]
-                f = horner_compose(delta, list(work.phi_pi0.coeffs), pn, n)
+                f = horner_compose([0] + X[i][j], list(work.phi_pi0.coeffs), pn, n)
                 E = q_divide_exact(f[1:], p, pn, p - 1)
                 F = [0] + schoolbook_mul(power(q, p - 1 + ri - rj), power(vinv, rj), pn, n - 1)
                 T = schoolbook_mul(E, F, pn, n)
@@ -209,44 +212,21 @@ class TestSolver:
             inner.append(row)
         Ainv = matrix_inverse_mod(A).to_lists()
         expect = scalar_matmul(A.to_lists(), inner, Ainv, pn)
-        got = step([[e[:m] for e in row] for row in G])
-        assert got == [[e[:m] for e in row] for row in expect]
+        got = step([[e[:width] for e in row] for row in X])
+        assert got == [[e[1:M] for e in row] for row in expect]
 
-    def test_successive_differences_contract(self, ctx3):
+    def test_successive_differences_contract(self, solver_step):
         # successive iterates approach the fixed point in the (p, pi0)-adic
-        # filtration: the weighted valuation min(k + v_p(c_k)) of G_(n+1)-G_n
-        # strictly increases until the difference vanishes on the window
-        from wachkit.padic import pval
-        from wachkit.wach import _gamma_stepper
-
-        rng = random.Random(40)
-        m = make_fl(3, 16, (0, 1), random_unit_matrix(rng, 2, 3, 16))
-        # the stepper works on nested lists of coefficient lists
-        step, ident = _gamma_stepper(m.weights, m.A, ctx3)
-
-        def weighted_val(X, Y, window):
-            best = None
-            for rx, ry in zip(X, Y):
-                for ex, ey in zip(rx, ry):
-                    for k, (a, b) in enumerate(zip(ex[:window], ey[:window])):
-                        c = (a - b) % 3**16
-                        if c:
-                            w = k + pval(c, 3, 16)
-                            best = w if best is None else min(best, w)
-            return best
-
-        G = ident
-        prev_val = -1
-        for _ in range(30):
-            nxt = step(G)
-            val = weighted_val(nxt, G, 16)
-            if val is None:
-                break
-            assert val > prev_val
-            prev_val = val
-            G = nxt
-        else:
-            pytest.fail("difference never vanished on the window")
+        # filtration: over the golden suite, the weighted valuation
+        # min(k + v_p(c_k)) of X_(n+1) - X_n strictly increases until the
+        # difference vanishes on the window, after the solve's step count
+        for m in generate_suite(7, count=33):
+            ctx = get_context(m.p)
+            w = solve_wach(m, ctx)
+            step, X = solver_step(solve_wach, m, ctx)
+            vals = difference_valuations(step, X, 15, m.p, 16, 20)
+            assert all(a < b for a, b in zip(vals, vals[1:])), (m.weights, vals)
+            assert len(vals) + 1 == w.iterations_used
 
     def test_cocycle_for_squared_generator(self):
         # gamma' = gamma^2: G' = G * gamma(G)
@@ -432,6 +412,25 @@ class TestLatticeStability:
             check_lattice_stability(
                 w, LatticeSub(1, PMatrix(1, 1, (3,), 3, 16), (0,))
             )
+
+
+@pytest.mark.parametrize("entry", ["solve_gamma_matrix", "normalize_basis", "check_lattice_stability"])
+def test_other_modulus_is_a_validation_error(ctx5, entry):
+    # an argument over another (p, N) than the context's is refused as
+    # build_phi_matrix refuses it; before, the first two failed in the solve
+    # (NotDivisible, NotCongruent) and the third reported stable=True
+    from wachkit.reduction import normalize_basis
+
+    m = make_fl(5, 16, (0, 2), random_unit_matrix(random.Random(23), 2, 5, 16))
+    A8 = PMatrix(2, 2, tuple(c % 5**8 for c in m.A.entries), 5, 8)
+    with pytest.raises(ValidationFailed, match="moduli differ"):
+        if entry == "solve_gamma_matrix":
+            solve_gamma_matrix(build_phi_matrix(m, ctx5), m.weights, A8, ctx5)
+        elif entry == "normalize_basis":
+            normalize_basis(build_phi_matrix(m, ctx5), make_fl(5, 8, m.weights, A8), ctx5)
+        else:
+            lattice = LatticeSub(2, PMatrix.identity(2, 3, 16), (0, 1))
+            check_lattice_stability(solve_wach(m, ctx5), lattice)
 
 
 class TestLargePrime:
