@@ -35,6 +35,7 @@ from .serialize import (
     fl_to_dict,
     load_json,
     perturbed_from_dict,
+    reduction_to_dict,
     report_to_dict,
     wach_from_dict,
     wach_to_dict,
@@ -114,23 +115,7 @@ def _cmd_reduce(args) -> int:
         raise SchemaError("reduce expects an 'fl' or 'wach' input")
     if args.h_max is not None:
         h_max = args.h_max
-    red = recover_filtration(w, h_max)
-    payload = {
-        "kind": "reduction",
-        "fil_ranks": list(red.fil_ranks),
-        "weights": list(red.weights_recovered),
-        "A_recovered": [
-            [str(x) for x in red.A_recovered.row(i)] for i in range(red.d)
-        ],
-        "adapted_basis": [
-            [str(x) for x in red.adapted_basis.row(i)] for i in range(red.d)
-        ],
-        "fil_generators": [
-            [[str(x) for x in lat.row(i)] for i in range(lat.rows)]
-            for lat in red.fil_generators
-        ],
-    }
-    _emit(dumps_canonical(payload), args.out)
+    _emit(dumps_canonical(reduction_to_dict(recover_filtration(w, h_max))), args.out)
     return EXIT_OK
 
 

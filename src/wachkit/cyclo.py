@@ -188,6 +188,9 @@ def build_context(
     # (1+pi)^p and (1+pi)^chi, so their images of pi0 are the same sum over
     # the exponents p*omega_a and chi*omega_a: the closed form of composing
     # pi0_in_pi with phi(pi) and gamma(pi), exact for integer exponents.
+    # Below order mpw the binomials mod p^N depend only on the exponent mod
+    # p^K, so chi*omega_a is taken mod p^K: a negative chi is a valid
+    # generator (chi = 1 - p at p = 3 is -2).
     one = constant_series(PI, 1, p, N, mpw)
     pi0_in_pi_w = constant_series(PI, 1 - p, p, N, mpw)
     phi_pi0_in_pi = gamma_pi0_in_pi = pi0_in_pi_w
@@ -200,7 +203,7 @@ def build_context(
             phi_pi0_in_pi, binomial_power(p * omega.value, p, N, mpw, var=PI)
         )
         gamma_pi0_in_pi = series_add(
-            gamma_pi0_in_pi, binomial_power(chi * omega.value, p, N, mpw, var=PI)
+            gamma_pi0_in_pi, binomial_power(chi * omega.value % p**K, p, N, mpw, var=PI)
         )
     if pi0_in_pi_w.constant_term() != 0:
         raise AssertionError("pi0 bootstrap: nonzero constant term")

@@ -6,8 +6,14 @@ q-divisibility conditions: x lies in Fil^r iff some lift x + sum pi0^k y_k
 has phi-image divisible by q^r.  A term pi0^k y_k (k >= 1) adds
 C*phi(pi0)^k*y_k = C*u^k*pi0^k*q^(k(p-1))*y_k, which q^r divides for every
 r <= p-1, so the condition is that q^r divides C*x: a linear system over
-Z/p^N in x alone, solved by the Howell kernel.  The divided Frobenius on
-Fil^r is the constant term of the exact quotient by (X+p)^r.
+Z/p^N in x alone, solved by the Howell kernel.  recover_filtration divides
+each entry of C by q = X + p once, h_max + 1 steps of series.q_steps, and
+reads everything from those steps: the Fil^r system is the first r step
+remainders of each entry (the remainder's coordinates in the basis
+(X+p)^s, a unitriangular change from X^s that leaves the kernel as it is),
+and, the division being linear, the divided Frobenius of x in Fil^r is the
+constant term of C*x/q^r = sum_i x_i*Q_r(C_(i2,i)), Q_r the r-th step
+quotient (Q_0 = C, its constant terms).
 
 normalize_basis is the recognition recursion: given C' = A*Q + pi0*(...)
 presenting a module isomorphic to the target, with Q = diag(q^(r_j)), it
@@ -28,7 +34,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import mul
 
 from .cyclo import CycloContext
 from .errors import (
@@ -48,7 +53,7 @@ from .padic import (
     pval,
     smith_elementary_divisors,
 )
-from .series import SeriesMat, q_divide_exact, q_divmod
+from .series import SeriesMat, q_divide_exact, q_steps
 from .wach import WachModule, lift_identity, non_identity_entry, phi_matrix, solve_wach
 
 
@@ -73,31 +78,17 @@ def reduce_mod_pi0(w: WachModule) -> tuple[PMatrix, PMatrix]:
     return C0, PMatrix.identity(w.rank, w.ctx.p, w.ctx.N)
 
 
-def _fil_lattice(w: WachModule, r: int) -> PMatrix:
+def _fil_lattice(entries, r: int, p: int, N: int) -> PMatrix:
     """Canonical generators of Fil^r as rows of a Howell form.
 
-    Row i2*r + t of the system is the coefficient of X^t in the Weierstrass
-    remainder of (C*x)_i2 by q^r, linear in the unknowns x (the module
-    docstring says why the lift terms y_k drop out).  Its coefficients in the
-    basis (X+p)^t would give the same kernel, as that change of basis is
-    unitriangular.  The remainders are taken at the guard order (module
-    entries are exact polynomials on the user window, so zero-padding is
-    exact); at the user window the canonical division junk would pollute
-    them mod p^N and fake near-p^N kernel vectors.
+    entries[i2][i] holds the q_steps of C_(i2,i); row i2*r + s - 1 of the
+    system is the step remainder c_s of (C*x)_i2, s = 1..r, linear in the
+    unknowns x (the module docstring says why the lift terms y_k drop out).
     """
-    ctx = w.ctx
-    p, N = ctx.p, ctx.N
-    d = w.rank
-    mw = ctx.work.M_pi0
+    d = len(entries)
     if r == 0:
         return PMatrix.identity(d, p, N)
-    C = w.C.pad(mw).rows
-    rows: list[list[int]] = [[0] * d for _ in range(r * d)]
-    for i2 in range(d):  # ambient coordinate
-        for i in range(d):  # unknown index
-            _, rem = q_divmod(C[i2][i], p, ctx.pn, r)
-            for t in range(r):
-                rows[i2 * r + t][i] = rem[t]
+    rows = [[rems[s] for rems, _ in row] for row in entries for s in range(r)]
     kern = howell_kernel(PMatrix.from_lists(rows, p, N))
     xs = [list(kern.row(i)) for i in range(kern.rows)]
     xs = [row for row in xs if any(row)]
@@ -116,19 +107,9 @@ def _saturation_guard(lat: PMatrix) -> None:
             )
 
 
-def _phi_r_image(w: WachModule, x: list[int], r: int) -> list[int]:
-    """Constant term of C*x / q^r for x in Fil^r (divided Frobenius value).
-
-    Guard-order evaluation for the same reason as _fil_lattice: the constant
-    term of a user-window quotient is only exact mod p^(M_pi0 - r).
-    """
-    ctx = w.ctx
-    pn = ctx.pn
-    out = []
-    for row in w.C.pad(ctx.work.M_pi0).rows:
-        acc = [sum(map(mul, col, x)) % pn for col in zip(*row)]
-        out.append(q_divide_exact(acc, ctx.p, pn, r)[0])
-    return out
+def _divided_frobenius(entries, x: list[int], r: int, pn: int) -> list[int]:
+    """Constant term of C*x/q^r for x in Fil^r: sum_i x_i*Q_r(C_(i2,i))[0]."""
+    return [sum(quots[r][0] * xi for (_, quots), xi in zip(row, x)) % pn for row in entries]
 
 
 def recover_filtration(w: WachModule, h_max: int) -> FilteredReduction:
@@ -140,7 +121,12 @@ def recover_filtration(w: WachModule, h_max: int) -> FilteredReduction:
         raise InvalidInput(f"h_max {h_max} is outside [0, p-2]")
     d = w.rank
 
-    lattices = [_fil_lattice(w, r) for r in range(h_max + 2)]
+    # every entry of C divided by q h_max + 1 times (q_steps), at the guard
+    # order: entries are exact polynomials on the user window, so padding
+    # them is exact, while at the user window the division's top junk would
+    # pollute the remainders mod p^N and fake near-p^N kernel vectors
+    entries = [[q_steps(e, p, ctx.pn, h_max + 1) for e in row] for row in w.C.pad(ctx.work.M_pi0).rows]
+    lattices = [_fil_lattice(entries, r, p, N) for r in range(h_max + 2)]
     for lat in lattices:
         _saturation_guard(lat)
     fil_ranks = tuple(lat.rows for lat in lattices)
@@ -180,7 +166,7 @@ def recover_filtration(w: WachModule, h_max: int) -> FilteredReduction:
         p,
         N,
     )
-    phi_cols = [_phi_r_image(w, vec, wt) for wt, vec in chosen]
+    phi_cols = [_divided_frobenius(entries, vec, wt, ctx.pn) for wt, vec in chosen]
     Phi = PMatrix(
         d, d, tuple(phi_cols[j][i] for i in range(d) for j in range(d)), p, N
     )

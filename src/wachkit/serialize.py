@@ -18,6 +18,10 @@ Schemas:
               a square C whose series may have any length; a shorter
               series is exact, extended by zeros to the longest
 * base_change: {"kind": "base_change", "P": like wach C, "checks": [report]}
+* reduction:  {"kind": "reduction", "fil_ranks": [int, ...], "weights": [int, ...],
+               "A_recovered": [["dec", ...], ...], "adapted_basis": like A_recovered,
+               "fil_generators": [like A_recovered, ...]}, one Howell form
+              of generator rows per r = 0..h_max+1
 * reports:    {"checks": [{"name": str, "pass": bool, "detail": str}, ...],
                "seed": int (roundtrip only)}
 
@@ -32,6 +36,7 @@ from .cyclo import get_context
 from .errors import SchemaError
 from .flmod import FLModule, make_fl
 from .padic import PMatrix
+from .reduction import FilteredReduction
 from .series import PI0, SeriesMat, TruncSeries
 from .wach import WachModule
 
@@ -177,6 +182,20 @@ def base_change_to_dict(P: SeriesMat) -> dict:
         "kind": "base_change",
         "P": _matrix_to_json(P),
         "checks": [{"name": "residual_zero", "pass": True, "detail": ""}],
+    }
+
+
+def reduction_to_dict(red: FilteredReduction) -> dict:
+    def rows(M: PMatrix) -> list:
+        return [[str(x) for x in row] for row in M.to_lists()]
+
+    return {
+        "kind": "reduction",
+        "fil_ranks": list(red.fil_ranks),
+        "weights": list(red.weights_recovered),
+        "A_recovered": rows(red.A_recovered),
+        "adapted_basis": rows(red.adapted_basis),
+        "fil_generators": [rows(lat) for lat in red.fil_generators],
     }
 
 

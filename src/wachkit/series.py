@@ -16,6 +16,9 @@ of pi0_in_pi; :func:`pi0_coordinates` goes back, splitting a pi-series into
 f = sum_j pi^j f_j(pi0) by a strictly triangular back-substitution graded by
 d = j + k(p-1), with no division by p.
 
+Every division of a pi0-series by q^r = (X+p)^r is the stepwise division
+of :func:`q_steps`; the other divisions by q read their results from it.
+
 Profiles: a :class:`TruncationProfile` fixes (p, N, M_pi0, M_pi) with
 M_pi0 >= N (so evaluation at pi0 = -p, the Weierstrass remainder, is exact
 mod p^N) and M_pi >= (p-1)*M_pi0 + p (so pi-coordinates determine
@@ -508,52 +511,6 @@ def binomial_power(
     return TruncSeries(var, p, N, tuple(coeffs))
 
 
-def _divmod_linear(f: list[int], p_const: int, pn: int) -> tuple[list[int], int]:
-    """Polynomial division of f by the monic linear factor (X + p_const).
-
-    Returns (quotient of length len(f)-1, constant remainder); exact identity
-    f = (X + p_const) * q + r in Z/pn[X], computed top-down with no scalar
-    inversions.
-    """
-    m = len(f)
-    if m == 1:
-        return [], f[0] % pn
-    q = [0] * (m - 1)
-    q[m - 2] = f[m - 1] % pn
-    for k in range(m - 2, 0, -1):
-        q[k - 1] = (f[k] - p_const * q[k]) % pn
-    r = (f[0] - p_const * q[0]) % pn
-    return q, r
-
-
-def _q_divide(coeffs: list[int], p: int, pn: int, r: int) -> tuple[list[int], list[int]]:
-    """Quotient by (X + p)^r and the r stage remainders, by r linear divisions."""
-    stages: list[int] = []
-    for _ in range(r):
-        coeffs, c = _divmod_linear(coeffs, p, pn)
-        stages.append(c)
-    return coeffs, stages
-
-
-def _q_remainder(stages: list[int], p: int, pn: int, r: int) -> tuple[int, ...]:
-    """The remainder sum_i c_i * (X+p)^(i-1) of the stages, expanded to degree < r."""
-    rem = [0] * r
-    basis = [1] + [0] * max(0, r - 1)
-    for c in stages:
-        if c:
-            for t in range(r):
-                rem[t] = (rem[t] + c * basis[t]) % pn
-        # multiply basis by (X+p)
-        nxt = [0] * r
-        for t in range(r):
-            if basis[t]:
-                nxt[t] = (nxt[t] + p * basis[t]) % pn
-                if t + 1 < r:
-                    nxt[t + 1] = (nxt[t + 1] + basis[t]) % pn
-        basis = nxt
-    return tuple(rem)
-
-
 def cut_table(table: list[list[int]], m: int) -> list[list[int]]:
     """table's members up to the last one nonzero below order m, each cut to m.
 
@@ -564,15 +521,52 @@ def cut_table(table: list[list[int]], m: int) -> list[list[int]]:
     return [Q[:m] for Q in table[:reads]]
 
 
-def q_divide_exact(coeffs: list[int], p: int, pn: int, r: int) -> list[int]:
-    """Quotient of a canonical coefficient list by (X+p)^r, which must divide it.
+def q_steps(coeffs, p: int, pn: int, r: int) -> tuple[list[int], list[list[int]]]:
+    """Divide a canonical coefficient list f by (X+p) r times, top down, with no inversion.
 
-    The remainder vanishes iff every stage remainder does, since the
-    (X+p)^(i-1) are monic of distinct degrees; NotDivisible otherwise.
+    Returns the step remainders [c_1, ..., c_r] and quotients [Q_0, ..., Q_r],
+    where Q_0 = f and Q_(s-1) = (X+p)*Q_s + c_s, so Q_s has length len(f) - s
+    and
+
+        f = (X+p)^r*Q_r + sum_s c_s*(X+p)^(s-1).
+
+    The c_s are the coordinates of the remainder of f by (X+p)^r in the basis
+    (X+p)^(s-1); as those are monic of distinct degrees, the remainder
+    vanishes iff every c_s does.  Every step is Z/p^N-linear in f.
     """
-    quot, stages = _q_divide(coeffs, p, pn, r)
-    if any(stages):
-        rem = _q_remainder(stages, p, pn, r)
+    if not 0 <= r <= len(coeffs):
+        raise InvalidInput("division exponent out of range")
+    rems: list[int] = []
+    quots = [list(coeffs)]
+    for _ in range(r):
+        quot, carry = [], 0
+        for a in reversed(quots[-1]):
+            carry = (a - p * carry) % pn
+            quot.append(carry)
+        rems.append(quot.pop())
+        quot.reverse()
+        quots.append(quot)
+    return rems, quots
+
+
+def q_divmod(coeffs, p: int, pn: int, r: int) -> tuple[list[int], tuple[int, ...]]:
+    """Quotient and remainder (degree < r) of a canonical coefficient list by (X+p)^r.
+
+    The remainder is the step remainders of :func:`q_steps` expanded to the
+    X-basis by Horner's rule, c_1 + (X+p)*(c_2 + (X+p)*(...)).
+    """
+    rems, quots = q_steps(coeffs, p, pn, r)
+    rem: list[int] = []
+    for c in reversed(rems):
+        rem = [(a + p * b) % pn for a, b in zip([0] + rem, rem + [0])]
+        rem[0] = (rem[0] + c) % pn
+    return quots[-1], tuple(rem)
+
+
+def q_divide_exact(coeffs, p: int, pn: int, r: int) -> list[int]:
+    """Quotient of a canonical coefficient list by (X+p)^r, which must divide it (NotDivisible)."""
+    quot, rem = q_divmod(coeffs, p, pn, r)
+    if any(rem):
         raise NotDivisible(f"nonzero remainder {rem} dividing by (X+p)^{r}")
     return quot
 
@@ -580,33 +574,22 @@ def q_divide_exact(coeffs: list[int], p: int, pn: int, r: int) -> list[int]:
 def weierstrass_divide_q_power(
     f: TruncSeries, r: int
 ) -> tuple[TruncSeries, tuple[int, ...]]:
-    """Divide a pi0-series by (X + p)^r with remainder of degree < r.
+    """Divide a pi0-series by (X + p)^r with remainder of degree < r (:func:`q_divmod`).
 
     Reconstruction f = (X+p)^r * quotient + remainder holds exactly at the
-    truncation; the division is r iterated monic linear divisions, so it uses
-    no scalar inversions.
+    truncation.
     """
     if f.var != PI0:
         raise VariableMismatch("Weierstrass division expects a pi0-series")
-    if r < 0 or r > f.order:
-        raise InvalidInput("division exponent out of range")
     quot, rem = q_divmod(f.coeffs, f.p, f.pn, r)
     return TruncSeries._trusted(PI0, f.p, f.N, tuple(quot)), rem
-
-
-def q_divmod(coeffs, p: int, pn: int, r: int) -> tuple[list[int], tuple[int, ...]]:
-    """Quotient and remainder (degree < r) of a canonical coefficient list by (X+p)^r."""
-    quot, stages = _q_divide(list(coeffs), p, pn, r)
-    return quot, _q_remainder(stages, p, pn, r)
 
 
 def weierstrass_divide_exact(f: TruncSeries, r: int) -> TruncSeries:
     """Division by (X+p)^r that must leave remainder zero mod p^N."""
     if f.var != PI0:
         raise VariableMismatch("Weierstrass division expects a pi0-series")
-    if r < 0 or r > f.order:
-        raise InvalidInput("division exponent out of range")
-    quot = q_divide_exact(list(f.coeffs), f.p, f.pn, r)
+    quot = q_divide_exact(f.coeffs, f.p, f.pn, r)
     return TruncSeries._trusted(PI0, f.p, f.N, tuple(quot))
 
 

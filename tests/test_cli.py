@@ -123,6 +123,15 @@ class TestCommands:
         rdata = json.loads(Path(red).read_text(encoding="utf-8"))
         assert rdata["fil_ranks"] == [2, 1, 0]
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_negative_chi_gamma_builds_and_verifies(self, tmp_path, p):
+        # --chi-gamma 1-p is a topological generator; build exited 2
+        src = write(tmp_path, "m.json", {**FL_SIMPLE, "p": p, "N": 6})
+        out = str(tmp_path / "w.json")
+        assert main(["build", "-i", src, "--out", out, "--chi-gamma", str(1 - p)]) == 0
+        assert json.loads(Path(out).read_text(encoding="utf-8"))["chi_gamma"] == str(1 - p)
+        assert main(["verify", "-i", out, "--out", str(tmp_path / "rep.json")]) == 0
+
     def test_build_rank_one_trivial(self, tmp_path, capsys):
         src = write(
             tmp_path,
@@ -407,12 +416,19 @@ def test_wach_loader_raises_only_wachkit_errors(wach_p5, path, value):
 
 
 def _assert_typed_exit(argv):
-    """main(argv) exits with a code in 0..4, and a nonzero one prints one error: line."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    """main(argv) exits with a code in 0..4, and a nonzero one prints one error: line.
+
+    The one exception is verify's exit 4 with nothing on stderr: a failed
+    check, reported on stdout.
+    """
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         code = main(argv)
     assert code in range(5)
-    if code:
+    if code == 4 and not err.getvalue():
+        assert argv[0] == "verify"
+        assert not all(c["pass"] for c in json.loads(out.getvalue())["checks"])
+    elif code:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
@@ -473,3 +489,18 @@ def test_tensor_exits_with_a_code_on_any_pair_of_files(tmp_path_factory, first, 
     one = _write_case(tmp_path_factory, "tensor1.json", FL_SIMPLE, first)
     two = _write_case(tmp_path_factory, "tensor2.json", FL_SIMPLE, second)
     _assert_typed_exit(["tensor", one, two])
+
+
+@given(case=WACH_CASES | st.tuples(st.sampled_from([("p",), ("N",), ("M_pi0",), ("chi_gamma",)]), SMALL))
+@example(case=(("chi_gamma",), 11))  # another generator: a failed check, exit 4 with its report
+@settings(max_examples=150, deadline=None)
+def test_verify_exits_with_a_code_on_any_wach_file(tmp_path_factory, wach_p5, case):
+    src = _write_case(tmp_path_factory, "verify.json", wach_p5, case)
+    _assert_typed_exit(["verify", "-i", src])
+
+
+@given(case=FL_CASES)
+@settings(max_examples=150, deadline=None)
+def test_build_exits_with_a_code_on_any_fl_file(tmp_path_factory, case):
+    src = _write_case(tmp_path_factory, "build.json", FL_SIMPLE, case)
+    _assert_typed_exit(["build", "-i", src])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from wachkit.cyclo import (
     torsion,
 )
 from wachkit.errors import InvalidInput, VariableMismatch
+from wachkit.flmod import make_fl
 from wachkit.series import (
     PI,
     PI0,
@@ -28,6 +30,8 @@ from wachkit.series import (
     series_sub,
     zero_series,
 )
+from wachkit.suite import random_unit_matrix
+from wachkit.wach import solve_wach, verify_wach_axioms
 
 
 def closed_form_pi0_p3(ctx):
@@ -191,6 +195,18 @@ class TestGeneratorIndependence:
             a = apply_operator(ctx, PHI, ctx.gamma_pi0)
             b = apply_operator(ctx, GAMMA, ctx.phi_pi0)
             assert a == b
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_negative_generator(self, p):
+        # chi = 1 - p (-2 at p = 3) is a topological generator; it ended in
+        # "negative exponent".  Its context is that of 1 - p + p^40, which
+        # agrees with it mod the p^K the binomials read, and its solves verify
+        ctx = build_context(p, chi_gamma=1 - p)
+        other = build_context(p, chi_gamma=1 - p + p**40)
+        assert ctx.chi_gamma == 1 - p
+        assert dataclasses.replace(ctx, chi_gamma=other.chi_gamma) == other
+        m = make_fl(p, 16, (0, p - 2), random_unit_matrix(random.Random(p), 2, p, 16))
+        assert verify_wach_axioms(solve_wach(m, ctx)).ok
 
 
 class TestInvarianceAndSerialization:

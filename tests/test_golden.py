@@ -1,16 +1,24 @@
-"""Golden artifacts: the seeded build suite, byte for byte.
+"""Golden artifacts: the seeded build suite and its reductions, byte for byte.
 
-Each entry is (p, weights, iterations_used, SHA-256 of the canonical JSON of
-``wach_to_dict(solve_wach(m))``) for ``generate_suite(7, count=33)`` at the
-default profile.  The digests cover C, G at the user window and
+Each GOLDEN entry is (p, weights, iterations_used, SHA-256 of the canonical
+JSON of ``wach_to_dict(solve_wach(m))``) for ``generate_suite(7, count=33)``
+at the default profile.  The digests cover C, G at the user window and
 ``meta.iterations_used``; they were recorded before the Gamma-solve moved to
 packed series-matrix steps, which must not change one byte.
+
+REDUCED holds, per module, the SHA-256 of the canonical ``reduce`` payload
+(``reduction_to_dict(recover_filtration(w, m.h))``: fil_ranks, weights,
+A_recovered, adapted_basis, fil_generators).  They were recorded while
+recover_filtration still divided each entry of C once per r, before it
+divided each entry once for all r.
 """
 
 import hashlib
+from functools import cache
 
 from wachkit.cyclo import get_context
-from wachkit.serialize import dumps_canonical, wach_to_dict
+from wachkit.reduction import recover_filtration
+from wachkit.serialize import dumps_canonical, reduction_to_dict, wach_to_dict
 from wachkit.suite import generate_suite
 from wachkit.wach import solve_wach
 
@@ -50,13 +58,63 @@ GOLDEN = (
     (7, (0, 3), 8, "c9b96bd09d3d3619faf71cf80b226d7bc02cd4036c0415fc1aad05d3c1dc331b"),
 )
 
+REDUCED = (
+    "6e1bb1672ef3676b3b81fc447a6122ff227cdec88a1f1ba024547447ba416fb4",
+    "d1f722e07ccca4cf123c350851cba8569c8011a1f5e5537598f24c1a35a3bf5c",
+    "cd999ae3fbbd5103fa87b62a8df67101861e9c4592cf99a1444fe8c880b02659",
+    "d06439eb3c5091af7126da3500b26a0391d83d1727d67365e182ec44a0bae533",
+    "1ae19687bf171c0f8bd2fb1b3a379d1f31b621e783136001ebddd2ee1066319f",
+    "1cf68ff413b579227ea621f29ec383e17e7a57af4ba79bd3fc0b0065aa8b58b2",
+    "0b9c8b03cf477ca3dd2ba9a0d93b07a231546cd5bcdea8dfa5667511c084be23",
+    "c301eed2950ae6ec58edce8ba703d878d7bf1bead3d5fb2741a8363d01aa064c",
+    "3d926ae8bebd8fbddec35f5bfbdd43ff39a9bfde187e5de60cac12745c385d5e",
+    "7610dc57d5d984ec9ca01ba5a565e14d85f566d6207ef881f7bf9acec3aedf40",
+    "0da44318eb38683cd6b55d1b5b42ac18ecc4cf2e5aaa7b2502da86b98cf0835f",
+    "6a749060771a661129e3db6d711a4c970e815a964c0493371d11d6d36609f29e",
+    "431cd1930b7f6cb08530fd5ee1c09fed602a2002f582e7bbce8a3b2c171a2644",
+    "1409c4d558615d1054a6f03ba1bd7a403e424cd3f8a1a9f077d38fdb5049983d",
+    "51487cb40901ab4e78ce6b5c1a5a7bd0f1d3dc4231f88a124bc6eb082383728f",
+    "258b26c5e802931766ab76b3f590d4f8554aeb4420a68e628be3f39e9ae59546",
+    "1c1a45794712c51ea370faad066bdc6a394fb98446b12f1e37261d15426ee4b2",
+    "0d5cba713fab19b99e4372a0c07e8961f21fac7b1ecb0819be60e0780eb089f5",
+    "032368c0cb4ebbbd21e13090e933310b4d9b2b7462172799f50d0d1bc52808c5",
+    "4e0dea910f98b78e84cb6dfdfa0e973f747ce7e952c27354d219ed4022cd0e61",
+    "550609e9a6a3fa85d760d9fadc2c3322a23b4a20fee4bdadb43bdd2053868557",
+    "ec5a0ca6bbf1eca13d6c9cda87f3ec2857c067d2dee55c7d9805e6af905ff47e",
+    "fb69c8963c7730bc661d2e6a9984afb247f5b77f3a0af3184fd36419e8f54959",
+    "a4536a957b335b47a81f501c7665d0e5119bee48b1652aa7aa4acf379c4cb1d6",
+    "b263f1a50900cd87b8f6288d99f5c16695f4974866a772489a5c8e8ba39c15ec",
+    "6b078fda7f66dc1c774efd949c3bd705d3497e8d1ec66c954897fe63ba9fc0f1",
+    "18bbb98ce84d1a7dbabc7e8526e74cb60880ab88a5fb7177d47124ee6bf2eeea",
+    "c06a36c60b1aa6146e82ad3e23539033fe7cbea227e7a8e1ccc56c9edf0cc616",
+    "2766c9ad3daa41f36d87d1717c749708b787ec26184bcaaa49ac349b534c796d",
+    "c409b154dee13b8dec01083dad898fafda7949f3a78bf88a946849dd713f2e3b",
+    "da95f1d49a0b2325798dda27cca5038d34f9bd5e5be6327848e74fcb94689d73",
+    "20856e1e9d40b658e6145205d8b03e4c87334a0a0da3dde7e0a5ec9c9ab52215",
+    "760eb72ac8015df114acf69326cfa6cbc84966f447ab717985c52c6a5349fa47",
+)
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(dumps_canonical(payload).encode()).hexdigest()
+
+
+@cache
+def _solved_suite():
+    return [(m, solve_wach(m, get_context(m.p, m.N, m.N))) for m in generate_suite(7, count=33)]
+
 
 def test_seeded_suite_artifacts_are_unchanged():
-    modules = generate_suite(7, count=33)
-    assert len(modules) == len(GOLDEN)
-    for m, (p, weights, iterations, digest) in zip(modules, GOLDEN):
+    suite = _solved_suite()
+    assert len(suite) == len(GOLDEN)
+    for (m, w), (p, weights, iterations, digest) in zip(suite, GOLDEN):
         assert (m.p, m.weights) == (p, weights)
-        w = solve_wach(m, get_context(m.p, m.N, m.N))
-        text = dumps_canonical(wach_to_dict(w))
         assert w.iterations_used == iterations, (p, weights)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, (p, weights)
+        assert _sha256(wach_to_dict(w)) == digest, (p, weights)
+
+
+def test_seeded_suite_reductions_are_unchanged():
+    suite = _solved_suite()
+    assert len(suite) == len(REDUCED)
+    for (m, w), digest in zip(suite, REDUCED):
+        assert _sha256(reduction_to_dict(recover_filtration(w, m.h))) == digest, (m.p, m.weights)

@@ -16,15 +16,15 @@ from wachkit.errors import (
 )
 from wachkit.flmod import make_fl, unit_fl
 from wachkit.padic import PMatrix
+from wachkit import reduction
 from wachkit.reduction import (
-    _fil_lattice,
-    _phi_r_image,
+    _divided_frobenius,
     normalize_basis,
     recover_filtration,
     reduce_mod_pi0,
     roundtrip_check,
 )
-from wachkit.series import PI, PI0, SeriesMat, Substitution, TruncSeries, constant_series, pad, q_powers, series_scale
+from wachkit.series import PI, PI0, SeriesMat, Substitution, TruncSeries, constant_series, pad, q_powers, q_steps, series_scale
 from wachkit.suite import generate_suite, random_unit_matrix
 from wachkit.wach import WachModule, phi_matrix, solve_wach
 
@@ -118,8 +118,9 @@ class TestRecoverFiltration:
             for weights in ((0, p - 2), (1, 1, p - 2)):
                 m = make_fl(p, 16, weights, random_unit_matrix(rng, len(weights), p, 16))
                 w = solve_wach(m, ctx)
+                red = recover_filtration(w, m.h)
                 for r in range(m.h + 2):
-                    assert _fil_lattice(w, r) == full_fil_lattice(w, r), (p, weights, r)
+                    assert red.fil_generators[r] == full_fil_lattice(w, r), (p, weights, r)
 
     def test_random_roundtrips(self, contexts):
         rng = random.Random(14)
@@ -155,16 +156,37 @@ class TestRecoverFiltration:
         w = solve_wach(m, ctx5)
         red = recover_filtration(w, m.h)
         pn = 5**16
+        entries = [[q_steps(e, 5, pn, 3) for e in row] for row in w.C.pad(ctx5.work.M_pi0).rows]
         lat = red.fil_generators[2]  # Fil^2 generators
         for i in range(lat.rows):
             x = list(lat.row(i))
-            low = _phi_r_image(w, x, 1)
-            high = _phi_r_image(w, x, 2)
+            low = _divided_frobenius(entries, x, 1, pn)
+            high = _divided_frobenius(entries, x, 2, pn)
             assert low == [(5 * v) % pn for v in high]
+
+    def test_divides_each_entry_once(self, contexts, monkeypatch):
+        # one q_steps call per entry of C for all r <= h_max + 1, and none
+        # for the divided Frobenius of the chosen basis vectors
+        calls = []
+        q_steps_once = reduction.q_steps
+
+        def counted(coeffs, p, pn, r):
+            calls.append(r)
+            return q_steps_once(coeffs, p, pn, r)
+
+        monkeypatch.setattr(reduction, "q_steps", counted)
+        rng = random.Random(16)
+        for p, ctx in contexts.items():
+            for weights in ((0,), (0, p - 2), (1, 1, p - 2)):
+                w = solve_wach(make_fl(p, 16, weights, random_unit_matrix(rng, len(weights), p, 16)), ctx)
+                for h in range(max(weights), p - 1):
+                    calls.clear()
+                    recover_filtration(w, h)
+                    assert calls == [h + 1] * len(weights) ** 2, (p, weights, h)
 
     def test_h_max_guard(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidInput):
             recover_filtration(w, 5)
         with pytest.raises(InvalidInput):  # no steps to recover: was an IndexError
             recover_filtration(w, -1)

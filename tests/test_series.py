@@ -35,9 +35,12 @@ from wachkit.series import (
     default_pi_order,
     pi0_coordinates,
     q_divide_exact,
+    q_divmod,
+    q_steps,
     series_add,
     series_invert_unit,
     series_multiply,
+    series_scale,
     shift_divide_exact,
     weierstrass_divide_exact,
     weierstrass_divide_q_power,
@@ -64,9 +67,9 @@ class TestProfile:
         prof = TruncationProfile.default(3)
         assert prof.M_pi0 >= prof.N
         assert prof.M_pi >= (prof.p - 1) * prof.M_pi0 + prof.p
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidInput):
             TruncationProfile(3, 16, 8, 100)  # M_pi0 < N
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidInput):
             TruncationProfile(3, 4, 4, 5)  # M_pi too small
 
 
@@ -286,6 +289,37 @@ class TestWeierstrass:
                     msg = f"nonzero remainder {rem} dividing by (X+p)^{r}"
                     with pytest.raises(NotDivisible, match=re.escape(msg)):
                         weierstrass_divide_exact(bad, r)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+    def test_steps_reconstruct(self, p):
+        # f = (X+p)^r*Q_r + sum_s c_s*(X+p)^(s-1) for every r up to len(f),
+        # where the last quotient is empty and the remainder is f
+        rng = random.Random(90 + p)
+        N, order = 3, 9
+        pn = p**N
+        q = make_series(PI0, [p, 1] + [0] * (order - 2), p, N)
+        for _ in range(3):
+            f = rand_series(rng, PI0, p, N, order)
+            for r in range(order + 1):
+                rems, quots = q_steps(f.coeffs, p, pn, r)
+                assert len(rems) == r and [len(Q) for Q in quots] == list(range(order, order - r - 1, -1))
+                assert quots[0] == list(f.coeffs)
+                back = series_multiply(series_pow(q, r), make_series(PI0, quots[r] + [0] * r, p, N))
+                for s, c in enumerate(rems):
+                    back = series_add(back, series_scale(series_pow(q, s), c))
+                assert back.coeffs == f.coeffs, (r,)
+                quot, rem = q_divmod(f.coeffs, p, pn, r)
+                assert quot == quots[r] and len(rem) == r
+            assert q_steps(f.coeffs, p, pn, order)[1][-1] == []
+            assert q_divmod(f.coeffs, p, pn, order) == ([], f.coeffs)
+
+    @pytest.mark.parametrize("r", [-1, 5])
+    def test_exponent_outside_the_list_is_invalid_input(self, r):
+        # r = len(f) + 1 ended in an IndexError
+        f = [3, 1, 0, 0]
+        for divide in (q_steps, q_divmod, q_divide_exact):
+            with pytest.raises(InvalidInput):
+                divide(f, 3, 81, r)
 
     def test_exact_division_guards(self):
         f = make_series(PI0, [3, 1, 0, 0], 3, 4)
