@@ -61,13 +61,13 @@ def _emit(text: str, out: str | None) -> None:
 def _context_for(m, args) -> CycloContext:
     """The context of an FL module; --prec-p may lower its N, never raise it."""
     N = m.N
-    if args.prec_p:
+    if args.prec_p is not None:
         if args.prec_p > N:
             raise InvalidInput(
                 f"--prec-p {args.prec_p} exceeds the input's precision N = {N}"
             )
         N = args.prec_p
-    m_pi0 = args.prec_pi0 or N
+    m_pi0 = N if args.prec_pi0 is None else args.prec_pi0
     chi = args.chi_gamma
     return get_context(m.p, N, m_pi0, chi)
 
@@ -76,7 +76,7 @@ def _cmd_build(args) -> int:
     data = load_json(args.input)
     m = fl_from_dict(data)
     ctx = _context_for(m, args)
-    if args.prec_p:
+    if args.prec_p is not None:
         m = fl_from_dict({**data, "N": args.prec_p})
     w = solve_wach(m, ctx, max_iter=args.max_iter)
     _emit(dumps_canonical(wach_to_dict(w)), args.out)
@@ -138,7 +138,7 @@ def _cmd_normalize(args) -> int:
     data = load_json(args.input)
     m, C_pert = perturbed_from_dict(data)
     ctx = _context_for(m, args)
-    if args.prec_p:
+    if args.prec_p is not None:
         m, C_pert = perturbed_from_dict({**data, "fl": {**data["fl"], "N": args.prec_p}})
     P = normalize_basis(C_pert, m, ctx, max_iter=args.max_iter)
     _emit(dumps_canonical(base_change_to_dict(P)), args.out)
@@ -161,7 +161,8 @@ def _cmd_roundtrip(args) -> int:
     checks = []
     all_ok = True
     for idx, m in enumerate(modules):
-        ctx = get_context(m.p, m.N, args.prec_pi0 or m.N, args.chi_gamma)
+        m_pi0 = m.N if args.prec_pi0 is None else args.prec_pi0
+        ctx = get_context(m.p, m.N, m_pi0, args.chi_gamma)
         rep = roundtrip_check(m, ctx, seed=args.seed + idx)
         ok = rep.ok
         all_ok = all_ok and ok

@@ -5,13 +5,14 @@ Scalars are represented by :class:`PScalar` (a canonical residue in
 stores a row-major tuple of plain int residues sharing one (p, N).  Mixed
 moduli are rejected rather than coerced.
 
-The linear algebra is what a local PIR Z/p^N supports exactly:
+The linear algebra is what a local PIR Z/p^N supports exactly, and one
+elimination does all of it: the Howell form, the canonical echelon form
+whose rows include the p-power "shadows" needed so that row spans can be
+compared and membership decided.  From it come
 
-* inversion of matrices that are invertible mod p (Gauss-Jordan, unit pivots),
-* Howell form: the canonical echelon form whose rows include the p-power
-  "shadows" needed so that row spans can be compared and membership decided,
-* kernels via the Howell form of the augmented transpose,
-* Smith elementary divisors (p-power diagonal).
+* inverses of matrices that are invertible mod p (the form of [A | I]),
+* ranks mod p (the row count of the form at N = 1),
+* kernels (the form of the augmented transpose [A^T | I]).
 """
 
 from __future__ import annotations
@@ -246,29 +247,31 @@ class PMatrix:
 
 
 def matrix_inverse_mod(A: PMatrix) -> PMatrix:
-    """Inverse of a matrix with unit determinant mod p, exact mod p^N."""
+    """Inverse of a matrix with unit determinant mod p, exact mod p^N.
+
+    The rows of [A | I] span the pairs (x*A, x), so their Howell form has
+    unit pivots on all of A's columns exactly when some X has X*A = I; it is
+    then [I | A^(-1)].
+    """
     if A.rows != A.cols:
         raise InvalidInput("inverse needs a square matrix")
     n = A.rows
-    pn = A.modulus
-    work = [list(A.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] % A.p != 0), None)
-        if piv is None:
-            raise SingularModP("matrix is singular mod p")
-        work[col], work[piv] = work[piv], work[col]
-        inv = pow(work[col][col], -1, pn)
-        work[col] = [(x * inv) % pn for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [(x - f * y) % pn for x, y in zip(work[r], work[col])]
-    ents = tuple(work[i][n + j] for i in range(n) for j in range(n))
-    return PMatrix(n, n, ents, A.p, A.N)
+    aug = [list(A.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    H = _howell_rows(aug, A.p, A.N)
+    if len(H) < n or any(H[i][i] != 1 for i in range(n)):
+        raise SingularModP("matrix is singular mod p")
+    return PMatrix(n, n, tuple(x for row in H[:n] for x in row[n:]), A.p, A.N)
 
 
 def _howell_rows(rows: list[list[int]], p: int, N: int) -> list[list[int]]:
-    """Howell form of the span of the given rows, as a list of pivot rows."""
+    """Howell form of the span of the given rows, as a list of pivot rows.
+
+    Each pivot is p^v and every entry above it lies in [0, p^v).  The
+    p^(N-v)-shadow of each pivot row rejoins the pool, so for every k the
+    rows that vanish on the first k columns span all of the span that does
+    (the Howell property).  The form is canonical: equal spans give equal
+    lists.
+    """
     pn = p**N
     m = len(rows[0]) if rows else 0
     work = [[x % pn for x in r] for r in rows if any(x % pn for x in r)]
@@ -286,7 +289,6 @@ def _howell_rows(rows: list[list[int]], p: int, N: int) -> list[list[int]]:
         unit = row[col] // p**bestval
         inv = pow(unit, -1, pn)
         row = [(x * inv) % pn for x in row]  # pivot becomes p^bestval
-        piv = row[col]
         for r in work:
             if r[col]:
                 f = (r[col] // p**bestval) % pn
@@ -304,7 +306,7 @@ def _howell_rows(rows: list[list[int]], p: int, N: int) -> list[list[int]]:
         pk = p**val
         for j in range(k):
             r = pivots[j][2]
-            if r[col] % pk:
+            if r[col] >= pk:
                 f = r[col] // pk
                 for t in range(col, m):
                     r[t] = (r[t] - f * pivots[k][2][t]) % pn
@@ -322,62 +324,13 @@ def howell_form(A: PMatrix) -> PMatrix:
 def howell_kernel(A: PMatrix) -> PMatrix:
     """Canonical generating set (rows) of {x : A x = 0 mod p^N}.
 
-    Computed as the Howell form of [A^T | I]: rows whose A^T-part vanished
-    carry kernel generators in their identity part, and the Howell closure
-    guarantees every kernel element is a combination of the returned rows.
+    The rows of [A^T | I] span the pairs ((A y)^T, y).  In their Howell form
+    the rows whose A^T-part vanished span the kernel (the Howell property),
+    and their identity parts are already the kernel's Howell form.
     """
     n, m = A.rows, A.cols
-    pn = A.modulus
-    aug = []
-    for j in range(m):
-        row = [A.at(i, j) % pn for i in range(n)] + [0] * m
-        row[n + j] = 1
-        aug.append(row)
-    reduced = _howell_rows(aug, A.p, A.N)
-    gens = [r[n:] for r in reduced if not any(r[:n])]
-    gens = _howell_rows(gens, A.p, A.N) if gens else []
+    aug = [[A.at(i, j) for i in range(n)] + [int(j == k) for k in range(m)] for j in range(m)]
+    gens = [r[n:] for r in _howell_rows(aug, A.p, A.N) if not any(r[:n])]
     if not gens:
         return PMatrix(0, m, (), A.p, A.N)
     return PMatrix.from_lists(gens, A.p, A.N)
-
-
-def smith_elementary_divisors(A: PMatrix) -> list[int]:
-    """p-valuations of the Smith elementary divisors of A over Z/p^N.
-
-    Returns a list of length min(rows, cols); entries N stand for divisors
-    that vanish mod p^N.
-    """
-    pn = A.modulus
-    work = A.to_lists()
-    n, m = A.rows, A.cols
-    divisors: list[int] = []
-    top = 0
-    while top < min(n, m):
-        best, bestval = None, A.N
-        for i in range(top, n):
-            for j in range(top, m):
-                v = pval(work[i][j], A.p, A.N)
-                if v < bestval:
-                    bestval, best = v, (i, j)
-        if best is None:
-            divisors.extend([A.N] * (min(n, m) - top))
-            break
-        bi, bj = best
-        work[top], work[bi] = work[bi], work[top]
-        for row in work:
-            row[top], row[bj] = row[bj], row[top]
-        inv = pow(work[top][top] // A.p**bestval, -1, pn)
-        work[top] = [(x * inv) % pn for x in work[top]]
-        piv = A.p**bestval
-        for i in range(top + 1, n):
-            if work[i][top]:
-                f = work[i][top] // piv
-                work[i] = [(x - f * y) % pn for x, y in zip(work[i], work[top])]
-        for j in range(top + 1, m):
-            if work[top][j]:
-                f = work[top][j] // piv
-                for i in range(top, n):
-                    work[i][j] = (work[i][j] - f * work[i][top]) % pn
-        divisors.append(bestval)
-        top += 1
-    return divisors

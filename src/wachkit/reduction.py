@@ -45,14 +45,7 @@ from .errors import (
     WachkitError,
 )
 from .flmod import FLModule, require_valid, validate_fl
-from .padic import (
-    PMatrix,
-    howell_form,
-    howell_kernel,
-    matrix_inverse_mod,
-    pval,
-    smith_elementary_divisors,
-)
+from .padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval
 from .series import SeriesMat, q_divide_exact, q_steps
 from .wach import WachModule, lift_identity, non_identity_entry, phi_matrix, solve_wach
 
@@ -79,22 +72,16 @@ def reduce_mod_pi0(w: WachModule) -> tuple[PMatrix, PMatrix]:
 
 
 def _fil_lattice(entries, r: int, p: int, N: int) -> PMatrix:
-    """Canonical generators of Fil^r as rows of a Howell form.
+    """Canonical generators of Fil^r: the Howell kernel of its system.
 
     entries[i2][i] holds the q_steps of C_(i2,i); row i2*r + s - 1 of the
     system is the step remainder c_s of (C*x)_i2, s = 1..r, linear in the
     unknowns x (the module docstring says why the lift terms y_k drop out).
     """
-    d = len(entries)
     if r == 0:
-        return PMatrix.identity(d, p, N)
+        return PMatrix.identity(len(entries), p, N)
     rows = [[rems[s] for rems, _ in row] for row in entries for s in range(r)]
-    kern = howell_kernel(PMatrix.from_lists(rows, p, N))
-    xs = [list(kern.row(i)) for i in range(kern.rows)]
-    xs = [row for row in xs if any(row)]
-    if not xs:
-        return PMatrix(0, d, (), p, N)
-    return howell_form(PMatrix.from_lists(xs, p, N))
+    return howell_kernel(PMatrix.from_lists(rows, p, N))
 
 
 def _saturation_guard(lat: PMatrix) -> None:
@@ -151,9 +138,9 @@ def recover_filtration(w: WachModule, h_max: int) -> FilteredReduction:
             if len(chosen) == fil_ranks[r]:
                 break
             cand = list(lat.row(i))
-            # the rank mod p is the number of unit Smith divisors over Z/p
+            # the rank mod p is the row count of the Howell form over Z/p
             vectors = PMatrix.from_lists([v for _, v in chosen] + [cand], p, 1)
-            if smith_elementary_divisors(vectors).count(0) > len(chosen):
+            if howell_form(vectors).rows > len(chosen):
                 chosen.append((r, cand))
         if len(chosen) != fil_ranks[r]:
             raise PrecisionExhausted(f"cannot complete a basis of Fil^{r}")
@@ -196,11 +183,11 @@ def normalize_basis(
 
     C_perturbed is any d x d nested sequence of pi0-series over the context;
     each series is taken as exact at its stated truncation.  Raises
-    InvalidInput for a wrong shape, ValidationFailed if the target's modulus
-    is not the context's, NotCongruent if C_perturbed does not reduce to
-    A*diag(p^(r_j)) mod pi0, NotDivisible if the perturbation is not
-    realizable over the ring, and NoConvergence if the iteration budget is
-    exhausted.  P is the lift of the identity of the module docstring,
+    InvalidInput for a wrong shape or a negative max_iter, ValidationFailed
+    if the target's modulus is not the context's, NotCongruent if
+    C_perturbed does not reduce to A*diag(p^(r_j)) mod pi0, NotDivisible if
+    the perturbation is not realizable over the ring, and NoConvergence if
+    the iteration budget is exhausted.  P is the lift of the identity of the module docstring,
     certified by C_perturbed*phi(P) = P*A*Q on the user window.
     """
     require_valid(target)
@@ -217,6 +204,8 @@ def normalize_basis(
     M = ctx.profile.M_pi0
     if max_iter is None:
         max_iter = N + M + p + 4
+    elif max_iter < 0:
+        raise InvalidInput(f"iteration budget max_iter = {max_iter} is negative")
 
     AQ = phi_matrix(A, weights, work.q)
     expected = AQ.constant_terms()

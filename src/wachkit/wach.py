@@ -13,7 +13,8 @@ with v = gamma(q)/q, writing G = Id + pi0*X the equation is
 so L = A, R = A^(-1) and one factor (i, q^(r_i)*v^(-r_j)) per entry.  The
 iteration starts at G = Id (or at a given guess) and stops when two
 successive iterates agree on the user window; the default budget is
-M_pi0 + 4 steps, and exceeding it raises NoConvergence rather than looping.
+M_pi0 + 4 steps, and exceeding it raises NoConvergence rather than looping
+(a negative budget is InvalidInput).
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ def solve_gamma_matrix(
     M = ctx.profile.M_pi0
     if max_iter is None:
         max_iter = M + 4
+    elif max_iter < 0:
+        raise InvalidInput(f"iteration budget max_iter = {max_iter} is negative")
 
     C = SeriesMat(C, p, N)
     if len(C) != d:

@@ -294,6 +294,29 @@ class TestCommands:
         # M_pi0 < N violates the profile invariant; must fail as validation
         assert main(["build", "-i", src, "--prec-pi0", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            (command, flags)
+            for command in ("build", "reduce", "normalize")
+            for flags in ("--prec-p 0", "--prec-p -1", "--prec-pi0 0", "--max-iter -1")
+        ]
+        + [("roundtrip", "--prec-pi0 0"), ("roundtrip", "--prec-pi0 -1")],
+    )
+    def test_zero_and_negative_budgets_are_validation_errors(self, tmp_path, capsys, command, flags):
+        # the flags were read by truthiness: a 0 was ignored and the artifact
+        # written at the input's precision, and --max-iter -1 exited 3 as a
+        # convergence failure
+        src = write(tmp_path, "m.json", PERTURBED_SIMPLE if command == "normalize" else FL_SIMPLE)
+        assert main([command, "-i", src, *flags.split()]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_iteration_budget_is_a_convergence_failure(self, tmp_path, capsys):
+        src = write(tmp_path, "m.json", FL_SIMPLE)
+        assert main(["build", "-i", src, "--max-iter", "0"]) == 3
+        assert capsys.readouterr().err.startswith("error: no stabilization")
+
     def test_prec_p_above_input_is_a_validation_error(self, tmp_path, capsys):
         # A is known mod 3^4 only: an N = 16 artifact would claim precision
         # the input does not carry
@@ -418,15 +441,15 @@ def test_wach_loader_raises_only_wachkit_errors(wach_p5, path, value):
 def _assert_typed_exit(argv):
     """main(argv) exits with a code in 0..4, and a nonzero one prints one error: line.
 
-    The one exception is verify's exit 4 with nothing on stderr: a failed
-    check, reported on stdout.
+    The one exception is an exit 4 of verify or roundtrip with nothing on
+    stderr: a failed check, reported on stdout.
     """
     err, out = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         code = main(argv)
     assert code in range(5)
     if code == 4 and not err.getvalue():
-        assert argv[0] == "verify"
+        assert argv[0] in ("verify", "roundtrip")
         assert not all(c["pass"] for c in json.loads(out.getvalue())["checks"])
     elif code:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
@@ -504,3 +527,10 @@ def test_verify_exits_with_a_code_on_any_wach_file(tmp_path_factory, wach_p5, ca
 def test_build_exits_with_a_code_on_any_fl_file(tmp_path_factory, case):
     src = _write_case(tmp_path_factory, "build.json", FL_SIMPLE, case)
     _assert_typed_exit(["build", "-i", src])
+
+
+@given(case=FL_CASES)
+@settings(max_examples=150, deadline=None)
+def test_roundtrip_exits_with_a_code_on_any_fl_file(tmp_path_factory, case):
+    src = _write_case(tmp_path_factory, "roundtrip.json", FL_SIMPLE, case)
+    _assert_typed_exit(["roundtrip", "-i", src])

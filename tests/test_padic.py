@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -15,9 +16,48 @@ from wachkit.padic import (
     matrix_inverse_mod,
     pval,
     scalar_inverse,
-    smith_elementary_divisors,
     teichmueller_lift,
 )
+
+
+def random_matrix(rng, rows, cols, p, N):
+    return PMatrix(rows, cols, tuple(rng.randrange(p**N) for _ in range(rows * cols)), p, N)
+
+
+def det(A: PMatrix) -> int:
+    """Determinant mod p^N by Laplace expansion, each minor computed once."""
+    rows = A.to_lists()
+
+    @functools.cache
+    def minor(cols: tuple[int, ...]) -> int:
+        # the minor on the last len(cols) rows and the columns cols
+        if not cols:
+            return 1
+        top = rows[A.rows - len(cols)]
+        return sum((-1) ** k * top[c] * minor(cols[:k] + cols[k + 1 :]) for k, c in enumerate(cols) if top[c])
+
+    return minor(tuple(range(A.cols))) % A.modulus
+
+
+def same_span(rng, rows: list[list[int]], p: int, N: int) -> list[list[int]]:
+    """rows recombined by random unimodular row operations, shuffled, and
+    padded with redundant combinations: a different generating set of the
+    same span."""
+    pn = p**N
+    out = [list(r) for r in rows]
+    for _ in range(2 * len(out)):
+        i, j = rng.randrange(len(out)), rng.randrange(len(out))
+        unit = rng.randrange(1, p) + p * rng.randrange(p ** (N - 1))
+        if i == j:
+            out[i] = [x * unit % pn for x in out[i]]
+        else:
+            c = rng.randrange(pn)
+            out[i] = [(x + c * y) % pn for x, y in zip(out[i], out[j])]
+    for _ in range(rng.randint(0, 2)):
+        coefs = [rng.randrange(pn) for _ in out]
+        out.append([sum(c * r[k] for c, r in zip(coefs, out)) % pn for k in range(len(out[0]))])
+    rng.shuffle(out)
+    return out
 
 
 class TestScalarInverse:
@@ -115,6 +155,65 @@ class TestMatrixInverse:
             assert A.mul(inv) == I
             assert inv.mul(A) == I
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])  # 9 is the rank of a 3 x 3 tensor product
+    def test_p17_inverses(self, d):
+        rng = random.Random(170 + d)
+        p, N = 17, 16
+        I = PMatrix.identity(d, p, N)
+        for _ in range(4):
+            A = random_matrix(rng, d, d, p, N)
+            while det(A) % p == 0:
+                A = random_matrix(rng, d, d, p, N)
+            inv = matrix_inverse_mod(A)
+            assert A.mul(inv) == I
+            assert inv.mul(A) == I
+            assert A.is_unit_matrix()
+
+    @pytest.mark.parametrize("p, N", [(3, 4), (5, 3), (7, 2), (17, 3)])
+    def test_singular_mod_p_only(self, p, N):
+        # det is a nonzero multiple of p: invertible over Q_p, not over Z/p^N
+        rng = random.Random(p * N)
+        pn = p**N
+        for d in (2, 3, 4):
+            for tamper in ("p times a unit row", "two rows equal mod p"):
+                while True:
+                    rows = random_matrix(rng, d, d, p, N).to_lists()
+                    if tamper == "p times a unit row":
+                        rows[-1] = [p * x % pn for x in rows[-1]]
+                    else:
+                        rows[-1] = [(x + p * rng.randrange(pn)) % pn for x in rows[0]]
+                    A = PMatrix.from_lists(rows, p, N)
+                    if det(A) % p == 0 and det(A) != 0:
+                        break
+                with pytest.raises(SingularModP):
+                    matrix_inverse_mod(A)
+                assert not A.is_unit_matrix()
+
+    def test_non_square_is_invalid_input(self):
+        A = PMatrix.from_lists([[1, 0, 0], [0, 1, 0]], 5, 2)
+        with pytest.raises(InvalidInput):
+            matrix_inverse_mod(A)
+        assert not A.is_unit_matrix()
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_verdict_agrees_with_det(self, p):
+        # invertible over Z/p^N iff the determinant is a unit
+        rng = random.Random(60 + p)
+        N = 3
+        seen = set()
+        for _ in range(80):
+            d = rng.randint(1, 4)
+            A = random_matrix(rng, d, d, p, N)
+            unit = det(A) % p != 0
+            assert A.is_unit_matrix() == unit
+            if unit:
+                assert A.mul(matrix_inverse_mod(A)) == PMatrix.identity(d, p, N)
+            else:
+                with pytest.raises(SingularModP):
+                    matrix_inverse_mod(A)
+            seen.add(unit)
+        assert seen == {True, False}
+
 
 class TestHowellKernel:
     def test_injective(self):
@@ -172,30 +271,51 @@ class TestHowellKernel:
             assert in_row_span(H, list(v)) == (v in span)
 
 
+class TestHowellCanonical:
+    def test_unit_pivot_clears_the_entries_above(self):
+        # [[1, 1], [0, 1]] and the identity span the same module
+        for p in (3, 5):
+            I = PMatrix.identity(2, p, 2)
+            assert howell_form(PMatrix.from_lists([[1, 1], [0, 1]], p, 2)) == I
+            assert howell_form(I) == I
+
+    def test_entries_above_reduced_mod_the_pivot(self):
+        # mod 25, 10 = 2*5 above the pivot 5 reduces to 0
+        H = PMatrix.from_lists([[5, 0], [0, 5]], 5, 2)
+        assert howell_form(PMatrix.from_lists([[5, 10], [0, 5]], 5, 2)) == H
+        assert howell_form(H) == H
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_same_span_same_form(self, p, N):
+        rng = random.Random(100 * p + N)
+        for _ in range(40):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            gens = random_matrix(rng, rows, cols, p, N).to_lists()
+            if rng.random() < 0.5:  # non-unit entries exercise the p-power shadows
+                gens = [[x * p ** rng.randrange(N) for x in r] for r in gens]
+            H = howell_form(PMatrix.from_lists(gens, p, N))
+            other = PMatrix.from_lists(same_span(rng, gens, p, N), p, N)
+            assert howell_form(other) == H
+            assert howell_form(H) == H
+
+    @pytest.mark.parametrize("p, N", [(3, 2), (3, 3), (5, 2), (7, 2)])
+    def test_kernel_depends_on_the_row_span_only(self, p, N):
+        rng = random.Random(7 * p + N)
+        for _ in range(40):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+            gens = [[x * p ** rng.randrange(N) for x in r] for r in random_matrix(rng, rows, cols, p, N).to_lists()]
+            K = howell_kernel(PMatrix.from_lists(gens, p, N))
+            assert howell_kernel(PMatrix.from_lists(same_span(rng, gens, p, N), p, N)) == K
+            assert howell_form(K) == K
+
+
 class TestSmith:
-    def test_diagonal(self):
-        A = PMatrix.from_lists([[1, 0, 0], [0, 3, 0], [0, 0, 9]], 3, 4)
-        assert smith_elementary_divisors(A) == [0, 1, 2]
-
-    def test_conjugation_invariance(self):
-        rng = random.Random(3)
-        p, N = 5, 4
-        pn = p**N
-        D = PMatrix.from_lists([[5, 0], [0, 25]], p, N)
-        for _ in range(10):
-            while True:
-                U = PMatrix(2, 2, tuple(rng.randrange(pn) for _ in range(4)), p, N)
-                try:
-                    matrix_inverse_mod(U)
-                    break
-                except SingularModP:
-                    continue
-            assert smith_elementary_divisors(U.mul(D).mul(matrix_inverse_mod(U))) == [1, 2]
-
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_rank_mod_p_against_brute_kernel(self, p):
         # the rank mod p that recover_filtration reads, the number of unit
-        # Smith divisors at N = 1, is cols - log_p |kernel| by enumeration
+        # Smith divisors at N = 1, is the row count of the Howell form over
+        # Z/p, and cols - log_p |kernel| by enumeration
         rng = random.Random(40 + p)
         full_rank = set()
         for _ in range(30):
@@ -207,7 +327,7 @@ class TestSmith:
             right = PMatrix(k, cols, tuple(rng.randrange(p) for _ in range(k * cols)), p, 1)
             M = left.mul(right)
             kernel_size = len(brute_kernel(M))
-            rank = smith_elementary_divisors(M).count(0)
+            rank = howell_form(M).rows
             assert p ** (cols - rank) == kernel_size
             full_rank.add(rank == min(rows, cols))
         assert full_rank == {True, False}  # full-rank and rank-deficient cases ran

@@ -15,7 +15,7 @@ from wachkit.errors import (
     VariableMismatch,
 )
 from wachkit.flmod import make_fl, unit_fl
-from wachkit.padic import PMatrix
+from wachkit.padic import PMatrix, howell_kernel, pval
 from wachkit import reduction
 from wachkit.reduction import (
     _divided_frobenius,
@@ -77,13 +77,16 @@ class TestReduce:
 
     def test_weights_recovered_from_elementary_divisors(self, ctx5):
         # the reduction constants determine the weights as p-valuations of
-        # the elementary divisors of C0
-        from wachkit.padic import smith_elementary_divisors
-
+        # the elementary divisors of C0: over Z/p^k, C0 ~ diag(p^(r_j)), whose
+        # kernel has p^(sum_j min(r_j, k)) elements, and k = 1..4 > max r_j
+        # pins the multiset of r_j.  A Howell row with pivot p^v adds k - v.
         rng = random.Random(77)
         m = make_fl(5, 16, (0, 1, 3), random_unit_matrix(rng, 3, 5, 16))
         C0, _ = reduce_mod_pi0(solve_wach(m, ctx5))
-        assert tuple(sorted(smith_elementary_divisors(C0))) == m.weights
+        for k in range(1, 5):
+            K = howell_kernel(PMatrix(3, 3, C0.entries, 5, k))
+            log_size = sum(k - pval(next(x for x in K.row(i) if x), 5, k) for i in range(K.rows))
+            assert log_size == sum(min(r, k) for r in m.weights), k
 
     def test_tampered(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
@@ -240,6 +243,15 @@ class TestNormalize:
         assert normalize_basis(C_pert, m, ctx5) is not None
         with pytest.raises(NoConvergence):
             normalize_basis(C_pert, m, ctx5, max_iter=1)
+
+    def test_negative_budget_is_invalid_input(self, ctx5):
+        rng = random.Random(8)
+        m = make_fl(5, 16, (0, 2), random_unit_matrix(rng, 2, 5, 16))
+        C_pert, _, _ = planted_perturbation(ctx5, m, seed=8)
+        with pytest.raises(InvalidInput):
+            normalize_basis(C_pert, m, ctx5, max_iter=-1)
+        with pytest.raises(NoConvergence):
+            normalize_basis(C_pert, m, ctx5, max_iter=0)
 
 
     @pytest.mark.parametrize(

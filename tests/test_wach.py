@@ -141,6 +141,14 @@ class TestSolver:
         with pytest.raises(NoConvergence):
             solve_gamma_matrix(C, m.weights, m.A, ctx3, max_iter=2)
 
+    def test_negative_budget_is_invalid_input(self, ctx3):
+        m = make_fl(3, 16, (1,), PMatrix(1, 1, (1,), 3, 16))
+        C = build_phi_matrix(m, ctx3)
+        with pytest.raises(InvalidInput):
+            solve_gamma_matrix(C, m.weights, m.A, ctx3, max_iter=-1)
+        with pytest.raises(NoConvergence):
+            solve_gamma_matrix(C, m.weights, m.A, ctx3, max_iter=0)
+
     def test_rank_zero_is_invalid_input(self, ctx5):
         # FLModule accepts weights (); the solver must refuse it with a typed
         # error before it builds anything
