@@ -28,6 +28,7 @@ from .padic import inv_mod, teichmueller_lift
 from .series import (
     PI,
     PI0,
+    Cache,
     Substitution,
     TruncationProfile,
     TruncSeries,
@@ -106,6 +107,8 @@ class CycloContext:
     phi_sub: Substitution = field(compare=False, repr=False)
     gamma_sub: Substitution = field(compare=False, repr=False)
     torsion_subs: tuple[Substitution, ...] = field(compare=False, repr=False)
+    # the Gamma-solve's plans, per weight tuple (wach.gamma_plan): a cache
+    plans: Cache = field(compare=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -130,6 +133,13 @@ class CycloContext:
             if order == p - 1:
                 return g
         raise AssertionError("no primitive root found")
+
+
+# Gamma-solve plans kept per context.  A plan holds T packed products per
+# pair of distinct weights (T <= M_pi0), so the cap bounds memory when many
+# weight tuples are solved over one context; the benchmark's build table
+# solves at most four tuples per context.
+_PLANS_KEPT = 8
 
 
 def guard_order(p: int, N: int, M_pi0: int) -> int:
@@ -264,6 +274,7 @@ def build_context(
         phi_sub=Substitution(phi_pi0_w),
         gamma_sub=Substitution(gamma_pi0_w),
         torsion_subs=tuple(Substitution(t) for t in torsion_w),
+        plans=Cache(_PLANS_KEPT),
     )
 
 

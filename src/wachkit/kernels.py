@@ -105,39 +105,37 @@ def mat_mul(X, Y, pn: int, n: int) -> list[list[list[int]]]:
 
 
 class AffineMap:
-    """out = L*(K + Y)*R truncated to n, with Y_il = sum over terms[i][l] of f*E.
+    """The fixed part of X |-> L*(K + Y)*R truncated to n, Y_il = sum of f*E over terms[i][l].
 
     L and R are scalar matrices (nested lists of residues mod pn), K a
     series matrix, and terms[i][l] a list of triples (k, f, H): a series f
     and a list of series H, read against column l of the argument,
-    E = sum_t X_kl[t]*H[t].  A call takes X, a matrix of coordinate lists
-    of K's shape; coordinates beyond len(H) are not read.  With no terms the map is the
-    constant L*K*R.
+    E = sum_t X_kl[t]*H[t].  The argument X is a matrix of coordinate lists
+    of K's shape; coordinates beyond len(H) are not read.  With no terms the
+    map is the constant L*K*R.
 
-    Each distinct product f*H[t] (by object identity of f and H) is formed
-    once, on packed ints cut to n slots, and K is packed once.  A call sums
-    each entry's terms as one packed combination of those products, adds K,
-    combines the entries by the nonzero scalars L_ik*R_lj and unpacks each
-    output entry once: no series product and no other unpack.
+    The map comes in two parts.  This object is the part that does not read
+    L or R: K packed once as the offset, each distinct product f*H[t] (by
+    object identity of f and H) formed once on packed ints cut to n slots,
+    and the slot width.  :meth:`bind` adds the scalars L_ik*R_lj and returns
+    the map, so one fixed part serves every L and R a caller brings: the
+    Gamma-solve keeps its fixed part per (context, weights) and binds each
+    A to it.  The width holds, per output entry, a sum of `scalars` scalar
+    terms: a bound the caller takes from the shapes of L and R
+    (cols(L)*rows(R), or rows(R) for L = Id), never from their zero
+    pattern, which changes with every L and R.  A call sums each entry's
+    terms as one packed combination of the products, adds K, combines the
+    entries by the nonzero scalars and unpacks each output entry once: no
+    series product and no other unpack.
     """
 
-    def __init__(self, L, R, K, terms, pn: int, n: int):
-        m = len(R)
-        cols = list(zip(*R))
-        # scalars[i][j] lists (k*m + l, L_ik*R_lj) for the nonzero scalars
-        self.scalars = []
-        for row in L:
-            srow = []
-            for col in cols:
-                s = [(k * m + l, a * b % pn) for k, a in enumerate(row) if a for l, b in enumerate(col)]
-                srow.append([(kl, c) for kl, c in s if c])
-            self.scalars.append(srow)
+    def __init__(self, K, terms, pn: int, n: int, scalars: int):
         # an output slot sums, over the scalars, one K residue and each
         # coordinate times a slot of f*H[t], itself at most n products
-        most = max(len(s) for row in self.scalars for s in row)
         reads = max((sum(len(H) for _, _, H in t) for row in terms for t in row), default=0)
-        width = slot_width(pn, most * (reads * n + 1), factors=4)
-        self.width, self.n, self.pn = width, n, pn
+        width = slot_width(pn, scalars * (reads * n + 1), factors=4)
+        m = len(K[0])
+        self.scalars, self.width, self.m, self.n, self.pn = scalars, width, m, n, pn
         mask = (1 << (8 * width * n)) - 1
         # each f, each H's members and each product f*H[t] packed once;
         # while terms holds them, distinct objects have distinct ids
@@ -162,14 +160,31 @@ class AffineMap:
                 self.terms.append(entry)
         self.offset = [pack(e[:n], width) for row in K for e in row]
 
-    def __call__(self, X) -> list[list[list[int]]]:
-        width, n, pn = self.width, self.n, self.pn
-        X = [x for row in X for x in row]
-        Y = [
-            c + sum([sum(map(mul, X[kl], prods)) for kl, prods in t])
-            for c, t in zip(self.offset, self.terms)
-        ]
-        return [
-            [unpack(sum([c * Y[kl] for kl, c in s]), width, n, pn) for s in srow]
-            for srow in self.scalars
-        ]
+    def bind(self, L, R):
+        """The map X |-> L*(K + Y)*R: this fixed part with the scalars of L and R."""
+        m, pn = self.m, self.pn
+        cols = list(zip(*R))
+        # scalars[i][j] lists (k*m + l, L_ik*R_lj) for the nonzero scalars
+        scalars = []
+        for row in L:
+            srow = []
+            for col in cols:
+                s = [(k * m + l, a * b % pn) for k, a in enumerate(row) if a for l, b in enumerate(col)]
+                srow.append([(kl, c) for kl, c in s if c])
+            scalars.append(srow)
+        if any(len(s) > self.scalars for srow in scalars for s in srow):
+            raise ValueError(f"an output entry sums more than {self.scalars} scalars")
+        width, n, offset, terms = self.width, self.n, self.offset, self.terms
+
+        def affine(X) -> list[list[list[int]]]:
+            X = [x for row in X for x in row]
+            Y = [
+                c + sum([sum(map(mul, X[kl], prods)) for kl, prods in t])
+                for c, t in zip(offset, terms)
+            ]
+            return [
+                [unpack(sum([c * Y[kl] for kl, c in s]), width, n, pn) for s in srow]
+                for srow in scalars
+            ]
+
+        return affine

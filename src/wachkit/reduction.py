@@ -47,7 +47,7 @@ from .errors import (
 from .flmod import FLModule, require_valid, validate_fl
 from .padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval
 from .series import SeriesMat, q_divide_exact, q_steps
-from .wach import WachModule, lift_identity, non_identity_entry, phi_matrix, solve_wach
+from .wach import WachModule, lift_identity, lift_step, non_identity_entry, phi_matrix, solve_wach
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,11 @@ def normalize_basis(
         for crow, arow in zip(Cp.rows, AQ.rows)
     ]
     factors = [[list(enumerate(row))] * d for row in Cp.rows]
+    fixed = lift_step(K, factors, weights, ctx, d)  # L = Id: d scalars per entry
     ident = [[int(i == j) for j in range(d)] for i in range(d)]
     Ainv = matrix_inverse_mod(A).to_lists()
     zero = [[[0] * (M - 1) for _ in range(d)] for _ in range(d)]
-    P, _ = lift_identity(ident, K, factors, Ainv, Cp, AQ, weights, ctx, max_iter, zero)
+    P, _ = lift_identity(fixed, ident, Ainv, Cp, AQ, ctx, max_iter, zero)
     return P
 
 

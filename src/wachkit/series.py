@@ -269,8 +269,9 @@ class SeriesMat:
     def sandwich(self, A, B) -> "SeriesMat":
         """A*X*B for scalar matrices A and B (PMatrix): an affine map with no terms."""
         no_terms = [[[] for _ in row] for row in self.rows]
-        AXB = kernels.AffineMap(A.to_lists(), B.to_lists(), self.rows, no_terms, self.pn, self.order)
-        return SeriesMat._trusted(self.p, self.N, AXB(self.rows))
+        d = len(self.rows)
+        AXB = kernels.AffineMap(self.rows, no_terms, self.pn, self.order, d * d)
+        return SeriesMat._trusted(self.p, self.N, AXB.bind(A.to_lists(), B.to_lists())(self.rows))
 
     def kron(self, other: "SeriesMat") -> "SeriesMat":
         """Kronecker product: entry (i1*d2 + i2, j1*d2 + j2) is X_(i1 j1) * Y_(i2 j2)."""
@@ -368,6 +369,37 @@ def series_invert_unit(f: TruncSeries) -> TruncSeries:
     return TruncSeries._trusted(f.var, f.p, f.N, tuple(out))
 
 
+class Cache:
+    """The values built for the last `cap` keys asked for, least recently used dropped first.
+
+    A cache rides along with an immutable object (a Substitution's power
+    tables, a context's solve plans): a pickled Cache comes back empty, and
+    the owner's equality and repr should not look at it.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self._items: dict = {}
+
+    def __reduce__(self):
+        return (Cache, (self.cap,))
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, key, build):
+        """The value kept for key, or build(key), kept as the most recently used."""
+        items = self._items
+        if key in items:
+            value = items.pop(key)
+        else:
+            value = build(key)
+            if len(items) >= self.cap:
+                del items[next(iter(items))]
+        items[key] = value  # most recently used last
+        return value
+
+
 # Power tables kept per image.  The library's own calls ask an image for at
 # most three orders (the user window, the guard order and u's order, where
 # the quotient tables are divided); the cap bounds memory when loaded
@@ -393,22 +425,18 @@ class Substitution:
         if image.constant_term() != 0:
             raise NonzeroConstant("substitution argument has nonzero constant term")
         self.image = image
-        self._tables: dict[int, tuple[int, list[int]]] = {}
+        self._tables = Cache(_TABLES_KEPT)
         self._quotients: dict[tuple[int, int], list[list[int]]] = {}
 
     def __reduce__(self):
         return (Substitution, (self.image,))
 
     def _table(self, n: int) -> tuple[int, list[int]]:
-        tables = self._tables
-        entry = tables.pop(n, None)
-        if entry is None:
-            g = self.image
-            entry = kernels.power_table(g.coeffs, g.pn, n)
-            if len(tables) >= _TABLES_KEPT:  # drop the least recently used
-                del tables[next(iter(tables))]
-        tables[n] = entry  # most recently used last
-        return entry
+        return self._tables.get(n, self._power_table)
+
+    def _power_table(self, n: int) -> tuple[int, list[int]]:
+        g = self.image
+        return kernels.power_table(g.coeffs, g.pn, n)
 
     def quotients(self, n: int, r: int) -> list[list[int]]:
         """Q_k = (g^k mod X^n) / (X*(X+p)^r) for each g^k of :meth:`powers`, of length n-1-r.

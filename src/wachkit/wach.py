@@ -10,11 +10,14 @@ with v = gamma(q)/q, writing G = Id + pi0*X the equation is
     X = A*(K + Y)*A^(-1),   K = diag((v^(-r_j) - 1)/pi0),
     Y_ij = q^(r_i)*v^(-r_j) * phi(pi0*X_ij)/(pi0*q^(r_j)),
 
-so L = A, R = A^(-1) and one factor (i, q^(r_i)*v^(-r_j)) per entry.  The
-iteration starts at G = Id (or at a given guess) and stops when two
-successive iterates agree on the user window; the default budget is
-M_pi0 + 4 steps, and exceeding it raises NoConvergence rather than looping
-(a negative budget is InvalidInput).
+so L = A, R = A^(-1) and one factor (i, q^(r_i)*v^(-r_j)) per entry.  Only
+L and R read A: the rest of the step (K, the factors and their packed
+products with the quotient tables) is the plan of gamma_plan, built on the
+first solve of a weight tuple and kept on the context.  The iteration
+starts at G = Id (or at a given guess) and stops when two successive
+iterates agree on the user window; the default budget is M_pi0 + 4 steps,
+and exceeding it raises NoConvergence rather than looping (a negative
+budget is InvalidInput).
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def solve_gamma_matrix(
     and the module docstring); it is certified to satisfy
     C*phi(G) = G*gamma(C) on the user window before it is returned.
     """
-    p, N, pn = ctx.p, ctx.N, ctx.pn
+    p, N = ctx.p, ctx.N
     d = len(weights)
     if any(r < 0 or r > p - 2 for r in weights):
         raise ValidationFailed("weights must lie in [0, p-2]")
@@ -120,6 +123,25 @@ def solve_gamma_matrix(
             raise InvalidInput("initial guess must be Id mod pi0")
         X = [[list(e[1:]) for e in row] for row in guess.pad(M).rows]
 
+    L = A.to_lists()
+    R = matrix_inverse_mod(A).to_lists()
+    gamma_C = C.substitute(ctx.gamma_sub, M)
+    plan = ctx.plans.get(weights, lambda w: gamma_plan(ctx, w))
+    return lift_identity(plan, L, R, C, gamma_C, ctx, max_iter, X)
+
+
+def gamma_plan(ctx: CycloContext, weights: tuple[int, ...]) -> kernels.AffineMap:
+    """The Gamma-solve's step without A: the fixed part of lift_identity's map.
+
+    v^(-r), q^r, the factors q^(r_i)*v^(-r_j), K = diag((v^(-r_j) - 1)/pi0)
+    and the products over the quotient bases read only the context and the
+    weights, so solve_gamma_matrix builds them on the first solve of a
+    weight tuple and keeps them in ctx.plans.  The slot width holds the d^2
+    scalars A_ik*A^(-1)_lj an entry can sum, so a plan built for a sparse A
+    serves a dense one.
+    """
+    pn, M, d = ctx.pn, ctx.profile.M_pi0, len(weights)
+    m = M - 1
     # v^(-r) at order M, for K = (v^(-r) - 1)/pi0 and the factors q^(r_i)*v^(-r_j)
     vpow = [[1] + [0] * m]
     for _ in range(max(weights)):
@@ -133,20 +155,36 @@ def solve_gamma_matrix(
     factors = [[[(i, factor[ri, rj])] for rj in weights] for i, ri in enumerate(weights)]
     zero = [0] * m
     K = [[vpow[r][1:] if i == j else zero for j in range(d)] for i, r in enumerate(weights)]
-    L = A.to_lists()
-    R = matrix_inverse_mod(A).to_lists()
-    gamma_C = C.substitute(ctx.gamma_sub, M)
-    return lift_identity(L, K, factors, R, C, gamma_C, weights, ctx, max_iter, X)
+    return lift_step(K, factors, weights, ctx, d * d)
+
+
+def lift_step(
+    K: list, factors: list, weights: tuple[int, ...], ctx: CycloContext, scalars: int
+) -> kernels.AffineMap:
+    """The part of lift_identity's map that does not read L or R.
+
+    K and factors are as in lift_identity; each factor is paired with the
+    quotient basis of its column's weight, and `scalars` bounds the scalars
+    L_ik*R_lj an output entry sums (kernels.AffineMap).
+    """
+    N = ctx.N
+    m = ctx.profile.M_pi0 - 1
+    n = ctx.work.u.order
+    if n < m + N + max(weights):
+        raise AssertionError("quotient table too short for the solve window")
+    bases = {r: cut_table(ctx.phi_sub.quotients(n, r), m)[1:] for r in set(weights)}
+    terms = [
+        [[(k, f, bases[r]) for k, f in fs] for fs, r in zip(row, weights)] for row in factors
+    ]
+    return kernels.AffineMap(K, terms, ctx.pn, m, scalars)
 
 
 def lift_identity(
+    fixed: kernels.AffineMap,
     L: list,
-    K: list,
-    factors: list,
     R: list,
     C2: SeriesMat,
     C1: SeriesMat,
-    weights: tuple[int, ...],
     ctx: CycloContext,
     max_iter: int,
     X: list,
@@ -176,6 +214,13 @@ def lift_identity(
     strictly in the (p, pi0)-adic filtration, the weighted valuation
     min_k (k + v_p(coeff_k)) growing by at least one per step.
 
+    The map comes in two parts: `fixed`, from lift_step, holds K and the
+    packed products of the factors with the quotients, and L and R are
+    bound to it here.  The Gamma-solve's fixed part reads only the context
+    and the weights, so it is built once per (context, weights)
+    (gamma_plan); the normalization's factors are entries of its input C',
+    so it builds its own on every call.
+
     Orders.  X, the start given by the caller, is kept at m = M_pi0 - 1, the
     coefficients F reads on the user window.  Q_(t+1)^(r) has valuation t,
     so coefficient k of a step reads X's coefficients t <= k only: the
@@ -183,21 +228,13 @@ def lift_identity(
     truncation of the fixed point.  Every table is divided at u's order n;
     its canonical division disturbs only coefficients from n - r - N on,
     so below m it is the series above when n >= m + N + r, which holds at
-    every profile (n - m - N = p + 3) and is asserted.  Exceeding max_iter
-    steps raises NoConvergence.  The result is certified with == on the
-    user window (AxiomViolation otherwise).
+    every profile (n - m - N = p + 3) and is asserted by lift_step.
+    Exceeding max_iter steps raises NoConvergence.  The result is certified
+    with == on the user window (AxiomViolation otherwise).
     """
     p, N = ctx.p, ctx.N
     m = ctx.profile.M_pi0 - 1
-    n = ctx.work.u.order
-    if n < m + N + max(weights):
-        raise AssertionError("quotient table too short for the solve window")
-    bases = {r: cut_table(ctx.phi_sub.quotients(n, r), m)[1:] for r in set(weights)}
-    terms = [
-        [[(k, f, bases[r]) for k, f in fs] for fs, r in zip(row, weights)] for row in factors
-    ]
-    step = kernels.AffineMap(L, R, K, terms, ctx.pn, m)
-    window, iterations = iterate_to_window(step, X, m, max_iter)
+    window, iterations = iterate_to_window(fixed.bind(L, R), X, m, max_iter)
     F = SeriesMat._trusted(p, N, [
         [(int(i == j),) + tuple(e) for j, e in enumerate(row)] for i, row in enumerate(window)
     ])

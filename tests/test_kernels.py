@@ -8,6 +8,7 @@ import pytest
 
 from oracles import horner_compose, scalar_matmul, schoolbook_mul
 from oracles import schoolbook_matmul as oracle_matmul
+from wachkit import cyclo as cyclo_module
 from wachkit import kernels
 from wachkit import series as series_module
 from wachkit.cyclo import build_context, get_context, guard_order
@@ -188,6 +189,18 @@ def test_context_unchanged_by_tables():
     w = solve_wach(m, ctx)
     assert verify_wach_axioms(w).ok
     assert ctx.phi_sub._quotients  # the solve built the quotient table
+    # one plan per weight tuple, the last few kept: more tuples than the cap
+    # evict the first, which is rebuilt and solves to the same G
+    rng = random.Random(6)
+    others = [t for d in (1, 2) for t in itertools.combinations_with_replacement(range(4), d)]
+    others.remove(m.weights)
+    assert len(others) > cyclo_module._PLANS_KEPT
+    for weights in others:
+        solve_wach(make_fl(5, 16, weights, random_unit_matrix(rng, len(weights), 5, 16)), ctx)
+        assert len(ctx.plans) <= cyclo_module._PLANS_KEPT
+    assert m.weights not in ctx.plans._items
+    again = solve_wach(m, ctx)
+    assert (again.G, again.iterations_used) == (w.G, w.iterations_used)
     fresh = build_context(5)
     assert ctx == fresh
     assert repr(ctx) == repr(fresh)
@@ -236,7 +249,8 @@ def test_mat_mul_largest_slot_sums(p):
 
 def _constant_map(L, R, K, pn, n):
     """L*K*R by the affine-map kernel: with no terms, no coordinate is read."""
-    return kernels.AffineMap(L, R, K, [[[] for _ in row] for row in K], pn, n)([])
+    no_terms = [[[] for _ in row] for row in K]
+    return kernels.AffineMap(K, no_terms, pn, n, len(L[0]) * len(R)).bind(L, R)([])
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
@@ -257,6 +271,18 @@ def test_sandwich_matches_schoolbook(p):
                 got = T.sandwich(PMatrix.from_lists(A, p, N), PMatrix.from_lists(B, p, N))
                 expect = scalar_matmul(A, [list(row) for row in T.rows], B, pn)
                 assert [list(map(list, row)) for row in got.rows] == expect
+
+
+def test_affine_map_refuses_scalars_beyond_its_width():
+    # the fixed part's slots hold the bound it was built for; binding L and
+    # R with more nonzero scalars per entry would overflow them silently
+    pn, n, d = 5**16, 8, 2
+    K = [[[1] * n] * d] * d
+    fixed = kernels.AffineMap(K, [[[] for _ in row] for row in K], pn, n, d)
+    ident, full = [[1, 0], [0, 1]], [[1, 1], [1, 1]]
+    assert fixed.bind(ident, full)([]) == [[[2] * n] * d] * d
+    with pytest.raises(ValueError):
+        fixed.bind(full, full)
 
 
 def _combine(coords, basis, pn, n):
@@ -306,7 +332,7 @@ def test_sandwich_with_factor_and_offset(p):
                     ]
                     for kr, er, fr in zip(K_, E, F_)
                 ]
-                got = kernels.AffineMap(A_, B_, K_, _gamma_terms(F_, basis_), pn, n)(X)
+                got = kernels.AffineMap(K_, _gamma_terms(F_, basis_), pn, n, d * d).bind(A_, B_)(X)
                 assert got == scalar_matmul(A_, inner, B_, pn)
 
 
@@ -324,7 +350,7 @@ def test_sandwich_largest_slot_sums(p):
             assert _constant_map(full, full, ones, pn, n) == [[[-d * d % pn] * n] * d] * d
             L, unit = 18, [[1] * d] * d
             basis, coords = [[pn - 1] * n] * L, [[[pn - 1] * L] * d] * d
-            affine = kernels.AffineMap(full, unit, ones, _gamma_terms(ones, basis), pn, n)
+            affine = kernels.AffineMap(ones, _gamma_terms(ones, basis), pn, n, d * d).bind(full, unit)
             expect = [d * d * (1 + L * (k + 1)) % pn for k in range(n)]
             assert affine(coords) == [[expect] * d] * d
 
@@ -361,7 +387,9 @@ def test_affine_product_matches_schoolbook(p):
                 FE = oracle_matmul(F_, E, pn, n)
                 inner = [[[(a + b) % pn for a, b in zip(k, e)] for k, e in zip(kr, er)] for kr, er in zip(K_, FE)]
                 terms = [[[(k, f, basis) for k, f in enumerate(row)] for basis in bases_] for row in F_]
-                got = kernels.AffineMap(L_, R_, K_, terms, pn, n)(X)
+                # the normalization (L = Id) sizes its slots for d scalars per entry
+                scalars = d if L_ is ident else d * d
+                got = kernels.AffineMap(K_, terms, pn, n, scalars).bind(L_, R_)(X)
                 assert got == scalar_matmul(L_, inner, R_, pn)
 
 

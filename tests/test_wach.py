@@ -135,6 +135,34 @@ class TestSolver:
         G2, _ = solve_gamma_matrix(w.C, m.weights, m.A, ctx5, initial_guess=guess)
         assert G2 == w.G
 
+    @pytest.mark.parametrize(
+        "p, weights, sparse",
+        [(7, (5, 5), "diagonal"), (7, (1, 2, 5), "permutation"), (5, (0, 3), "permutation")],
+    )
+    def test_plan_ignores_the_zero_pattern_of_A(self, p, weights, sparse):
+        # a context keeps one plan per weight tuple, sized for d^2 scalars
+        # per entry: built for a sparse A it serves a dense one, and the other
+        # way round, with G and the step count of a context that has built
+        # no plan (at p = 7, weights (5, 5), the slots carry the most)
+        d = len(weights)
+        rng = random.Random(80 + p + d)
+        entries = [0] * (d * d)
+        for i in range(d):
+            j = i if sparse == "diagonal" else (i + 1) % d
+            entries[i * d + j] = rng.randrange(1, p)
+        modules = [
+            make_fl(p, 16, weights, PMatrix(d, d, tuple(entries), p, 16)),
+            make_fl(p, 16, weights, random_unit_matrix(rng, d, p, 16)),
+        ]
+        expect = [solve_wach(m, build_context(p)) for m in modules]
+        for order in (modules, modules[::-1]):
+            ctx = build_context(p)
+            for m in order:
+                w = solve_wach(m, ctx)
+                e = expect[modules.index(m)]
+                assert (w.G, w.iterations_used) == (e.G, e.iterations_used)
+            assert len(ctx.plans) == 1
+
     def test_no_convergence_budget(self, ctx3):
         m = make_fl(3, 16, (1,), PMatrix(1, 1, (1,), 3, 16))
         C = build_phi_matrix(m, ctx3)
