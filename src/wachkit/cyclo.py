@@ -154,11 +154,15 @@ def guard_order(p: int, N: int, M_pi0: int) -> int:
     return M_pi0 + N + 2 * p + 2
 
 
-def _validate_chi(chi: int, p: int) -> None:
+def check_profile(p: int, N: int, M_pi0: int, chi_gamma: int | None) -> tuple[TruncationProfile, int]:
+    """The profile and chi(gamma) of a context, checked before any bootstrap (InvalidInput)."""
+    profile = TruncationProfile.default(p, N, M_pi0)  # checks p first
+    chi = (1 + p) if chi_gamma is None else int(chi_gamma)
     if (chi - 1) % p != 0:
         raise InvalidInput("chi(gamma) must be congruent to 1 mod p")
     if (chi - 1) % (p * p) == 0:
         raise InvalidInput("chi(gamma) must not be 1 mod p^2 (needs a topological generator)")
+    return profile, chi
 
 
 def _in_s0(f: TruncSeries, pi0_in_pi: Substitution, out_order: int) -> TruncSeries:
@@ -181,9 +185,7 @@ def build_context(
     chi_gamma is an exact integer representative of the cyclotomic character
     of the chosen Gamma_0-generator (default 1 + p).
     """
-    profile = TruncationProfile.default(p, N, M_pi0)  # checks p first
-    chi = (1 + p) if chi_gamma is None else int(chi_gamma)
-    _validate_chi(chi, p)
+    profile, chi = check_profile(p, N, M_pi0, chi_gamma)
 
     mw = guard_order(p, N, M_pi0)
     mpw = default_pi_order(p, mw)

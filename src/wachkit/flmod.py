@@ -15,31 +15,21 @@ from .errors import InvalidInput, ValidationFailed, WeightOverflow
 from .padic import PMatrix, matrix_inverse_mod
 
 
-def _perm_matrix(perm: tuple[int, ...], p: int, N: int) -> PMatrix:
-    """Permutation matrix P with P e_k = e_{perm(k)} (column k has 1 at row perm[k])."""
-    n = len(perm)
-    ents = [0] * (n * n)
-    for k, target in enumerate(perm):
-        ents[target * n + k] = 1
-    return PMatrix(n, n, tuple(ents), p, N)
-
-
 def sort_weights(
     weights: tuple[int, ...], A: PMatrix
 ) -> tuple[tuple[int, ...], PMatrix, tuple[int, ...]]:
     """Stable-sort weights ascending; conjugate A into the sorted basis.
 
-    Returns (sorted_weights, P^T A P, perm) where perm[k] is the sorted
-    position of original basis vector k.
+    Returns (sorted_weights, A', perm) where perm[k] is the sorted
+    position of original basis vector k and A' is A in the sorted basis.
     """
     order = sorted(range(len(weights)), key=lambda k: (weights[k], k))
     perm = tuple(order.index(k) for k in range(len(weights)))
-    if perm == tuple(range(len(weights))):
-        return tuple(weights), A, perm
-    # new basis f_i = e_{order[i]}, so the matrix in the sorted basis is
-    # A'_{ij} = A_{order[i], order[j]} = (P A P^T)_{ij}
-    P = _perm_matrix(perm, A.p, A.N)
-    sorted_A = P.mul(A).mul(P.transpose())
+    d = len(order)
+    # new basis f_i = e_{order[i]}, so A'_{ij} = A_{order[i], order[j]}
+    if (A.rows, A.cols) != (d, d):
+        raise InvalidInput("matrix shape does not match the weights")
+    sorted_A = PMatrix(d, d, tuple(A.at(i, j) for i in order for j in order), A.p, A.N)
     return tuple(weights[k] for k in order), sorted_A, perm
 
 
@@ -80,9 +70,16 @@ def make_fl(
     A: PMatrix,
     labels=None,
 ) -> FLModule:
-    """Build an FLModule, sorting the weights and conjugating A accordingly."""
+    """Build an FLModule, sorting the weights and conjugating A accordingly.
+
+    labels, one per basis vector, follow their vectors through the sort.
+    """
     w, As, perm = sort_weights(tuple(int(r) for r in weights), A)
-    return FLModule(p, N, w, As, labels=tuple(labels) if labels else None, sort_perm=perm)
+    if labels is not None:
+        if len(labels) != len(w):
+            raise InvalidInput(f"{len(labels)} labels for a module of rank {len(w)}")
+        labels = tuple(labels[perm.index(i)] for i in range(len(w)))
+    return FLModule(p, N, w, As, labels=labels, sort_perm=perm)
 
 
 @dataclass(frozen=True)

@@ -81,24 +81,6 @@ class PScalar:
     def modulus(self) -> int:
         return self.p**self.N
 
-    def _same(self, other: "PScalar") -> None:
-        if (self.p, self.N) != (other.p, other.N):
-            raise ProfileMismatch(
-                f"mixed moduli: {self.p}^{self.N} vs {other.p}^{other.N}"
-            )
-
-    def __add__(self, other: "PScalar") -> "PScalar":
-        self._same(other)
-        return PScalar(self.value + other.value, self.p, self.N)
-
-    def __sub__(self, other: "PScalar") -> "PScalar":
-        self._same(other)
-        return PScalar(self.value - other.value, self.p, self.N)
-
-    def __mul__(self, other: "PScalar") -> "PScalar":
-        self._same(other)
-        return PScalar(self.value * other.value, self.p, self.N)
-
     def is_unit(self) -> bool:
         return self.value % self.p != 0
 

@@ -23,11 +23,11 @@ and C1 = A*Q.  Writing P = Id + pi0*X, the equation is
 
     X = (K + Y)*A^(-1),   K = Delta*Q^(-1),   Y_ij = sum_k C'_ik*phi(pi0*X_kj)/(pi0*q^(r_j)),
 
-with Delta = (C' - A*Q)/pi0: L = Id, R = A^(-1) and the factors (k, C'_ik)
-for entry (i, j).  C'*phi(pi0*X) is a multiple of pi0*q^(p-1), hence of
+with Delta = (C' - A*Q)/pi0: L = Id, the right factor A^(-1) and the
+factors (k, C'_ik) for entry (i, j).  C'*phi(pi0*X) is a multiple of pi0*q^(p-1), hence of
 pi0*q^(r_j), for every X, so the update is integral iff each column
-Delta_j is a multiple of q^(r_j); K is divided once per call, with that
-check (NotDivisible).
+Delta_j is a multiple of q^(r_j); K is divided once per call, at the
+lift's table order and with that check (wach.divide_columns, NotDivisible).
 """
 
 from __future__ import annotations
@@ -46,15 +46,15 @@ from .errors import (
 )
 from .flmod import FLModule, require_valid, validate_fl
 from .padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval
-from .series import SeriesMat, q_divide_exact, q_steps
-from .wach import WachModule, lift_identity, lift_step, non_identity_entry, phi_matrix, solve_wach
+from .series import SeriesMat, q_steps
+from .wach import WachModule, divide_columns, lift_identity, lift_step, non_identity_entry
+from .wach import phi_matrix, solve_wach
 
 
 @dataclass(frozen=True)
 class FilteredReduction:
     """Recovered filtered data of the reduction mod pi0."""
 
-    d: int
     fil_ranks: tuple[int, ...]  # rank(Fil^r) for r = 0..h_max+1
     weights_recovered: tuple[int, ...]
     A_recovered: PMatrix
@@ -160,7 +160,6 @@ def recover_filtration(w: WachModule, h_max: int) -> FilteredReduction:
     A_rec = matrix_inverse_mod(T).mul(Phi)
 
     return FilteredReduction(
-        d=d,
         fil_ranks=fil_ranks,
         weights_recovered=weights_rec,
         A_recovered=A_rec,
@@ -187,8 +186,10 @@ def normalize_basis(
     if the target's modulus is not the context's, NotCongruent if
     C_perturbed does not reduce to A*diag(p^(r_j)) mod pi0, NotDivisible if
     the perturbation is not realizable over the ring, and NoConvergence if
-    the iteration budget is exhausted.  P is the lift of the identity of the module docstring,
-    certified by C_perturbed*phi(P) = P*A*Q on the user window.
+    the iteration budget is exhausted.  P is the lift of the identity of
+    the module docstring, certified by C_perturbed*phi(P) = P*A*Q on the
+    user window; its default budget is lift_identity's proved bound,
+    N + M_pi0 - 1 steps.
     """
     require_valid(target)
     p, N, pn = ctx.p, ctx.N, ctx.pn
@@ -199,15 +200,7 @@ def normalize_basis(
     if len(Cp) != d:
         raise InvalidInput(f"C_perturbed is {len(Cp)}x{len(Cp)}, the target has rank {d}")
     weights = target.weights
-    A = target.A
-    work = ctx.work
-    M = ctx.profile.M_pi0
-    if max_iter is None:
-        max_iter = N + M + p + 4
-    elif max_iter < 0:
-        raise InvalidInput(f"iteration budget max_iter = {max_iter} is negative")
-
-    AQ = phi_matrix(A, weights, work.q)
+    AQ = phi_matrix(target.A, weights, ctx.work.q)
     expected = AQ.constant_terms()
     for i, row in enumerate(Cp.constant_terms()):
         for j, c in enumerate(row):
@@ -216,22 +209,15 @@ def normalize_basis(
                     f"C mod pi0 differs from A*diag(p^r) at entry ({i},{j})"
                 )
 
-    # K = Delta*Q^(-1), divided at u's order as the tables are
-    n = work.u.order
-    Cp = Cp.pad(work.M_pi0)
-    K = [
-        [
-            q_divide_exact([(x - y) % pn for x, y in zip(c[1 : n + 1], a[1 : n + 1])], p, pn, r)
-            for r, c, a in zip(weights, crow, arow)
-        ]
+    Cp = Cp.pad(ctx.work.M_pi0)
+    delta = [
+        [[(x - y) % pn for x, y in zip(c[1:], a[1:])] for c, a in zip(crow, arow)]
         for crow, arow in zip(Cp.rows, AQ.rows)
     ]
+    K = divide_columns(delta, weights, ctx)
     factors = [[list(enumerate(row))] * d for row in Cp.rows]
     fixed = lift_step(K, factors, weights, ctx, d)  # L = Id: d scalars per entry
-    ident = [[int(i == j) for j in range(d)] for i in range(d)]
-    Ainv = matrix_inverse_mod(A).to_lists()
-    zero = [[[0] * (M - 1) for _ in range(d)] for _ in range(d)]
-    P, _ = lift_identity(fixed, ident, Ainv, Cp, AQ, ctx, max_iter, zero)
+    P, _ = lift_identity(fixed, PMatrix.identity(d, p, N), target.A, Cp, AQ, ctx, max_iter)
     return P
 
 

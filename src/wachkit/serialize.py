@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 
-from .cyclo import get_context
+from .cyclo import check_profile, get_context
 from .errors import SchemaError
 from .flmod import FLModule, make_fl
 from .padic import PMatrix
@@ -99,6 +99,8 @@ def fl_from_dict(data: dict, where: str = "fl") -> FLModule:
         isinstance(labels, list) and all(isinstance(x, str) for x in labels)
     ):
         raise SchemaError(f"{where}.labels: expected a list of strings")
+    if labels is not None and len(labels) != d:
+        raise SchemaError(f"{where}.labels: expected {d} labels, one per weight, got {len(labels)}")
     return make_fl(p, N, [_as_int(w, f"{where}.weights") for w in weights], A, labels)
 
 
@@ -151,7 +153,8 @@ def wach_from_dict(data: dict, where: str = "wach") -> WachModule:
     N = _as_int(_need(data, "N", where), f"{where}.N")
     m_pi0 = _as_int(_need(data, "M_pi0", where), f"{where}.M_pi0")
     chi = _as_int(_need(data, "chi_gamma", where), f"{where}.chi_gamma")
-    ctx = get_context(p, N, m_pi0, chi)
+    # the bootstrap, whose cost grows as M_pi0^2, comes after every check of the file
+    check_profile(p, N, m_pi0, chi)
     C = _matrix_from_json(_need(data, "C", where), p, N, f"{where}.C", m_pi0)
     G = _matrix_from_json(_need(data, "G", where), p, N, f"{where}.G", m_pi0)
     if len(G) != len(C):
@@ -166,7 +169,8 @@ def wach_from_dict(data: dict, where: str = "wach") -> WachModule:
     if any(not 0 <= r <= p - 2 for r in weights):
         raise SchemaError(f"{where}.meta.weights: each weight must lie in [0, p-2] = [0, {p - 2}]")
     iters = _as_int(meta.get("iterations_used", 0), f"{where}.meta.iterations_used")
-    return WachModule(ctx=ctx, weights=weights, C=C, G=G, source=None, iterations_used=iters)
+    ctx = get_context(p, N, m_pi0, chi)
+    return WachModule(ctx=ctx, weights=weights, C=C, G=G, iterations_used=iters)
 
 
 def perturbed_from_dict(data: dict, where: str = "perturbed") -> tuple[FLModule, SeriesMat]:

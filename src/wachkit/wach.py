@@ -10,14 +10,15 @@ with v = gamma(q)/q, writing G = Id + pi0*X the equation is
     X = A*(K + Y)*A^(-1),   K = diag((v^(-r_j) - 1)/pi0),
     Y_ij = q^(r_i)*v^(-r_j) * phi(pi0*X_ij)/(pi0*q^(r_j)),
 
-so L = A, R = A^(-1) and one factor (i, q^(r_i)*v^(-r_j)) per entry.  Only
-L and R read A: the rest of the step (K, the factors and their packed
+so L = A, the right factor A^(-1), and one factor (i, q^(r_i)*v^(-r_j))
+per entry.  Only the scalars read A: the rest of the step (K, the factors and their packed
 products with the quotient tables) is the plan of gamma_plan, built on the
 first solve of a weight tuple and kept on the context.  The iteration
 starts at G = Id (or at a given guess) and stops when two successive
-iterates agree on the user window; the default budget is M_pi0 + 4 steps,
-and exceeding it raises NoConvergence rather than looping (a negative
-budget is InvalidInput).
+iterates agree on the user window.  The default budget is N + M_pi0 - 1
+steps, the bound lift_identity proves from the step's contraction (31 at
+the default profile); exceeding a budget raises NoConvergence rather than
+looping (a negative budget is InvalidInput).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .flmod import FLModule, LatticeSub, require_valid
 from .padic import PMatrix, matrix_inverse_mod, pval
-from .series import SeriesMat, TruncSeries, cut_table, q_powers, weierstrass_divide_q_power
+from .series import SeriesMat, TruncSeries, cut_table, q_divide_exact, q_powers, weierstrass_divide_q_power
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,6 @@ class WachModule:
     weights: tuple[int, ...]
     C: SeriesMat
     G: SeriesMat
-    source: FLModule | None = None
     iterations_used: int = 0
 
     @property
@@ -91,8 +91,9 @@ def solve_gamma_matrix(
     Returns (G at the user window, iterations used).  C and initial_guess
     are d x d nested sequences of pi0-series over the context.  G is the
     lift of the identity with C2 = C and C1 = gamma(C) (see lift_identity
-    and the module docstring); it is certified to satisfy
-    C*phi(G) = G*gamma(C) on the user window before it is returned.
+    and the module docstring), started at initial_guess when one is given;
+    it is certified to satisfy C*phi(G) = G*gamma(C) on the user window
+    before it is returned.
     """
     p, N = ctx.p, ctx.N
     d = len(weights)
@@ -104,30 +105,19 @@ def solve_gamma_matrix(
         raise InvalidInput("A has the wrong shape")
     if (A.p, A.N) != (p, N):
         raise ValidationFailed("A and context moduli differ")
-    M = ctx.profile.M_pi0
-    if max_iter is None:
-        max_iter = M + 4
-    elif max_iter < 0:
-        raise InvalidInput(f"iteration budget max_iter = {max_iter} is negative")
-
     C = SeriesMat(C, p, N)
     if len(C) != d:
         raise InvalidInput("C has the wrong shape")
-    m = M - 1
-    X = [[[0] * m for _ in range(d)] for _ in range(d)]
     if initial_guess is not None:
-        guess = SeriesMat(initial_guess, p, N)
-        if len(guess) != d:
+        initial_guess = SeriesMat(initial_guess, p, N)
+        if len(initial_guess) != d:
             raise InvalidInput("initial guess has the wrong shape")
-        if non_identity_entry(guess) is not None:
+        if non_identity_entry(initial_guess) is not None:
             raise InvalidInput("initial guess must be Id mod pi0")
-        X = [[list(e[1:]) for e in row] for row in guess.pad(M).rows]
 
-    L = A.to_lists()
-    R = matrix_inverse_mod(A).to_lists()
-    gamma_C = C.substitute(ctx.gamma_sub, M)
+    gamma_C = C.substitute(ctx.gamma_sub, ctx.profile.M_pi0)
     plan = ctx.plans.get(weights, lambda w: gamma_plan(ctx, w))
-    return lift_identity(plan, L, R, C, gamma_C, ctx, max_iter, X)
+    return lift_identity(plan, A, A, C, gamma_C, ctx, max_iter, initial_guess)
 
 
 def gamma_plan(ctx: CycloContext, weights: tuple[int, ...]) -> kernels.AffineMap:
@@ -158,20 +148,38 @@ def gamma_plan(ctx: CycloContext, weights: tuple[int, ...]) -> kernels.AffineMap
     return lift_step(K, factors, weights, ctx, d * d)
 
 
+def table_order(ctx: CycloContext, weights: tuple[int, ...]) -> int:
+    """u's order n, at which the lift divides by q^r: its tables and offsets.
+
+    A canonical division by q^r at order n disturbs only coefficients from
+    n - r - N on, so it is exact below m = M_pi0 - 1, the coefficients the
+    lift reads, when n >= m + N + r: true at every profile (n - m - N = p + 3).
+    """
+    n = ctx.work.u.order
+    if n < ctx.profile.M_pi0 - 1 + ctx.N + max(weights):
+        raise AssertionError("quotient table too short for the solve window")
+    return n
+
+
+def divide_columns(D: list, weights: tuple[int, ...], ctx: CycloContext) -> list:
+    """D*diag(q^(-r_j)) at the table order: column j of D divided by q^(r_j), exactly (NotDivisible)."""
+    p, pn = ctx.p, ctx.pn
+    n = table_order(ctx, weights)
+    return [[q_divide_exact(e[:n], p, pn, r) for e, r in zip(row, weights)] for row in D]
+
+
 def lift_step(
     K: list, factors: list, weights: tuple[int, ...], ctx: CycloContext, scalars: int
 ) -> kernels.AffineMap:
-    """The part of lift_identity's map that does not read L or R.
+    """The part of lift_identity's map that does not read L or A.
 
     K and factors are as in lift_identity; each factor is paired with the
-    quotient basis of its column's weight, and `scalars` bounds the scalars
-    L_ik*R_lj an output entry sums (kernels.AffineMap).
+    quotient basis of its column's weight, divided at the table order, and
+    `scalars` bounds the scalars L_ik*A^(-1)_lj an output entry sums
+    (kernels.AffineMap).
     """
-    N = ctx.N
     m = ctx.profile.M_pi0 - 1
-    n = ctx.work.u.order
-    if n < m + N + max(weights):
-        raise AssertionError("quotient table too short for the solve window")
+    n = table_order(ctx, weights)
     bases = {r: cut_table(ctx.phi_sub.quotients(n, r), m)[1:] for r in set(weights)}
     terms = [
         [[(k, f, bases[r]) for k, f in fs] for fs, r in zip(row, weights)] for row in factors
@@ -181,13 +189,13 @@ def lift_step(
 
 def lift_identity(
     fixed: kernels.AffineMap,
-    L: list,
-    R: list,
+    L: PMatrix,
+    A: PMatrix,
     C2: SeriesMat,
     C1: SeriesMat,
     ctx: CycloContext,
-    max_iter: int,
-    X: list,
+    max_iter: int | None = None,
+    start: SeriesMat | None = None,
 ) -> tuple[SeriesMat, int]:
     """The unique F = Id mod pi0 with C2*phi(F) = F*C1, and the steps taken.
 
@@ -197,11 +205,11 @@ def lift_identity(
     the normalizing base change P (C2 = C', C1 = A*Q).  Writing
     F = Id + pi0*X, each caller rearranges its equation into
 
-        X  <-  L*(K + Y)*R,
+        X  <-  L*(K + Y)*A^(-1),
         Y_ij = sum over (k, f) in factors[i][j] of f * phi(pi0*X_kj)/(pi0*q^(r_j)),
 
-    with scalar matrices L and R, a series matrix K, and r_j the weight of
-    column j.  As phi(pi0) = u*pi0*q^(p-1),
+    with scalar matrices L and A, a series matrix K, and r_j the weight of
+    column j; A is inverted here, once.  As phi(pi0) = u*pi0*q^(p-1),
 
         phi(pi0*X_kj)/(pi0*q^r) = sum_t X_kj[t] * Q_(t+1)^(r),
 
@@ -209,54 +217,66 @@ def lift_identity(
     Q_k^(r) = phi(pi0)^k/(pi0*q^r) (Substitution.quotients), divided once
     per context with its exactness checked; so a step is one
     kernels.AffineMap call, with no composition, series product or
-    division.  Q_(t+1)^(r) = u^(t+1)*pi0^t*q^((p-1)(t+1)-r), and the power
-    of q is positive for weights <= p-2: successive differences contract
-    strictly in the (p, pi0)-adic filtration, the weighted valuation
-    min_k (k + v_p(coeff_k)) growing by at least one per step.
+    division.
 
     The map comes in two parts: `fixed`, from lift_step, holds K and the
-    packed products of the factors with the quotients, and L and R are
+    packed products of the factors with the quotients, and L and A^(-1) are
     bound to it here.  The Gamma-solve's fixed part reads only the context
     and the weights, so it is built once per (context, weights)
     (gamma_plan); the normalization's factors are entries of its input C',
     so it builds its own on every call.
 
-    Orders.  X, the start given by the caller, is kept at m = M_pi0 - 1, the
-    coefficients F reads on the user window.  Q_(t+1)^(r) has valuation t,
-    so coefficient k of a step reads X's coefficients t <= k only: the
-    window is closed under the step, and a repeated window is the
-    truncation of the fixed point.  Every table is divided at u's order n;
-    its canonical division disturbs only coefficients from n - r - N on,
-    so below m it is the series above when n >= m + N + r, which holds at
-    every profile (n - m - N = p + 3) and is asserted by lift_step.
-    Exceeding max_iter steps raises NoConvergence.  The result is certified
-    with == on the user window (AxiomViolation otherwise).
+    Orders.  X is kept at m = M_pi0 - 1, the coefficients F reads on the
+    user window, from zero or from the caller's start (Id mod pi0).
+    Q_(t+1)^(r) has valuation t, so coefficient k of a step reads X's
+    coefficients t <= k only: the window is closed under the step, and a
+    repeated iterate is the truncation of the fixed point.  The tables are
+    exact below m (table_order).
+
+    Budget.  Let w(D) = min_k (k + v_p(D[k])) over Z/p^N (v_p(0) infinite)
+    and D_n = X_(n+1) - X_n, X_0 the start.  The step is affine, so
+    D_(n+1) = L*Y(D_n)*A^(-1) with Y linear, and Q_(t+1)^(r) is
+    u^(t+1)*pi0^t*q^e with e = (p-1)(t+1) - r >= 1 and w(q) = 1: the term
+    D_n[t]*Q_(t+1)^(r) has w >= t + v_p(D_n[t]) + 1, and the factors and
+    scalars have w >= 0.  So w(D_n) >= n from any start; coefficient k < m
+    of D_n has v_p >= n - k and vanishes mod p^N for n >= N + k, so D_n
+    vanishes on the window for n >= N + m - 1 = N + M_pi0 - 2, and the loop
+    sees two equal iterates at step N + M_pi0 - 1 at the latest (31 at the
+    default profile).  That is the default max_iter; exceeding a budget
+    raises NoConvergence, and a negative one is InvalidInput.  The result
+    is certified with == on the user window (AxiomViolation otherwise).
     """
-    p, N = ctx.p, ctx.N
-    m = ctx.profile.M_pi0 - 1
-    window, iterations = iterate_to_window(fixed.bind(L, R), X, m, max_iter)
+    p, N, M = ctx.p, ctx.N, ctx.profile.M_pi0
+    if max_iter is None:
+        max_iter = N + M - 1  # the bound proved under Budget above
+    elif max_iter < 0:
+        raise InvalidInput(f"iteration budget max_iter = {max_iter} is negative")
+    if start is None:
+        X = [[[0] * (M - 1) for _ in range(A.rows)] for _ in range(A.rows)]
+    else:
+        X = [[list(e[1:]) for e in row] for row in start.pad(M).rows]
+    step = fixed.bind(L.to_lists(), matrix_inverse_mod(A).to_lists())
+    X, iterations = iterate_to_window(step, X, max_iter)
     F = SeriesMat._trusted(p, N, [
-        [(int(i == j),) + tuple(e) for j, e in enumerate(row)] for i, row in enumerate(window)
+        [(int(i == j),) + tuple(e) for j, e in enumerate(row)] for i, row in enumerate(X)
     ])
     if residual_entry(C2, F, C1, ctx) is not None:
         raise AxiomViolation("fixed-point residual is nonzero at the user window")
     return F, iterations
 
 
-def iterate_to_window(step, X: list, window: int, max_iter: int) -> tuple[list, int]:
-    """Apply step to X until two successive iterates agree on the window.
+def iterate_to_window(step, X: list, max_iter: int) -> tuple[list, int]:
+    """Apply step to X until two successive iterates are equal.
 
-    X and the iterates are matrices of coefficient lists.  Returns (the
-    last iterate cut to its first `window` coefficients, steps taken), and
+    X and the iterates are matrices of coefficient lists at the window's
+    length, which step keeps.  Returns (the last iterate, steps taken), and
     raises NoConvergence when max_iter steps do not get there.
     """
-    prev = [[e[:window] for e in row] for row in X]
     for iterations in range(1, max_iter + 1):
-        X = step(X)
-        cur = [[e[:window] for e in row] for row in X]
-        if cur == prev:
-            return cur, iterations
-        prev = cur
+        nxt = step(X)
+        if nxt == X:
+            return nxt, iterations
+        X = nxt
     raise NoConvergence(f"no stabilization within {max_iter} iterations")
 
 
@@ -306,9 +326,7 @@ def solve_wach(m: FLModule, ctx: CycloContext, max_iter: int | None = None) -> W
     """Full construction: phi-matrix plus solved gamma-matrix."""
     C = build_phi_matrix(m, ctx)
     G, used = solve_gamma_matrix(C, m.weights, m.A, ctx, max_iter=max_iter)
-    return WachModule(
-        ctx=ctx, weights=m.weights, C=C, G=G, source=m, iterations_used=used
-    )
+    return WachModule(ctx=ctx, weights=m.weights, C=C, G=G, iterations_used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +418,6 @@ def tensor_wach(w1: WachModule, w2: WachModule) -> WachModule:
         weights=weights,
         C=w1.C.kron(w2.C),
         G=w1.G.kron(w2.G),
-        source=None,
         iterations_used=max(w1.iterations_used, w2.iterations_used),
     )
     report = verify_wach_axioms(out)
@@ -420,7 +437,6 @@ def direct_sum_wach(w1: WachModule, w2: WachModule) -> WachModule:
         weights=w1.weights + w2.weights,
         C=w1.C.block_diag(w2.C),
         G=w1.G.block_diag(w2.G),
-        source=None,
         iterations_used=max(w1.iterations_used, w2.iterations_used),
     )
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wachkit import cyclo
 from wachkit.cli import main
 from wachkit.cyclo import get_context
 from wachkit.flmod import make_fl
@@ -22,7 +23,7 @@ from wachkit.serialize import (
 )
 from wachkit.errors import SchemaError, WachkitError
 from wachkit.suite import random_unit_matrix
-from wachkit.wach import WachModule
+from wachkit.wach import WachModule, tensor_wach
 
 
 FL_SIMPLE = {"kind": "fl", "p": 3, "N": 4, "weights": [0, 1], "A": [["1", "0"], ["0", "1"]]}
@@ -94,6 +95,12 @@ class TestParse:
         rng = random.Random(0)
         m = make_fl(5, 6, (0, 2, 3), random_unit_matrix(rng, 3, 5, 6))
         assert fl_from_dict(fl_to_dict(m)) == m
+
+    def test_labels_follow_their_weights(self):
+        data = {**FL_SIMPLE, "p": 5, "weights": [2, 0], "A": [["1", "2"], ["3", "4"]], "labels": ["x", "y"]}
+        out = fl_to_dict(fl_from_dict(data))
+        assert out["weights"] == [0, 2]
+        assert dict(zip(out["labels"], out["weights"])) == {"x": 2, "y": 0}
 
     def test_wach_roundtrip(self, ctx3):
         from wachkit.flmod import unit_fl
@@ -339,6 +346,39 @@ class TestCommands:
                 for e_low, e_full in zip(row_low, row_full):
                     assert [int(c) for c in e_low] == [int(c) % 9 for c in e_full[: len(e_low)]]
 
+    @pytest.mark.parametrize("labels", [[], ["x"], ["x", "y", "z"]])
+    def test_labels_of_the_wrong_length_are_a_parse_error(self, tmp_path, capsys, labels):
+        src = write(tmp_path, "m.json", {**FL_SIMPLE, "labels": labels})
+        assert main(["build", "-i", src]) == 1
+        assert capsys.readouterr().err.startswith("error: fl.labels: ")
+
+    def test_wach_file_is_checked_before_its_bootstrap(self, tmp_path, capsys):
+        # a short file claiming a long series order is refused for its C,
+        # and no context is built or kept for the profile it names
+        key = (3, 16, 150, 4)
+        data = {
+            "kind": "wach", "p": 3, "N": 16, "M_pi0": 150, "chi_gamma": "4",
+            "C": [[["1"]]], "G": [[["1"]]], "meta": {"weights": [0]},
+        }
+        src = write(tmp_path, "w.json", data)
+        cyclo._CONTEXT_CACHE.pop(key, None)
+        assert main(["verify", "-i", src]) == 1
+        assert capsys.readouterr().err == "error: wach.C[0][0]: expected 150 coefficients, got 1\n"
+        assert key not in cyclo._CONTEXT_CACHE
+
+    def test_tensor_wach(self, wach_p5, tmp_path, capsys):
+        # two solved files: the artifact is tensor_wach's, and it verifies
+        one = write(tmp_path, "one.json", wach_p5)
+        two = str(tmp_path / "two.json")
+        fl = write(tmp_path, "m.json", {"kind": "fl", "p": 5, "N": 16, "weights": [2], "A": [["3"]]})
+        assert main(["build", "-i", fl, "--out", two]) == 0
+        out = str(tmp_path / "t.json")
+        assert main(["tensor", one, two, "--out", out]) == 0
+        second = json.loads(Path(two).read_text(encoding="utf-8"))
+        expect = tensor_wach(wach_from_dict(wach_p5), wach_from_dict(second))
+        assert Path(out).read_text(encoding="utf-8") == dumps_canonical(wach_to_dict(expect))
+        assert main(["verify", "-i", out]) == 0
+
     def test_tensor_fl(self, tmp_path):
         a = write(tmp_path, "a.json", {"kind": "fl", "p": 5, "N": 4, "weights": [1], "A": [["2"]]})
         b = write(tmp_path, "b.json", {"kind": "fl", "p": 5, "N": 4, "weights": [2], "A": [["3"]]})
@@ -366,6 +406,23 @@ class TestCommands:
         assert code == 0
         data = json.loads(Path(out).read_text(encoding="utf-8"))
         assert data["checks"][0]["pass"]
+
+    def test_normalize_prec_p_lowers_precision(self, tmp_path):
+        # the base change at N = 2 is the N = 4 one reduced mod 3^2: P is
+        # unique, and the reduction of the finer one solves the coarser equation
+        ctx = get_context(3, 4, 6)
+        m = make_fl(3, 4, (0, 1), random_unit_matrix(random.Random(8), 2, 3, 4))
+        from test_reduction import planted_perturbation
+
+        C_pert, _, _ = planted_perturbation(ctx, m, seed=3)
+        src = write(tmp_path, "pert.json", {"kind": "perturbed", "fl": fl_to_dict(m), "C": _matrix_to_json(C_pert)})
+        full, low = str(tmp_path / "full.json"), str(tmp_path / "low.json")
+        assert main(["normalize", "-i", src, "--prec-pi0", "6", "--out", full]) == 0
+        assert main(["normalize", "-i", src, "--prec-pi0", "6", "--prec-p", "2", "--out", low]) == 0
+        P_full = json.loads(Path(full).read_text(encoding="utf-8"))["P"]
+        P_low = json.loads(Path(low).read_text(encoding="utf-8"))["P"]
+        assert any(int(c) >= 9 for row in P_full for e in row for c in e)
+        assert P_low == [[[str(int(c) % 9) for c in e] for e in row] for row in P_full]
 
     def test_roundtrip_generated(self, tmp_path):
         out = str(tmp_path / "rt.json")

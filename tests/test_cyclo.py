@@ -7,6 +7,7 @@ from oracles import make_series, series_pow, shift_multiply, x_series
 from wachkit.cyclo import (
     GAMMA,
     PHI,
+    OperatorTag,
     _in_s0,
     apply_operator,
     build_context,
@@ -132,6 +133,15 @@ class TestOperators:
             apply_operator(ctx3, PHI, x_series(PI, 3, 16, 8))
         with pytest.raises(VariableMismatch):
             apply_operator(ctx3, torsion(1), x_series(PI0, 3, 16, 8))
+
+    def test_operator_errors_are_typed(self, ctx3):
+        # p = 3: torsion indices lie in [1, 2] and projector indices in [0, 1]
+        f = x_series(PI, 3, 16, 8)
+        for tag in (torsion(0), torsion(3), projector(-1), projector(2), OperatorTag("frobenius")):
+            with pytest.raises(InvalidInput):
+                apply_operator(ctx3, tag, f)
+        with pytest.raises(VariableMismatch):
+            apply_operator(ctx3, projector(0), x_series(PI0, 3, 16, 8))
 
     def test_projector_fixes_invariants(self, contexts):
         for ctx in contexts.values():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wachkit.errors import WeightOverflow
+from wachkit.errors import InvalidInput, WeightOverflow
 from wachkit.flmod import (
     FLModule,
     LatticeSub,
@@ -163,6 +163,30 @@ class TestDualTwist:
                 found = True
                 break
         assert found
+
+
+class TestMakeFL:
+    def test_labels_follow_the_weight_sort(self):
+        # weights [2, 0] sort to (0, 2): the basis is reversed, and each
+        # label stays with its vector, as each entry of A does
+        m = make_fl(5, 4, [2, 0], PMatrix(2, 2, (1, 2, 3, 4), 5, 4), ["x", "y"])
+        assert m.weights == (0, 2) and m.labels == ("y", "x")
+        assert m.A == PMatrix(2, 2, (4, 3, 2, 1), 5, 4)
+
+    def test_sort_matches_the_permutation_product(self):
+        # the sorted A is P*A*P^T for the permutation matrix of the sort
+        rng = random.Random(31)
+        for weights in itertools.permutations((0, 1, 1, 3)):
+            A = random_unit_matrix(rng, 4, 5, 6)
+            m = make_fl(5, 6, weights, A, ["a", "b", "c", "d"])
+            P = PMatrix(4, 4, tuple(int(m.sort_perm[k] == i) for i in range(4) for k in range(4)), 5, 6)
+            assert m.A == P.mul(A).mul(P.transpose())
+            assert [m.labels[m.sort_perm[k]] for k in range(4)] == ["a", "b", "c", "d"]
+
+    @pytest.mark.parametrize("labels", [[], ["x"], ["x", "y", "z"]])
+    def test_labels_of_the_wrong_length_are_invalid_input(self, labels):
+        with pytest.raises(InvalidInput):
+            make_fl(5, 4, [2, 0], PMatrix(2, 2, (1, 2, 3, 4), 5, 4), labels)
 
 
 class TestLatticeSub:

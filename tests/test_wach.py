@@ -6,6 +6,7 @@ import pytest
 from oracles import difference_valuations, horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_pow, shift_multiply
 from wachkit.cyclo import build_context, get_context
 from wachkit.errors import (
+    AxiomViolation,
     InvalidInput,
     NoConvergence,
     SingularBasis,
@@ -176,6 +177,22 @@ class TestSolver:
             solve_gamma_matrix(C, m.weights, m.A, ctx3, max_iter=-1)
         with pytest.raises(NoConvergence):
             solve_gamma_matrix(C, m.weights, m.A, ctx3, max_iter=0)
+
+    @pytest.mark.parametrize("tamper", ["one coefficient moved", "another module's C"])
+    def test_certificate_rejects_a_C_that_is_not_A_times_Q(self, ctx5, tamper):
+        # the iteration reads only A and the weights: the certificate
+        # C*phi(G) = G*gamma(C) is what ties the returned G to C
+        rng = random.Random(17)
+        m = make_fl(5, 16, (0, 2), random_unit_matrix(rng, 2, 5, 16))
+        C = build_phi_matrix(m, ctx5)
+        if tamper == "one coefficient moved":
+            rows = [[list(e) for e in row] for row in C.rows]
+            rows[0][1][3] = (rows[0][1][3] + 1) % ctx5.pn
+            C = SeriesMat._trusted(5, 16, rows)
+        else:
+            C = build_phi_matrix(make_fl(5, 16, (0, 2), random_unit_matrix(rng, 2, 5, 16)), ctx5)
+        with pytest.raises(AxiomViolation):
+            solve_gamma_matrix(C, m.weights, m.A, ctx5)
 
     def test_rank_zero_is_invalid_input(self, ctx5):
         # FLModule accepts weights (); the solver must refuse it with a typed
