@@ -3,8 +3,9 @@
 Subcommands: build, verify, reduce, tensor, normalize, roundtrip.  Inputs are
 the JSON formats of :mod:`wachkit.serialize`; outputs are canonical JSON
 (identical inputs and flags give byte-identical files).  Exit codes: 0 all
-checks pass, 1 parse/schema error, 2 validation error, 3 convergence failure,
-4 axiom or check failure.
+checks pass, 1 parse/schema error, 2 validation error, 3 convergence failure
+(a solve past its proved iteration bound: a fault of wachkit, not of the
+input), 4 axiom or check failure.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _cmd_build(args) -> int:
     ctx = _context_for(m, args)
     if args.prec_p is not None:
         m = fl_from_dict({**data, "N": args.prec_p})
-    w = solve_wach(m, ctx, max_iter=args.max_iter)
+    w = solve_wach(m, ctx)
     _emit(dumps_canonical(wach_to_dict(w)), args.out)
     return EXIT_OK
 
@@ -97,14 +98,13 @@ def _cmd_reduce(args) -> int:
     if kind == "fl":
         m = fl_from_dict(data)
         ctx = _context_for(m, args)
-        w = solve_wach(m, ctx, max_iter=args.max_iter)
+        w = solve_wach(m, ctx)
         h_max = m.h
     elif kind == "wach":
         solve_flags = {
             "--prec-p": args.prec_p,
             "--prec-pi0": args.prec_pi0,
             "--chi-gamma": args.chi_gamma,
-            "--max-iter": args.max_iter,
         }
         given = [flag for flag, value in solve_flags.items() if value is not None]
         if given:
@@ -140,7 +140,7 @@ def _cmd_normalize(args) -> int:
     ctx = _context_for(m, args)
     if args.prec_p is not None:
         m, C_pert = perturbed_from_dict({**data, "fl": {**data["fl"], "N": args.prec_p}})
-    P = normalize_basis(C_pert, m, ctx, max_iter=args.max_iter)
+    P = normalize_basis(C_pert, m, ctx)
     _emit(dumps_canonical(base_change_to_dict(P)), args.out)
     return EXIT_OK
 
@@ -181,9 +181,8 @@ _FLAGS = {
     "prec-p": (("--prec-p",), {"type": int, "help": "lower the p-adic precision N of the input"}),
     "prec-pi0": (("--prec-pi0",), {"type": int, "help": "override series order M_pi0"}),
     "chi-gamma": (("--chi-gamma",), {"type": int, "help": "override chi(gamma), default 1+p"}),
-    "max-iter": (("--max-iter",), {"type": int, "help": "iteration budget override"}),
 }
-_SOLVE_FLAGS = ("input", "out", "prec-p", "prec-pi0", "chi-gamma", "max-iter")
+_SOLVE_FLAGS = ("input", "out", "prec-p", "prec-pi0", "chi-gamma")
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -176,20 +176,19 @@ def normalize_basis(
     C_perturbed: SeriesMat,
     target: FLModule,
     ctx: CycloContext,
-    max_iter: int | None = None,
 ) -> SeriesMat:
     """Base change P = Id mod pi0 with P^(-1)*C_perturbed*phi(P) = A*Q.
 
     C_perturbed is any d x d nested sequence of pi0-series over the context;
     each series is taken as exact at its stated truncation.  Raises
-    InvalidInput for a wrong shape or a negative max_iter, ValidationFailed
-    if the target's modulus is not the context's, NotCongruent if
-    C_perturbed does not reduce to A*diag(p^(r_j)) mod pi0, NotDivisible if
-    the perturbation is not realizable over the ring, and NoConvergence if
-    the iteration budget is exhausted.  P is the lift of the identity of
-    the module docstring, certified by C_perturbed*phi(P) = P*A*Q on the
-    user window; its default budget is lift_identity's proved bound,
-    N + M_pi0 - 1 steps.
+    InvalidInput for a wrong shape, ValidationFailed if the target's
+    modulus is not the context's, NotCongruent if C_perturbed does not
+    reduce to A*diag(p^(r_j)) mod pi0, and NotDivisible if the perturbation
+    is not realizable over the ring.  P is the lift of the identity of the
+    module docstring, reached from P = Id within lift_identity's proved
+    bound of N + M_pi0 - 1 steps and certified by
+    C_perturbed*phi(P) = P*A*Q on the user window (AxiomViolation
+    otherwise).
     """
     require_valid(target)
     p, N, pn = ctx.p, ctx.N, ctx.pn
@@ -217,7 +216,7 @@ def normalize_basis(
     K = divide_columns(delta, weights, ctx)
     factors = [[list(enumerate(row))] * d for row in Cp.rows]
     fixed = lift_step(K, factors, weights, ctx, d)  # L = Id: d scalars per entry
-    P, _ = lift_identity(fixed, PMatrix.identity(d, p, N), target.A, Cp, AQ, ctx, max_iter)
+    P, _ = lift_identity(fixed, PMatrix.identity(d, p, N), target.A, Cp, AQ, ctx)
     return P
 
 

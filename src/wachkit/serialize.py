@@ -12,8 +12,8 @@ Schemas:
 * WachModule: {"kind": "wach", "p": int, "N": int, "M_pi0": int,
                "chi_gamma": "dec", "C": [[[coeff, ...], ...], ...],
                "G": like C, "meta": {"weights": [...], "iterations_used": n}},
-              every C and G series with exactly M_pi0 coefficients and
-              every weight in [0, p-2]
+              every C and G series with exactly M_pi0 coefficients,
+              every weight in [0, p-2] and n in [0, N + M_pi0 - 1]
 * perturbed:  {"kind": "perturbed", "fl": FLModule, "C": like wach C},
               a square C whose series may have any length; a shorter
               series is exact, extended by zeros to the longest
@@ -169,6 +169,10 @@ def wach_from_dict(data: dict, where: str = "wach") -> WachModule:
     if any(not 0 <= r <= p - 2 for r in weights):
         raise SchemaError(f"{where}.meta.weights: each weight must lie in [0, p-2] = [0, {p - 2}]")
     iters = _as_int(meta.get("iterations_used", 0), f"{where}.meta.iterations_used")
+    if not 0 <= iters <= N + m_pi0 - 1:  # a solve stops within this proved bound
+        raise SchemaError(
+            f"{where}.meta.iterations_used: must lie in [0, N + M_pi0 - 1] = [0, {N + m_pi0 - 1}]"
+        )
     ctx = get_context(p, N, m_pi0, chi)
     return WachModule(ctx=ctx, weights=weights, C=C, G=G, iterations_used=iters)
 

@@ -14,11 +14,11 @@ so L = A, the right factor A^(-1), and one factor (i, q^(r_i)*v^(-r_j))
 per entry.  Only the scalars read A: the rest of the step (K, the factors and their packed
 products with the quotient tables) is the plan of gamma_plan, built on the
 first solve of a weight tuple and kept on the context.  The iteration
-starts at G = Id (or at a given guess) and stops when two successive
-iterates agree on the user window.  The default budget is N + M_pi0 - 1
-steps, the bound lift_identity proves from the step's contraction (31 at
-the default profile); exceeding a budget raises NoConvergence rather than
-looping (a negative budget is InvalidInput).
+starts at G = Id and stops when two successive iterates agree on the user
+window, which lift_identity proves happens within N + M_pi0 - 1 steps for
+every input (31 at the default profile).  That bound is the only budget;
+a solve that exceeds it raises NoConvergence, a fault of wachkit rather
+than of its input.
 """
 
 from __future__ import annotations
@@ -83,17 +83,15 @@ def solve_gamma_matrix(
     weights: tuple[int, ...],
     A: PMatrix,
     ctx: CycloContext,
-    max_iter: int | None = None,
-    initial_guess: SeriesMat | None = None,
 ) -> tuple[SeriesMat, int]:
     """Fixed-point solve for the Gamma-generator matrix G.
 
-    Returns (G at the user window, iterations used).  C and initial_guess
-    are d x d nested sequences of pi0-series over the context.  G is the
-    lift of the identity with C2 = C and C1 = gamma(C) (see lift_identity
-    and the module docstring), started at initial_guess when one is given;
-    it is certified to satisfy C*phi(G) = G*gamma(C) on the user window
-    before it is returned.
+    Returns (G at the user window, iterations used).  C is a d x d nested
+    sequence of pi0-series over the context.  G is the lift of the identity
+    with C2 = C and C1 = gamma(C) (see lift_identity and the module
+    docstring), reached from G = Id within lift_identity's proved bound; it
+    is certified to satisfy C*phi(G) = G*gamma(C) on the user window before
+    it is returned.
     """
     p, N = ctx.p, ctx.N
     d = len(weights)
@@ -108,16 +106,10 @@ def solve_gamma_matrix(
     C = SeriesMat(C, p, N)
     if len(C) != d:
         raise InvalidInput("C has the wrong shape")
-    if initial_guess is not None:
-        initial_guess = SeriesMat(initial_guess, p, N)
-        if len(initial_guess) != d:
-            raise InvalidInput("initial guess has the wrong shape")
-        if non_identity_entry(initial_guess) is not None:
-            raise InvalidInput("initial guess must be Id mod pi0")
 
     gamma_C = C.substitute(ctx.gamma_sub, ctx.profile.M_pi0)
     plan = ctx.plans.get(weights, lambda w: gamma_plan(ctx, w))
-    return lift_identity(plan, A, A, C, gamma_C, ctx, max_iter, initial_guess)
+    return lift_identity(plan, A, A, C, gamma_C, ctx)
 
 
 def gamma_plan(ctx: CycloContext, weights: tuple[int, ...]) -> kernels.AffineMap:
@@ -194,8 +186,6 @@ def lift_identity(
     C2: SeriesMat,
     C1: SeriesMat,
     ctx: CycloContext,
-    max_iter: int | None = None,
-    start: SeriesMat | None = None,
 ) -> tuple[SeriesMat, int]:
     """The unique F = Id mod pi0 with C2*phi(F) = F*C1, and the steps taken.
 
@@ -227,14 +217,14 @@ def lift_identity(
     so it builds its own on every call.
 
     Orders.  X is kept at m = M_pi0 - 1, the coefficients F reads on the
-    user window, from zero or from the caller's start (Id mod pi0).
+    user window, and starts at zero (F = Id).
     Q_(t+1)^(r) has valuation t, so coefficient k of a step reads X's
     coefficients t <= k only: the window is closed under the step, and a
     repeated iterate is the truncation of the fixed point.  The tables are
     exact below m (table_order).
 
     Budget.  Let w(D) = min_k (k + v_p(D[k])) over Z/p^N (v_p(0) infinite)
-    and D_n = X_(n+1) - X_n, X_0 the start.  The step is affine, so
+    and D_n = X_(n+1) - X_n.  The step is affine, so
     D_(n+1) = L*Y(D_n)*A^(-1) with Y linear, and Q_(t+1)^(r) is
     u^(t+1)*pi0^t*q^e with e = (p-1)(t+1) - r >= 1 and w(q) = 1: the term
     D_n[t]*Q_(t+1)^(r) has w >= t + v_p(D_n[t]) + 1, and the factors and
@@ -242,21 +232,15 @@ def lift_identity(
     of D_n has v_p >= n - k and vanishes mod p^N for n >= N + k, so D_n
     vanishes on the window for n >= N + m - 1 = N + M_pi0 - 2, and the loop
     sees two equal iterates at step N + M_pi0 - 1 at the latest (31 at the
-    default profile).  That is the default max_iter; exceeding a budget
-    raises NoConvergence, and a negative one is InvalidInput.  The result
+    default profile).  The argument holds from any start and for any
+    input, so that bound is the only budget, and exceeding it
+    (NoConvergence) is a fault of the step, not of the input.  The result
     is certified with == on the user window (AxiomViolation otherwise).
     """
     p, N, M = ctx.p, ctx.N, ctx.profile.M_pi0
-    if max_iter is None:
-        max_iter = N + M - 1  # the bound proved under Budget above
-    elif max_iter < 0:
-        raise InvalidInput(f"iteration budget max_iter = {max_iter} is negative")
-    if start is None:
-        X = [[[0] * (M - 1) for _ in range(A.rows)] for _ in range(A.rows)]
-    else:
-        X = [[list(e[1:]) for e in row] for row in start.pad(M).rows]
+    X = [[[0] * (M - 1) for _ in range(A.rows)] for _ in range(A.rows)]
     step = fixed.bind(L.to_lists(), matrix_inverse_mod(A).to_lists())
-    X, iterations = iterate_to_window(step, X, max_iter)
+    X, iterations = iterate_to_window(step, X, N + M - 1)  # the bound proved under Budget
     F = SeriesMat._trusted(p, N, [
         [(int(i == j),) + tuple(e) for j, e in enumerate(row)] for i, row in enumerate(X)
     ])
@@ -265,19 +249,19 @@ def lift_identity(
     return F, iterations
 
 
-def iterate_to_window(step, X: list, max_iter: int) -> tuple[list, int]:
+def iterate_to_window(step, X: list, budget: int) -> tuple[list, int]:
     """Apply step to X until two successive iterates are equal.
 
     X and the iterates are matrices of coefficient lists at the window's
     length, which step keeps.  Returns (the last iterate, steps taken), and
-    raises NoConvergence when max_iter steps do not get there.
+    raises NoConvergence when budget steps do not get there.
     """
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, budget + 1):
         nxt = step(X)
         if nxt == X:
             return nxt, iterations
         X = nxt
-    raise NoConvergence(f"no stabilization within {max_iter} iterations")
+    raise NoConvergence(f"no stabilization within {budget} iterations")
 
 
 def non_identity_entry(G: SeriesMat) -> tuple[int, int] | None:
@@ -322,10 +306,10 @@ def commutation_entry(C: SeriesMat, G: SeriesMat, ctx: CycloContext) -> tuple[in
     return residual_entry(C, G, C.substitute(ctx.gamma_sub, ctx.profile.M_pi0), ctx)
 
 
-def solve_wach(m: FLModule, ctx: CycloContext, max_iter: int | None = None) -> WachModule:
+def solve_wach(m: FLModule, ctx: CycloContext) -> WachModule:
     """Full construction: phi-matrix plus solved gamma-matrix."""
     C = build_phi_matrix(m, ctx)
-    G, used = solve_gamma_matrix(C, m.weights, m.A, ctx, max_iter=max_iter)
+    G, used = solve_gamma_matrix(C, m.weights, m.A, ctx)
     return WachModule(ctx=ctx, weights=m.weights, C=C, G=G, iterations_used=used)
 
 

@@ -39,7 +39,7 @@ def solver_step(monkeypatch):
     def capture(solve, *args, **kwargs):
         seen = []
 
-        def stop(step, X, max_iter):
+        def stop(step, X, budget):
             seen.append((step, X))
             raise _Captured
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wachkit import cyclo
+from wachkit import cyclo, wach
 from wachkit.cli import main
 from wachkit.cyclo import get_context
 from wachkit.flmod import make_fl
@@ -21,7 +21,7 @@ from wachkit.serialize import (
     wach_to_dict,
     _matrix_to_json,
 )
-from wachkit.errors import SchemaError, WachkitError
+from wachkit.errors import NoConvergence, SchemaError, WachkitError
 from wachkit.suite import random_unit_matrix
 from wachkit.wach import WachModule, tensor_wach
 
@@ -188,10 +188,10 @@ class TestCommands:
         data = json.loads(Path(red).read_text(encoding="utf-8"))
         assert data["fil_ranks"] == [2, 1, 0] and data["weights"] == [0, 1]
 
-    @pytest.mark.parametrize("flag", ["--prec-p", "--prec-pi0", "--chi-gamma", "--max-iter"])
+    @pytest.mark.parametrize("flag", ["--prec-p", "--prec-pi0", "--chi-gamma"])
     def test_solve_flags_on_a_wach_input_are_validation_errors(self, tmp_path, capsys, flag):
         # a solved input has nothing for these flags to act on; they used to
-        # be ignored, so --max-iter 0 exited 0 here and 3 on an FL input
+        # be ignored
         src = write(tmp_path, "m.json", FL_SIMPLE)
         wout = str(tmp_path / "w.json")
         assert main(["build", "-i", src, "--out", wout]) == 0
@@ -286,11 +286,16 @@ class TestCommands:
             ["roundtrip", "--generate", "--max-iter", "0"],
             ["build", "-i", "m.json", "--seed", "1"],
             ["normalize", "-i", "p.json", "--seed", "1"],
+            ["build", "-i", "m.json", "--max-iter", "5"],
+            ["reduce", "-i", "m.json", "--max-iter", "5"],
+            ["normalize", "-i", "p.json", "--max-iter", "5"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )
     def test_unread_flag_is_a_usage_error(self, capsys, argv):
-        # each of these flags used to be accepted and ignored
+        # the subcommand reads none of these flags: most used to be accepted
+        # and ignored, and --max-iter is gone, as a solve stops within its
+        # proved bound
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -306,23 +311,43 @@ class TestCommands:
         [
             (command, flags)
             for command in ("build", "reduce", "normalize")
-            for flags in ("--prec-p 0", "--prec-p -1", "--prec-pi0 0", "--max-iter -1")
+            for flags in ("--prec-p 0", "--prec-p -1", "--prec-pi0 0")
         ]
         + [("roundtrip", "--prec-pi0 0"), ("roundtrip", "--prec-pi0 -1")],
     )
     def test_zero_and_negative_budgets_are_validation_errors(self, tmp_path, capsys, command, flags):
         # the flags were read by truthiness: a 0 was ignored and the artifact
-        # written at the input's precision, and --max-iter -1 exited 3 as a
-        # convergence failure
+        # written at the input's precision
         src = write(tmp_path, "m.json", PERTURBED_SIMPLE if command == "normalize" else FL_SIMPLE)
         assert main([command, "-i", src, *flags.split()]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_zero_iteration_budget_is_a_convergence_failure(self, tmp_path, capsys):
-        src = write(tmp_path, "m.json", FL_SIMPLE)
-        assert main(["build", "-i", src, "--max-iter", "0"]) == 3
-        assert capsys.readouterr().err.startswith("error: no stabilization")
+    @pytest.mark.parametrize("command", ["build", "reduce", "normalize"])
+    def test_solve_past_its_bound_is_a_convergence_failure(self, tmp_path, capsys, monkeypatch, command):
+        # a solve that does not stop within its proved bound is a fault of
+        # wachkit: main reports it as exit 3 with one line, not a traceback
+        def stuck(step, X, budget):
+            raise NoConvergence(f"no stabilization within {budget} iterations")
+
+        monkeypatch.setattr(wach, "iterate_to_window", stuck)
+        src = write(tmp_path, "m.json", PERTURBED_SIMPLE if command == "normalize" else FL_SIMPLE)
+        assert main([command, "-i", src]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: no stabilization within 7 iterations") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [-1, 16 + 16])
+    def test_iterations_used_beyond_the_proved_bound_is_a_parse_error(self, wach_p5, tmp_path, capsys, value):
+        # a solve stops within N + M_pi0 - 1 = 31 steps; -7 and 10**30 used
+        # to pass verify, and tensor wrote them into its output
+        bad = write(tmp_path, "bad.json", replaced(wach_p5, ("meta", "iterations_used"), value))
+        for argv in (["verify", "-i", bad], ["tensor", bad, bad]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "iterations_used" in err and err.count("\n") == 1
+        for edge in (0, 16 + 16 - 1):
+            ok = write(tmp_path, "ok.json", replaced(wach_p5, ("meta", "iterations_used"), edge))
+            assert main(["verify", "-i", ok]) == 0
 
     def test_prec_p_above_input_is_a_validation_error(self, tmp_path, capsys):
         # A is known mod 3^4 only: an N = 16 artifact would claim precision

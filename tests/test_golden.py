@@ -18,7 +18,7 @@ from functools import cache
 
 from wachkit.cyclo import get_context
 from wachkit.reduction import recover_filtration
-from wachkit.serialize import dumps_canonical, reduction_to_dict, wach_to_dict
+from wachkit.serialize import dumps_canonical, reduction_to_dict, wach_from_dict, wach_to_dict
 from wachkit.suite import generate_suite
 from wachkit.wach import solve_wach
 
@@ -111,6 +111,12 @@ def test_seeded_suite_artifacts_are_unchanged():
         assert (m.p, m.weights) == (p, weights)
         assert w.iterations_used == iterations, (p, weights)
         assert _sha256(wach_to_dict(w)) == digest, (p, weights)
+
+
+def test_seeded_suite_artifacts_load_back():
+    # every recorded step count lies within the loader's proved bound
+    for _, w in _solved_suite():
+        assert wach_from_dict(wach_to_dict(w)) == w
 
 
 def test_seeded_suite_reductions_are_unchanged():

@@ -8,7 +8,6 @@ from wachkit.cyclo import get_context
 from wachkit.errors import (
     AxiomViolation,
     InvalidInput,
-    NoConvergence,
     NotCongruent,
     NotDivisible,
     ProfileMismatch,
@@ -16,7 +15,7 @@ from wachkit.errors import (
 )
 from wachkit.flmod import make_fl, unit_fl
 from wachkit.padic import PMatrix, howell_kernel, pval
-from wachkit import reduction
+from wachkit import reduction, wach
 from wachkit.reduction import (
     _divided_frobenius,
     normalize_basis,
@@ -235,24 +234,26 @@ class TestNormalize:
         with pytest.raises(NotCongruent):
             normalize_basis(wrong, m, ctx3)
 
-    def test_no_convergence_budget(self, ctx5):
-        # the first step moves Cm off zero, so one step cannot show a stable window
-        rng = random.Random(8)
-        m = make_fl(5, 16, (0, 2), random_unit_matrix(rng, 2, 5, 16))
-        C_pert, _, _ = planted_perturbation(ctx5, m, seed=8)
-        assert normalize_basis(C_pert, m, ctx5) is not None
-        with pytest.raises(NoConvergence):
-            normalize_basis(C_pert, m, ctx5, max_iter=1)
+    @pytest.mark.parametrize("solver", ["solve_wach", "normalize_basis"])
+    def test_certificate_rejects_a_moved_iterate(self, ctx5, monkeypatch, solver):
+        # both solvers certify their fixed point with == on the user window:
+        # one coefficient moved after the iteration must not be returned
+        real = wach.iterate_to_window
 
-    def test_negative_budget_is_invalid_input(self, ctx5):
-        rng = random.Random(8)
-        m = make_fl(5, 16, (0, 2), random_unit_matrix(rng, 2, 5, 16))
-        C_pert, _, _ = planted_perturbation(ctx5, m, seed=8)
-        with pytest.raises(InvalidInput):
-            normalize_basis(C_pert, m, ctx5, max_iter=-1)
-        with pytest.raises(NoConvergence):
-            normalize_basis(C_pert, m, ctx5, max_iter=0)
+        def moved(step, X, budget):
+            X, used = real(step, X, budget)
+            X = [[list(e) for e in row] for row in X]
+            X[1][0][2] = (X[1][0][2] + 1) % ctx5.pn
+            return X, used
 
+        m = make_fl(5, 16, (0, 2), random_unit_matrix(random.Random(8), 2, 5, 16))
+        C_pert, _, _ = planted_perturbation(ctx5, m, seed=8)
+        monkeypatch.setattr(wach, "iterate_to_window", moved)
+        with pytest.raises(AxiomViolation):
+            if solver == "solve_wach":
+                solve_wach(m, ctx5)
+            else:
+                normalize_basis(C_pert, m, ctx5)
 
     @pytest.mark.parametrize(
         "shape, error",
@@ -411,7 +412,7 @@ class TestRoundtrip:
             assert roundtrip_check(m, ctx, seed=1).ok
 
     def test_normalize_failures_reported_programming_errors_raised(self, ctx3, monkeypatch):
-        from wachkit import reduction
+        from wachkit import reduction, wach
         from wachkit.errors import NotDivisible
 
         m = unit_fl(3, 16, 1, 1)

@@ -32,6 +32,7 @@ from wachkit.wach import (
     check_lattice_stability,
     commutation_entry,
     direct_sum_wach,
+    iterate_to_window,
     phi_matrix,
     solve_gamma_matrix,
     solve_wach,
@@ -110,31 +111,17 @@ class TestSolver:
                 w = solve_wach(m, ctx)
                 assert w.iterations_used <= 20
 
-    def test_uniqueness_from_random_start(self, ctx5):
+    def test_uniqueness_from_random_start(self, ctx5, solver_step):
+        # G = Id + pi0*X is the unique fixed point: the solve's step reaches
+        # it from random X as well, within the proved N + M_pi0 - 1 steps
         rng = random.Random(5)
         m = make_fl(5, 16, (1, 3), random_unit_matrix(rng, 2, 5, 16))
         w = solve_wach(m, ctx5)
-        mw = ctx5.work.M_pi0
-        pn = ctx5.pn
-        guess = SeriesMat(
-            [
-                [
-                    series_add(
-                        e,
-                        shift_multiply(
-                            TruncSeries(PI0, 5, 16, tuple(rng.randrange(pn) for _ in range(mw - 1))),
-                            1,
-                        ),
-                    )
-                    for e in row
-                ]
-                for row in SeriesMat.identity(2, 5, 16, mw)
-            ],
-            5,
-            16,
-        )
-        G2, _ = solve_gamma_matrix(w.C, m.weights, m.A, ctx5, initial_guess=guess)
-        assert G2 == w.G
+        step, X0 = solver_step(solve_wach, m, ctx5)
+        fixed = [[list(e[1:]) for e in row] for row in w.G.rows]
+        for _ in range(4):
+            X = [[[rng.randrange(ctx5.pn) for _ in e] for e in row] for row in X0]
+            assert iterate_to_window(step, X, 16 + 16 - 1)[0] == fixed
 
     @pytest.mark.parametrize(
         "p, weights, sparse",
@@ -164,19 +151,18 @@ class TestSolver:
                 assert (w.G, w.iterations_used) == (e.G, e.iterations_used)
             assert len(ctx.plans) == 1
 
-    def test_no_convergence_budget(self, ctx3):
-        m = make_fl(3, 16, (1,), PMatrix(1, 1, (1,), 3, 16))
-        C = build_phi_matrix(m, ctx3)
-        with pytest.raises(NoConvergence):
-            solve_gamma_matrix(C, m.weights, m.A, ctx3, max_iter=2)
+    def test_budget_is_a_safety_net(self):
+        # past the proved bound the fault is the step's: a step that never
+        # repeats is stopped after exactly `budget` calls
+        calls = []
 
-    def test_negative_budget_is_invalid_input(self, ctx3):
-        m = make_fl(3, 16, (1,), PMatrix(1, 1, (1,), 3, 16))
-        C = build_phi_matrix(m, ctx3)
-        with pytest.raises(InvalidInput):
-            solve_gamma_matrix(C, m.weights, m.A, ctx3, max_iter=-1)
+        def step(X):
+            calls.append(X)
+            return [[[len(calls)]]]
+
         with pytest.raises(NoConvergence):
-            solve_gamma_matrix(C, m.weights, m.A, ctx3, max_iter=0)
+            iterate_to_window(step, [[[0]]], 7)
+        assert len(calls) == 7
 
     @pytest.mark.parametrize("tamper", ["one coefficient moved", "another module's C"])
     def test_certificate_rejects_a_C_that_is_not_A_times_Q(self, ctx5, tamper):
@@ -200,25 +186,6 @@ class TestSolver:
         m = make_fl(5, 16, (), PMatrix(0, 0, (), 5, 16))
         with pytest.raises(InvalidInput):
             solve_wach(m, ctx5)
-
-    @pytest.mark.parametrize(
-        "guess",
-        ["3x3", "off-diagonal constant", "diagonal constant"],
-    )
-    def test_initial_guess_errors_are_invalid_input(self, ctx5, guess):
-        # the guess is the solve's start, and G = Id + pi0*X needs it
-        # to be Id mod pi0
-        m = make_fl(5, 16, (0, 3), random_unit_matrix(random.Random(6), 2, 5, 16))
-        C = build_phi_matrix(m, ctx5)
-        rows = [list(row) for row in SeriesMat.identity(2, 5, 16, 16).rows]
-        if guess == "3x3":
-            rows = SeriesMat.identity(3, 5, 16, 16).rows
-        elif guess == "off-diagonal constant":
-            rows[0][1] = (1,) + (0,) * 15
-        else:
-            rows[1][1] = (2,) + (0,) * 15
-        with pytest.raises(InvalidInput):
-            solve_gamma_matrix(C, m.weights, m.A, ctx5, initial_guess=SeriesMat._trusted(5, 16, rows))
 
     @pytest.mark.parametrize(
         "p, N, M, width",
