@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cyclo import CycloContext, get_context
+from .cyclo import get_context
 from .errors import (
     AxiomViolation,
     InvalidInput,
@@ -59,8 +59,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _context_for(m, args) -> CycloContext:
-    """The context of an FL module; --prec-p may lower its N, never raise it."""
+def _context_for(data: dict, args, read):
+    """The input read at the context's N, and the context; --prec-p may lower N, never raise it.
+
+    read is fl_from_dict, or perturbed_from_dict for a file whose FL module
+    is its "fl" part; at a lowered N the input is read again with that N.
+    """
+    perturbed = read is perturbed_from_dict
+    value = read(data)
+    m = value[0] if perturbed else value
     N = m.N
     if args.prec_p is not None:
         if args.prec_p > N:
@@ -68,17 +75,13 @@ def _context_for(m, args) -> CycloContext:
                 f"--prec-p {args.prec_p} exceeds the input's precision N = {N}"
             )
         N = args.prec_p
+        value = read({**data, "fl": {**data["fl"], "N": N}} if perturbed else {**data, "N": N})
     m_pi0 = N if args.prec_pi0 is None else args.prec_pi0
-    chi = args.chi_gamma
-    return get_context(m.p, N, m_pi0, chi)
+    return value, get_context(m.p, N, m_pi0, args.chi_gamma)
 
 
 def _cmd_build(args) -> int:
-    data = load_json(args.input)
-    m = fl_from_dict(data)
-    ctx = _context_for(m, args)
-    if args.prec_p is not None:
-        m = fl_from_dict({**data, "N": args.prec_p})
+    m, ctx = _context_for(load_json(args.input), args, fl_from_dict)
     w = solve_wach(m, ctx)
     _emit(dumps_canonical(wach_to_dict(w)), args.out)
     return EXIT_OK
@@ -87,8 +90,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     w = wach_from_dict(load_json(args.input))
     report = verify_wach_axioms(w)
-    payload = report_to_dict([(c.name, c.ok, c.detail) for c in report.checks])
-    _emit(dumps_canonical(payload), args.out)
+    _emit(dumps_canonical(report_to_dict(report.checks)), args.out)
     return EXIT_OK if report.ok else EXIT_CHECK
 
 
@@ -96,8 +98,7 @@ def _cmd_reduce(args) -> int:
     data = load_json(args.input)
     kind = data.get("kind")
     if kind == "fl":
-        m = fl_from_dict(data)
-        ctx = _context_for(m, args)
+        m, ctx = _context_for(data, args, fl_from_dict)
         w = solve_wach(m, ctx)
         h_max = m.h
     elif kind == "wach":
@@ -135,11 +136,7 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    data = load_json(args.input)
-    m, C_pert = perturbed_from_dict(data)
-    ctx = _context_for(m, args)
-    if args.prec_p is not None:
-        m, C_pert = perturbed_from_dict({**data, "fl": {**data["fl"], "N": args.prec_p}})
+    (m, C_pert), ctx = _context_for(load_json(args.input), args, perturbed_from_dict)
     P = normalize_basis(C_pert, m, ctx)
     _emit(dumps_canonical(base_change_to_dict(P)), args.out)
     return EXIT_OK

@@ -156,7 +156,7 @@ def guard_order(p: int, N: int, M_pi0: int) -> int:
 
 def check_profile(p: int, N: int, M_pi0: int, chi_gamma: int | None) -> tuple[TruncationProfile, int]:
     """The profile and chi(gamma) of a context, checked before any bootstrap (InvalidInput)."""
-    profile = TruncationProfile.default(p, N, M_pi0)  # checks p first
+    profile = TruncationProfile(p, N, M_pi0)  # checks p first
     chi = (1 + p) if chi_gamma is None else int(chi_gamma)
     if (chi - 1) % p != 0:
         raise InvalidInput("chi(gamma) must be congruent to 1 mod p")
@@ -208,14 +208,14 @@ def build_context(
     phi_pi0_in_pi = gamma_pi0_in_pi = pi0_in_pi_w
     torsion_w = []
     for omega in teich_K:
-        pw = binomial_power(omega, p, N, mpw, var=PI)
+        pw = binomial_power(omega, p, N, mpw)
         pi0_in_pi_w = series_add(pi0_in_pi_w, pw)
         torsion_w.append(series_sub(pw, one))
         phi_pi0_in_pi = series_add(
-            phi_pi0_in_pi, binomial_power(p * omega.value, p, N, mpw, var=PI)
+            phi_pi0_in_pi, binomial_power(p * omega.value, p, N, mpw)
         )
         gamma_pi0_in_pi = series_add(
-            gamma_pi0_in_pi, binomial_power(chi * omega.value % p**K, p, N, mpw, var=PI)
+            gamma_pi0_in_pi, binomial_power(chi * omega.value % p**K, p, N, mpw)
         )
     if pi0_in_pi_w.constant_term() != 0:
         raise AssertionError("pi0 bootstrap: nonzero constant term")

@@ -120,22 +120,21 @@ class AffineMap:
     and the slot width.  :meth:`bind` adds the scalars L_ik*R_lj and returns
     the map, so one fixed part serves every L and R a caller brings: the
     Gamma-solve keeps its fixed part per (context, weights) and binds each
-    A to it.  The width holds, per output entry, a sum of `scalars` scalar
-    terms: a bound the caller takes from the shapes of L and R
-    (cols(L)*rows(R), or rows(R) for L = Id), never from their zero
-    pattern, which changes with every L and R.  A call sums each entry's
-    terms as one packed combination of the products, adds K, combines the
-    entries by the nonzero scalars and unpacks each output entry once: no
-    series product and no other unpack.
+    A to it.  An output entry sums at most one scalar per entry of K, so the
+    width is sized from K's shape, never from the zero pattern of L and R,
+    which changes with every L and R.  A call sums each entry's terms as one
+    packed combination of the products, adds K, combines the entries by the
+    nonzero scalars and unpacks each output entry once: no series product
+    and no other unpack.
     """
 
-    def __init__(self, K, terms, pn: int, n: int, scalars: int):
-        # an output slot sums, over the scalars, one K residue and each
-        # coordinate times a slot of f*H[t], itself at most n products
+    def __init__(self, K, terms, pn: int, n: int):
+        # an output slot sums, over the len(K)*m scalars, one K residue and
+        # each coordinate times a slot of f*H[t], itself at most n products
         reads = max((sum(len(H) for _, _, H in t) for row in terms for t in row), default=0)
-        width = slot_width(pn, scalars * (reads * n + 1), factors=4)
         m = len(K[0])
-        self.scalars, self.width, self.m, self.n, self.pn = scalars, width, m, n, pn
+        width = slot_width(pn, len(K) * m * (reads * n + 1), factors=4)
+        self.width, self.m, self.n, self.pn = width, m, n, pn
         mask = (1 << (8 * width * n)) - 1
         # each f, each H's members and each product f*H[t] packed once;
         # while terms holds them, distinct objects have distinct ids
@@ -172,8 +171,6 @@ class AffineMap:
                 s = [(k * m + l, a * b % pn) for k, a in enumerate(row) if a for l, b in enumerate(col)]
                 srow.append([(kl, c) for kl, c in s if c])
             scalars.append(srow)
-        if any(len(s) > self.scalars for srow in scalars for s in srow):
-            raise ValueError(f"an output entry sums more than {self.scalars} scalars")
         width, n, offset, terms = self.width, self.n, self.offset, self.terms
 
         def affine(X) -> list[list[list[int]]]:

@@ -47,8 +47,8 @@ from .errors import (
 from .flmod import FLModule, require_valid, validate_fl
 from .padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval
 from .series import SeriesMat, q_steps
-from .wach import WachModule, divide_columns, lift_identity, lift_step, non_identity_entry
-from .wach import phi_matrix, solve_wach
+from .wach import CheckReport, CheckResult, WachModule, divide_columns, lift_identity, lift_step
+from .wach import non_identity_entry, phi_matrix, solve_wach
 
 
 @dataclass(frozen=True)
@@ -215,22 +215,13 @@ def normalize_basis(
     ]
     K = divide_columns(delta, weights, ctx)
     factors = [[list(enumerate(row))] * d for row in Cp.rows]
-    fixed = lift_step(K, factors, weights, ctx, d)  # L = Id: d scalars per entry
+    fixed = lift_step(K, factors, weights, ctx)
     P, _ = lift_identity(fixed, PMatrix.identity(d, p, N), target.A, Cp, AQ, ctx)
     return P
 
 
 # ---------------------------------------------------------------------------
 # roundtrip
-
-
-@dataclass(frozen=True)
-class RoundtripReport:
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
 
 
 def _expected_fil_ranks(weights: tuple[int, ...], h: int) -> tuple[int, ...]:
@@ -281,7 +272,7 @@ def _stabilizer_match(
 
 def roundtrip_check(
     m: FLModule, ctx: CycloContext, seed: int = 0
-) -> RoundtripReport:
+) -> CheckReport:
     """Build, recover the filtration, and recognize; passes iff all stages agree.
 
     The report has five checks: validate, solve, fil_ranks, weights_and_A
@@ -289,22 +280,20 @@ def roundtrip_check(
     P0 = Id + pi0*R in C and normalizes it away; normalize_basis certifies
     its own residual.
     """
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[CheckResult] = []
     rep = validate_fl(m)
-    checks.append(("validate", rep.ok, "; ".join(rep.failures)))
+    checks.append(CheckResult("validate", rep.ok, "; ".join(rep.failures)))
     if not rep.ok:
-        return RoundtripReport(tuple(checks))
+        return CheckReport(tuple(checks))
 
     w = solve_wach(m, ctx)
-    checks.append(("solve", True, f"iterations={w.iterations_used}"))
+    checks.append(CheckResult("solve", True, f"iterations={w.iterations_used}"))
 
     red = recover_filtration(w, m.h)
     ranks_ok = red.fil_ranks == _expected_fil_ranks(m.weights, m.h)
-    checks.append(
-        ("fil_ranks", ranks_ok, f"{red.fil_ranks}")
-    )
+    checks.append(CheckResult("fil_ranks", ranks_ok, f"{red.fil_ranks}"))
     ok, why = _stabilizer_match(m, red)
-    checks.append(("weights_and_A", ok, why))
+    checks.append(CheckResult("weights_and_A", ok, why))
 
     # recognition leg: plant C_pert = P0^(-1)*A*Q*phi(P0), normalize it away
     rng = random.Random(seed)
@@ -325,7 +314,7 @@ def roundtrip_check(
         detail = ""
     except WachkitError as exc:  # report, don't raise: this is a check
         norm_ok, detail = False, f"{type(exc).__name__}: {exc}"
-    checks.append(("normalize", norm_ok, detail))
+    checks.append(CheckResult("normalize", norm_ok, detail))
 
-    return RoundtripReport(tuple(checks))
+    return CheckReport(tuple(checks))
 

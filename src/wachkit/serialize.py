@@ -146,43 +146,43 @@ def wach_to_dict(w: WachModule) -> dict:
     }
 
 
-def wach_from_dict(data: dict, where: str = "wach") -> WachModule:
-    if _need(data, "kind", where) != "wach":
-        raise SchemaError(f"{where}: kind must be 'wach'")
-    p = _as_int(_need(data, "p", where), f"{where}.p")
-    N = _as_int(_need(data, "N", where), f"{where}.N")
-    m_pi0 = _as_int(_need(data, "M_pi0", where), f"{where}.M_pi0")
-    chi = _as_int(_need(data, "chi_gamma", where), f"{where}.chi_gamma")
+def wach_from_dict(data: dict) -> WachModule:
+    if _need(data, "kind", "wach") != "wach":
+        raise SchemaError("wach: kind must be 'wach'")
+    p = _as_int(_need(data, "p", "wach"), "wach.p")
+    N = _as_int(_need(data, "N", "wach"), "wach.N")
+    m_pi0 = _as_int(_need(data, "M_pi0", "wach"), "wach.M_pi0")
+    chi = _as_int(_need(data, "chi_gamma", "wach"), "wach.chi_gamma")
     # the bootstrap, whose cost grows as M_pi0^2, comes after every check of the file
     check_profile(p, N, m_pi0, chi)
-    C = _matrix_from_json(_need(data, "C", where), p, N, f"{where}.C", m_pi0)
-    G = _matrix_from_json(_need(data, "G", where), p, N, f"{where}.G", m_pi0)
+    C = _matrix_from_json(_need(data, "C", "wach"), p, N, "wach.C", m_pi0)
+    G = _matrix_from_json(_need(data, "G", "wach"), p, N, "wach.G", m_pi0)
     if len(G) != len(C):
-        raise SchemaError(f"{where}: C and G differ in rank")
-    meta = _need(data, "meta", where)
-    weights = _need(meta, "weights", f"{where}.meta")
+        raise SchemaError("wach: C and G differ in rank")
+    meta = _need(data, "meta", "wach")
+    weights = _need(meta, "weights", "wach.meta")
     if not isinstance(weights, list):
-        raise SchemaError(f"{where}.meta.weights: expected a list")
-    weights = tuple(_as_int(x, f"{where}.meta.weights") for x in weights)
+        raise SchemaError("wach.meta.weights: expected a list")
+    weights = tuple(_as_int(x, "wach.meta.weights") for x in weights)
     if len(weights) != len(C):
-        raise SchemaError(f"{where}: weights length differs from matrix rank")
+        raise SchemaError("wach: weights length differs from matrix rank")
     if any(not 0 <= r <= p - 2 for r in weights):
-        raise SchemaError(f"{where}.meta.weights: each weight must lie in [0, p-2] = [0, {p - 2}]")
-    iters = _as_int(meta.get("iterations_used", 0), f"{where}.meta.iterations_used")
+        raise SchemaError(f"wach.meta.weights: each weight must lie in [0, p-2] = [0, {p - 2}]")
+    iters = _as_int(meta.get("iterations_used", 0), "wach.meta.iterations_used")
     if not 0 <= iters <= N + m_pi0 - 1:  # a solve stops within this proved bound
         raise SchemaError(
-            f"{where}.meta.iterations_used: must lie in [0, N + M_pi0 - 1] = [0, {N + m_pi0 - 1}]"
+            f"wach.meta.iterations_used: must lie in [0, N + M_pi0 - 1] = [0, {N + m_pi0 - 1}]"
         )
     ctx = get_context(p, N, m_pi0, chi)
     return WachModule(ctx=ctx, weights=weights, C=C, G=G, iterations_used=iters)
 
 
-def perturbed_from_dict(data: dict, where: str = "perturbed") -> tuple[FLModule, SeriesMat]:
+def perturbed_from_dict(data: dict) -> tuple[FLModule, SeriesMat]:
     """The target module and the perturbed C, over the module's (p, N)."""
-    if _need(data, "kind", where) != "perturbed":
-        raise SchemaError(f"{where}: kind must be 'perturbed'")
-    m = fl_from_dict(_need(data, "fl", where), where=f"{where}.fl")
-    return m, _matrix_from_json(_need(data, "C", where), m.p, m.N, f"{where}.C")
+    if _need(data, "kind", "perturbed") != "perturbed":
+        raise SchemaError("perturbed: kind must be 'perturbed'")
+    m = fl_from_dict(_need(data, "fl", "perturbed"), "perturbed.fl")
+    return m, _matrix_from_json(_need(data, "C", "perturbed"), m.p, m.N, "perturbed.C")
 
 
 def base_change_to_dict(P: SeriesMat) -> dict:

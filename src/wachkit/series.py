@@ -19,10 +19,10 @@ d = j + k(p-1), with no division by p.
 Every division of a pi0-series by q^r = (X+p)^r is the stepwise division
 of :func:`q_steps`; the other divisions by q read their results from it.
 
-Profiles: a :class:`TruncationProfile` fixes (p, N, M_pi0, M_pi) with
-M_pi0 >= N (so evaluation at pi0 = -p, the Weierstrass remainder, is exact
-mod p^N) and M_pi >= (p-1)*M_pi0 + p (so pi-coordinates determine
-pi0-coordinates to order M_pi0).
+Profiles: a :class:`TruncationProfile` fixes (p, N, M_pi0) with M_pi0 >= N
+(so evaluation at pi0 = -p, the Weierstrass remainder, is exact mod p^N);
+the pi-order M_pi = (p-1)*M_pi0 + p follows from them (so pi-coordinates
+determine pi0-coordinates to order M_pi0).
 """
 
 from __future__ import annotations
@@ -55,12 +55,11 @@ def default_pi_order(p: int, M_pi0: int) -> int:
 
 @dataclass(frozen=True)
 class TruncationProfile:
-    """Truncation orders for one computation: fixed p, N, M_pi0, M_pi."""
+    """Truncation orders for one computation: fixed p, N, M_pi0; M_pi is derived."""
 
     p: int
     N: int
     M_pi0: int
-    M_pi: int
 
     def __post_init__(self) -> None:
         check_modulus(self.p, self.N)
@@ -69,15 +68,10 @@ class TruncationProfile:
                 f"M_pi0 = {self.M_pi0} must be >= N = {self.N} "
                 "(Weierstrass remainders are only exact mod p^N above that order)"
             )
-        if self.M_pi < default_pi_order(self.p, self.M_pi0):
-            raise InvalidInput(
-                f"M_pi = {self.M_pi} must be >= (p-1)*M_pi0 + p = "
-                f"{default_pi_order(self.p, self.M_pi0)}"
-            )
 
-    @staticmethod
-    def default(p: int, N: int = 16, M_pi0: int = 16) -> "TruncationProfile":
-        return TruncationProfile(p, N, M_pi0, default_pi_order(p, M_pi0))
+    @property
+    def M_pi(self) -> int:
+        return default_pi_order(self.p, self.M_pi0)
 
     @property
     def pn(self) -> int:
@@ -269,8 +263,7 @@ class SeriesMat:
     def sandwich(self, A, B) -> "SeriesMat":
         """A*X*B for scalar matrices A and B (PMatrix): an affine map with no terms."""
         no_terms = [[[] for _ in row] for row in self.rows]
-        d = len(self.rows)
-        AXB = kernels.AffineMap(self.rows, no_terms, self.pn, self.order, d * d)
+        AXB = kernels.AffineMap(self.rows, no_terms, self.pn, self.order)
         return SeriesMat._trusted(self.p, self.N, AXB.bind(A.to_lists(), B.to_lists())(self.rows))
 
     def kron(self, other: "SeriesMat") -> "SeriesMat":
@@ -492,10 +485,8 @@ def _ceil_log(p: int, m: int) -> int:
     return k
 
 
-def binomial_power(
-    c, p: int, N: int, order: int, var: str = PI
-) -> TruncSeries:
-    """(1 + X)^c truncated at the given order.
+def binomial_power(c, p: int, N: int, order: int) -> TruncSeries:
+    """(1 + pi)^c truncated at the given order.
 
     ``c`` may be a plain int (an exact exponent) or a :class:`PScalar` given
     mod p^K, which must satisfy K >= N + ceil(log_p order): C(n, k) mod p^N
@@ -536,7 +527,7 @@ def binomial_power(
         unit = unit * num * pow(den, -1, pn) % pn
         if v < N:
             coeffs[k] = unit * p**v % pn
-    return TruncSeries(var, p, N, tuple(coeffs))
+    return TruncSeries(PI, p, N, tuple(coeffs))
 
 
 def cut_table(table: list[list[int]], m: int) -> list[list[int]]:
@@ -649,9 +640,7 @@ def q_powers(q: TruncSeries, up_to: int) -> list[TruncSeries]:
     return pows
 
 
-def pi0_coordinates(
-    f: TruncSeries, pi0_in_pi: Substitution, out_order: int | None = None
-) -> tuple[TruncSeries, ...]:
+def pi0_coordinates(f: TruncSeries, pi0_in_pi: Substitution, out_order: int) -> tuple[TruncSeries, ...]:
     """The pi0-series (f_0, ..., f_{p-2}) with f = sum_j pi^j f_j(pi0).
 
     ``pi0_in_pi`` substitutes the coordinate series pi0(pi); its power
@@ -665,10 +654,7 @@ def pi0_coordinates(
     if f.var != PI:
         raise VariableMismatch("expected a pi-series")
     p, pn = f.p, f.pn
-    m = f.order
-    if out_order is None:
-        out_order = (m - p + 1) // (p - 1) + 1
-    d_limit = min(m, (p - 1) * out_order)
+    d_limit = min(f.order, (p - 1) * out_order)
     residual = list(f.coeffs)
     out = [[0] * out_order for _ in range(p - 1)]
     # degree d = k(p-1) + j is solved with the k-th power; one is unpacked

@@ -24,6 +24,7 @@ than of its input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .cyclo import CycloContext
@@ -119,8 +120,8 @@ def gamma_plan(ctx: CycloContext, weights: tuple[int, ...]) -> kernels.AffineMap
     and the products over the quotient bases read only the context and the
     weights, so solve_gamma_matrix builds them on the first solve of a
     weight tuple and keeps them in ctx.plans.  The slot width holds the d^2
-    scalars A_ik*A^(-1)_lj an entry can sum, so a plan built for a sparse A
-    serves a dense one.
+    scalars A_ik*A^(-1)_lj an entry can sum (K is d x d), so a plan built
+    for a sparse A serves a dense one.
     """
     pn, M, d = ctx.pn, ctx.profile.M_pi0, len(weights)
     m = M - 1
@@ -137,7 +138,7 @@ def gamma_plan(ctx: CycloContext, weights: tuple[int, ...]) -> kernels.AffineMap
     factors = [[[(i, factor[ri, rj])] for rj in weights] for i, ri in enumerate(weights)]
     zero = [0] * m
     K = [[vpow[r][1:] if i == j else zero for j in range(d)] for i, r in enumerate(weights)]
-    return lift_step(K, factors, weights, ctx, d * d)
+    return lift_step(K, factors, weights, ctx)
 
 
 def table_order(ctx: CycloContext, weights: tuple[int, ...]) -> int:
@@ -160,15 +161,12 @@ def divide_columns(D: list, weights: tuple[int, ...], ctx: CycloContext) -> list
     return [[q_divide_exact(e[:n], p, pn, r) for e, r in zip(row, weights)] for row in D]
 
 
-def lift_step(
-    K: list, factors: list, weights: tuple[int, ...], ctx: CycloContext, scalars: int
-) -> kernels.AffineMap:
+def lift_step(K: list, factors: list, weights: tuple[int, ...], ctx: CycloContext) -> kernels.AffineMap:
     """The part of lift_identity's map that does not read L or A.
 
     K and factors are as in lift_identity; each factor is paired with the
-    quotient basis of its column's weight, divided at the table order, and
-    `scalars` bounds the scalars L_ik*A^(-1)_lj an output entry sums
-    (kernels.AffineMap).
+    quotient basis of its column's weight, divided at the table order.  The
+    slots are sized from K's shape (kernels.AffineMap).
     """
     m = ctx.profile.M_pi0 - 1
     n = table_order(ctx, weights)
@@ -176,7 +174,7 @@ def lift_step(
     terms = [
         [[(k, f, bases[r]) for k, f in fs] for fs, r in zip(row, weights)] for row in factors
     ]
-    return kernels.AffineMap(K, terms, ctx.pn, m, scalars)
+    return kernels.AffineMap(K, terms, ctx.pn, m)
 
 
 def lift_identity(
@@ -317,15 +315,16 @@ def solve_wach(m: FLModule, ctx: CycloContext) -> WachModule:
 # axioms
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class CheckReport:
+    """Named pass/fail checks: the axioms of verify_wach_axioms, the stages of roundtrip_check."""
+
     checks: tuple[CheckResult, ...]
 
     @property
@@ -336,7 +335,7 @@ class AxiomReport:
         return tuple(c.name for c in self.checks if not c.ok)
 
 
-def verify_wach_axioms(w: WachModule) -> AxiomReport:
+def verify_wach_axioms(w: WachModule) -> CheckReport:
     """Check the three structural axioms, reporting each as pass/fail.
 
     1. commutation C*phi(G) = G*gamma(C),
@@ -381,7 +380,7 @@ def verify_wach_axioms(w: WachModule) -> AxiomReport:
         )
         checks.append(CheckResult("det_q_height", ok, detail))
 
-    return AxiomReport(tuple(checks))
+    return CheckReport(tuple(checks))
 
 
 def tensor_wach(w1: WachModule, w2: WachModule) -> WachModule:

@@ -217,6 +217,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "top level" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, kind", [("verify", "fl"), ("normalize", "wach"), ("build", None)])
+    def test_wrong_kind_or_missing_file_is_a_parse_error(self, wach_p5, tmp_path, capsys, command, kind):
+        # each loader names the kind it expects, and a missing file is named
+        inputs = {"fl": FL_SIMPLE, "wach": wach_p5}
+        src = write(tmp_path, "in.json", inputs[kind]) if kind else str(tmp_path / "absent.json")
+        assert main([command, "-i", src]) == 1
+        err = capsys.readouterr().err
+        expect = "no such file" if kind is None else "kind must be"
+        assert err.startswith("error: ") and expect in err and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "flags",
         [("--primes", "x"), ("--primes", ""), ("--primes", "3,9"), ("--primes", "0"),
@@ -238,6 +248,7 @@ class TestCommands:
             ("wach_p5_weights_00", truncated),
             ("wach_p5", lambda d: replaced(d, ("C", 0, 0, 0), 1.9)),
             ("wach_p5", lambda d: replaced(d, ("meta", "weights"), [True, 1.5])),
+            ("wach_p5", lambda d: replaced(d, ("G",), [d["G"][0][:1]])),
         ],
         ids=[
             "series-as-integer",
@@ -246,6 +257,7 @@ class TestCommands:
             "truncated-series",
             "float-coefficient",
             "weights-bool-and-float",
+            "G-of-another-rank",
         ],
     )
     def test_malformed_wach_is_a_parse_error(self, request, tmp_path, capsys, base, tamper):
@@ -370,6 +382,26 @@ class TestCommands:
             for row_low, row_full in zip(low[name], full[name]):
                 for e_low, e_full in zip(row_low, row_full):
                     assert [int(c) for c in e_low] == [int(c) % 9 for c in e_full[: len(e_low)]]
+
+    @pytest.mark.parametrize("command", ["build", "reduce", "normalize"])
+    def test_prec_p_reads_the_input_at_the_lowered_precision(self, tmp_path, capsys, command):
+        # --prec-p 2 gives what the same file written at N = 2 gives; reduce
+        # used to solve the N = 4 module over an N = 2 context and exit 2
+        if command == "normalize":
+            data, at_2 = PERTURBED_SIMPLE, {**PERTURBED_SIMPLE, "fl": {**FL_SIMPLE, "N": 2}}
+        else:
+            data, at_2 = FL_SIMPLE, {**FL_SIMPLE, "N": 2}
+        src, src_2 = write(tmp_path, "m.json", data), write(tmp_path, "m2.json", at_2)
+        assert main([command, "-i", src, "--prec-p", "2"]) == 0
+        lowered = capsys.readouterr().out
+        assert main([command, "-i", src_2]) == 0
+        assert lowered == capsys.readouterr().out
+        if command == "reduce":
+            # and it is the reduction of the artifact that build --prec-p 2 writes
+            artifact = str(tmp_path / "w.json")
+            assert main(["build", "-i", src, "--prec-p", "2", "--out", artifact]) == 0
+            assert main(["reduce", "-i", artifact]) == 0
+            assert lowered == capsys.readouterr().out
 
     @pytest.mark.parametrize("labels", [[], ["x"], ["x", "y", "z"]])
     def test_labels_of_the_wrong_length_are_a_parse_error(self, tmp_path, capsys, labels):

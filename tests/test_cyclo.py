@@ -102,7 +102,7 @@ class TestUnitIdentities:
         pi0_sub = Substitution(w.pi0_in_pi)
         one = constant_series(PI, 1, p, ctx.N, w.M_pi)
         phi_pi, gamma_pi = (
-            series_sub(binomial_power(e, p, ctx.N, w.M_pi, var=PI), one) for e in (p, ctx.chi_gamma)
+            series_sub(binomial_power(e, p, ctx.N, w.M_pi), one) for e in (p, ctx.chi_gamma)
         )
         for image, op_pi in ((w.phi_pi0, phi_pi), (w.gamma_pi0, gamma_pi)):
             composed = Substitution(op_pi).apply(w.pi0_in_pi)

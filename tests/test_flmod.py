@@ -90,6 +90,13 @@ class TestDirectSum:
         assert validate_fl(tensor_fl(m1, m2)).ok
 
 
+@pytest.mark.parametrize("combine", [tensor_fl, direct_sum_fl])
+@pytest.mark.parametrize("other", [unit_fl(5, 4, 0, 1), unit_fl(7, 3, 0, 1)], ids=["other N", "other p"])
+def test_other_moduli_are_invalid_input(combine, other):
+    with pytest.raises(InvalidInput, match="different moduli"):
+        combine(unit_fl(5, 3, 0, 1), other)
+
+
 class TestDualTwist:
     def test_rank_one(self):
         m = unit_fl(5, 4, 1, 2)

@@ -250,7 +250,7 @@ def test_mat_mul_largest_slot_sums(p):
 def _constant_map(L, R, K, pn, n):
     """L*K*R by the affine-map kernel: with no terms, no coordinate is read."""
     no_terms = [[[] for _ in row] for row in K]
-    return kernels.AffineMap(K, no_terms, pn, n, len(L[0]) * len(R)).bind(L, R)([])
+    return kernels.AffineMap(K, no_terms, pn, n).bind(L, R)([])
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
@@ -271,18 +271,6 @@ def test_sandwich_matches_schoolbook(p):
                 got = T.sandwich(PMatrix.from_lists(A, p, N), PMatrix.from_lists(B, p, N))
                 expect = scalar_matmul(A, [list(row) for row in T.rows], B, pn)
                 assert [list(map(list, row)) for row in got.rows] == expect
-
-
-def test_affine_map_refuses_scalars_beyond_its_width():
-    # the fixed part's slots hold the bound it was built for; binding L and
-    # R with more nonzero scalars per entry would overflow them silently
-    pn, n, d = 5**16, 8, 2
-    K = [[[1] * n] * d] * d
-    fixed = kernels.AffineMap(K, [[[] for _ in row] for row in K], pn, n, d)
-    ident, full = [[1, 0], [0, 1]], [[1, 1], [1, 1]]
-    assert fixed.bind(ident, full)([]) == [[[2] * n] * d] * d
-    with pytest.raises(ValueError):
-        fixed.bind(full, full)
 
 
 def _combine(coords, basis, pn, n):
@@ -332,7 +320,7 @@ def test_sandwich_with_factor_and_offset(p):
                     ]
                     for kr, er, fr in zip(K_, E, F_)
                 ]
-                got = kernels.AffineMap(K_, _gamma_terms(F_, basis_), pn, n, d * d).bind(A_, B_)(X)
+                got = kernels.AffineMap(K_, _gamma_terms(F_, basis_), pn, n).bind(A_, B_)(X)
                 assert got == scalar_matmul(A_, inner, B_, pn)
 
 
@@ -350,7 +338,7 @@ def test_sandwich_largest_slot_sums(p):
             assert _constant_map(full, full, ones, pn, n) == [[[-d * d % pn] * n] * d] * d
             L, unit = 18, [[1] * d] * d
             basis, coords = [[pn - 1] * n] * L, [[[pn - 1] * L] * d] * d
-            affine = kernels.AffineMap(ones, _gamma_terms(ones, basis), pn, n, d * d).bind(full, unit)
+            affine = kernels.AffineMap(ones, _gamma_terms(ones, basis), pn, n).bind(full, unit)
             expect = [d * d * (1 + L * (k + 1)) % pn for k in range(n)]
             assert affine(coords) == [[expect] * d] * d
 
@@ -387,9 +375,7 @@ def test_affine_product_matches_schoolbook(p):
                 FE = oracle_matmul(F_, E, pn, n)
                 inner = [[[(a + b) % pn for a, b in zip(k, e)] for k, e in zip(kr, er)] for kr, er in zip(K_, FE)]
                 terms = [[[(k, f, basis) for k, f in enumerate(row)] for basis in bases_] for row in F_]
-                # the normalization (L = Id) sizes its slots for d scalars per entry
-                scalars = d if L_ is ident else d * d
-                got = kernels.AffineMap(K_, terms, pn, n, scalars).bind(L_, R_)(X)
+                got = kernels.AffineMap(K_, terms, pn, n).bind(L_, R_)(X)
                 assert got == scalar_matmul(L_, inner, R_, pn)
 
 

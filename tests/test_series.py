@@ -64,13 +64,10 @@ def pi0_closed_form_p3(order, N=16):
 
 class TestProfile:
     def test_invariants(self):
-        prof = TruncationProfile.default(3)
-        assert prof.M_pi0 >= prof.N
-        assert prof.M_pi >= (prof.p - 1) * prof.M_pi0 + prof.p
+        prof = TruncationProfile(3, 16, 16)
+        assert prof.M_pi == (prof.p - 1) * prof.M_pi0 + prof.p
         with pytest.raises(InvalidInput):
-            TruncationProfile(3, 16, 8, 100)  # M_pi0 < N
-        with pytest.raises(InvalidInput):
-            TruncationProfile(3, 4, 4, 5)  # M_pi too small
+            TruncationProfile(3, 16, 8)  # M_pi0 < N
 
 
 class TestMultiply:

@@ -164,12 +164,19 @@ def test_every_cli_flag_is_read_by_its_handler():
 
 def test_no_kernel_parameter_defaults_to_none():
     # a parameter that defaults to None is an optional mode of a kernel; the
-    # kernels have one path each, so every argument is given
-    tree = ast.parse((SRC / "kernels.py").read_text(encoding="utf-8"))
-    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    # kernels and the ring layer's functions have one path each, so every
+    # argument is given.  Methods of series.py stay outside: the acceptance
+    # suite calls Substitution.apply both with and without an order.
+    trees = _trees()
+    functions = [
+        (f"{module}.{node.name}", node)
+        for module in ("kernels", "series")
+        for node in trees[module].body
+        if isinstance(node, ast.FunctionDef)
+    ]
     functions += [
-        (f"{node.name}.{item.name}", item)
-        for node in tree.body
+        (f"kernels.{node.name}.{item.name}", item)
+        for node in trees["kernels"].body
         if isinstance(node, ast.ClassDef)
         for item in node.body
         if isinstance(item, ast.FunctionDef)

@@ -180,6 +180,29 @@ class TestSolver:
         with pytest.raises(AxiomViolation):
             solve_gamma_matrix(C, m.weights, m.A, ctx5)
 
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            ("weight above p-2", ValidationFailed),
+            ("negative weight", ValidationFailed),
+            ("A not d x d", InvalidInput),
+            ("C of another rank", InvalidInput),
+        ],
+    )
+    def test_bad_arguments_are_typed_errors(self, ctx5, fault, error):
+        m = make_fl(5, 16, (0, 2), random_unit_matrix(random.Random(24), 2, 5, 16))
+        C, weights, A = build_phi_matrix(m, ctx5), m.weights, m.A
+        if fault == "weight above p-2":
+            weights = (0, 4)
+        elif fault == "negative weight":
+            weights = (-1, 2)
+        elif fault == "A not d x d":
+            A = PMatrix.identity(3, 5, 16)
+        else:
+            C = SeriesMat.identity(3, 5, 16, 16)
+        with pytest.raises(error):
+            solve_gamma_matrix(C, weights, A, ctx5)
+
     def test_rank_zero_is_invalid_input(self, ctx5):
         # FLModule accepts weights (); the solver must refuse it with a typed
         # error before it builds anything
@@ -366,6 +389,14 @@ class TestFunctoriality:
             tensor_wach(w, w)
 
 
+    @pytest.mark.parametrize("combine", [tensor_wach, direct_sum_wach])
+    def test_different_contexts_are_invalid_input(self, ctx5, combine):
+        w = solve_wach(unit_fl(5, 16, 0, 2), ctx5)
+        other = solve_wach(unit_fl(5, 4, 0, 2), get_context(5, 4, 4))
+        with pytest.raises(InvalidInput, match="different contexts"):
+            combine(w, other)
+
+
 class TestLatticeStability:
     def test_full_lattice(self, ctx3):
         rng = random.Random(30)
@@ -426,6 +457,11 @@ class TestLatticeStability:
         assert [[e.order for e in row] for row in X] == [[8, 8], [8, 8]]
         assert X[0][1] == bad and X[1][0].is_zero()
 
+    def test_other_ambient_rank_is_invalid_input(self, ctx3):
+        w = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
+        with pytest.raises(InvalidInput, match="ambient rank"):
+            check_lattice_stability(w, LatticeSub(2, PMatrix.identity(2, 3, 16), (0, 0)))
+
     def test_singular_basis(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
         with pytest.raises(SingularBasis):
@@ -434,7 +470,9 @@ class TestLatticeStability:
             )
 
 
-@pytest.mark.parametrize("entry", ["solve_gamma_matrix", "normalize_basis", "check_lattice_stability"])
+@pytest.mark.parametrize(
+    "entry", ["build_phi_matrix", "solve_gamma_matrix", "normalize_basis", "check_lattice_stability"]
+)
 def test_other_modulus_is_a_validation_error(ctx5, entry):
     # an argument over another (p, N) than the context's is refused as
     # build_phi_matrix refuses it; before, the first two failed in the solve
@@ -444,7 +482,9 @@ def test_other_modulus_is_a_validation_error(ctx5, entry):
     m = make_fl(5, 16, (0, 2), random_unit_matrix(random.Random(23), 2, 5, 16))
     A8 = PMatrix(2, 2, tuple(c % 5**8 for c in m.A.entries), 5, 8)
     with pytest.raises(ValidationFailed, match="moduli differ"):
-        if entry == "solve_gamma_matrix":
+        if entry == "build_phi_matrix":
+            build_phi_matrix(make_fl(5, 8, m.weights, A8), ctx5)
+        elif entry == "solve_gamma_matrix":
             solve_gamma_matrix(build_phi_matrix(m, ctx5), m.weights, A8, ctx5)
         elif entry == "normalize_basis":
             normalize_basis(build_phi_matrix(m, ctx5), make_fl(5, 8, m.weights, A8), ctx5)
