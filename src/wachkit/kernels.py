@@ -13,10 +13,13 @@ algorithms for manipulating formal power series", J. ACM 25 (1978), for the
 power-table substitution.
 
 Series matrices are nested lists of coefficient lists.  Their products
-(:func:`mat_mul`) and the affine maps of the fixed-point solvers
-(:class:`AffineMap`) are accumulated on the packed entries, so an output
-entry costs one unpack however many terms it sums; only this module knows
-the slot layout.
+(:func:`mat_mul`), the affine maps of the fixed-point solvers
+(:class:`AffineMap`) and the two sides of the commutation certificate
+(:func:`commutation_sides`) are accumulated on the packed entries, so an
+output entry costs one unpack however many terms it sums; only this module
+knows the slot layout.  The certificate's slots are the widest: a side's
+entry sums d*n^2 products of three residues (:func:`certificate_width`),
+as a substituted entry stays packed and unreduced before its product.
 """
 
 from __future__ import annotations
@@ -76,14 +79,15 @@ def _powers(g, pn: int, n: int, width: int):
             cur = pack(unpack((cur & mask) * (u & mask), width, m, pn), width)
 
 
-def power_table(g, pn: int, n: int) -> tuple[int, list[int]]:
-    """(width, packed g^0, g^1, ...) truncated at order n; requires g[0] == 0.
+def power_table(g, pn: int, n: int, width: int) -> list[int]:
+    """Packed g^0, g^1, ... truncated at order n, in slots of `width` bytes; requires g[0] == 0.
 
-    The table stops at the first power that vanishes mod X^n, so an image of
-    valuation v holds at most about n/v powers.
+    slot_width(pn, n) is enough to compose with the table; the certificate
+    asks for wider slots (certificate_width).  The table stops at the first
+    power that vanishes mod X^n, so an image of valuation v holds at most
+    about n/v powers.
     """
-    width = slot_width(pn, n)
-    return width, list(_powers(g, pn, n, width))
+    return list(_powers(g, pn, n, width))
 
 
 def compose_table(f, table: list[int], width: int, pn: int, n: int) -> list[int]:
@@ -102,6 +106,44 @@ def mat_mul(X, Y, pn: int, n: int) -> list[list[list[int]]]:
     Xp = [[pack(e[:n], width) for e in row] for row in X]
     cols = list(zip(*[[pack(e[:n], width) for e in row] for row in Y]))
     return [[unpack(sum(map(mul, xr, col)), width, n, pn) for col in cols] for xr in Xp]
+
+
+def certificate_width(pn: int, d: int, n: int) -> int:
+    """Bytes per slot of commutation_sides for d x d matrices at order n.
+
+    A composition over a power table of at most n members leaves a slot
+    summing n products of two residues, unreduced; its product with a
+    packed entry sums n of those per slot, and a side's entry sums d such
+    products: d*n^2 products of three residues.
+    """
+    return slot_width(pn, d * n * n, factors=3)
+
+
+def commutation_sides(L, F, R, phi: list[int], gamma: list[int] | None, width: int, pn: int, n: int):
+    """Yield the entries of L*phi(F) and F*gamma(R) mod X^n, row-major, as pairs of coefficient lists.
+
+    phi and gamma are the power tables of two images, packed at `width`
+    (certificate_width or wider); with gamma None the right side is F*R.
+    Each phi(F_kj), and each gamma(R_kj), is one packed combination over
+    its table, kept unreduced, and is multiplied as it stands by the packed
+    entries of the other factor, so an entry of each side is one packed sum
+    and one unpack.  Every operand has at least n coefficients, and only
+    the first n are read.
+    """
+    Lp = [[pack(e[:n], width) for e in row] for row in L]
+    Fp = [[pack(e[:n], width) for e in row] for row in F]
+    # phi(F) and gamma(R) by columns: entry (i, j) reads column j of each
+    left = list(zip(*[[sum(map(mul, e, phi)) for e in row] for row in F]))
+    if gamma is None:
+        right = list(zip(*[[pack(e[:n], width) for e in row] for row in R]))
+    else:
+        right = list(zip(*[[sum(map(mul, e, gamma)) for e in row] for row in R]))
+    for lrow, frow in zip(Lp, Fp):
+        for lcol, rcol in zip(left, right):
+            yield (
+                unpack(sum(map(mul, lrow, lcol)), width, n, pn),
+                unpack(sum(map(mul, frow, rcol)), width, n, pn),
+            )
 
 
 class AffineMap:

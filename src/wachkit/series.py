@@ -396,9 +396,11 @@ class Cache:
 # Power tables kept per image.  The library's own calls ask an image for at
 # most three orders (the user window, the guard order and u's order, where
 # the quotient tables are divided); the cap bounds memory when loaded
-# artifacts bring series of many other lengths.  Quotient tables are not
-# capped: the library asks for them only at u's order, one per weight, so
-# at most p - 1 exist.
+# artifacts bring series of many other lengths.  The certificate's wide
+# tables are kept apart, with the same cap, per (order, width): the width
+# follows the rank, and in one cache the ranks of a few artifacts would
+# evict the library's orders.  Quotient tables are not capped: the library
+# asks for them only at u's order, one per weight, so at most p - 1 exist.
 _TABLES_KEPT = 4
 
 
@@ -408,10 +410,12 @@ class Substitution:
     The powers g^0, g^1, ... truncated at an order n are packed the first
     time order n is asked for and kept (the last few orders used); each
     substitution at that order is then one big-int linear combination and
-    one unpack.  The quotient tables of :meth:`quotients` are kept for
-    every (order, exponent) asked for.  The tables are a cache: they are
-    not pickled, and equality of the objects that hold a Substitution should
-    not look at it.
+    one unpack.  The wide tables of :meth:`wide_table`, which the
+    commutation certificate combines without unpacking, are kept the same
+    way per (order, width), and the quotient tables of :meth:`quotients`
+    for every (order, exponent) asked for.  The tables are a cache: they
+    are not pickled, and equality of the objects that hold a Substitution
+    should not look at it.
     """
 
     def __init__(self, image: TruncSeries):
@@ -419,6 +423,7 @@ class Substitution:
             raise NonzeroConstant("substitution argument has nonzero constant term")
         self.image = image
         self._tables = Cache(_TABLES_KEPT)
+        self._wide = Cache(_TABLES_KEPT)
         self._quotients: dict[tuple[int, int], list[list[int]]] = {}
 
     def __reduce__(self):
@@ -428,8 +433,17 @@ class Substitution:
         return self._tables.get(n, self._power_table)
 
     def _power_table(self, n: int) -> tuple[int, list[int]]:
+        width = kernels.slot_width(self.image.pn, n)
+        return width, self._packed_powers((n, width))
+
+    def _packed_powers(self, key: tuple[int, int]) -> list[int]:
         g = self.image
-        return kernels.power_table(g.coeffs, g.pn, n)
+        n, width = key
+        return kernels.power_table(g.coeffs, g.pn, n, width)
+
+    def wide_table(self, n: int, width: int) -> list[int]:
+        """The packed powers g^0, g^1, ... truncated at order n, in slots of `width` bytes."""
+        return self._wide.get((n, width), self._packed_powers)
 
     def quotients(self, n: int, r: int) -> list[list[int]]:
         """Q_k = (g^k mod X^n) / (X*(X+p)^r) for each g^k of :meth:`powers`, of length n-1-r.

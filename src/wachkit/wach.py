@@ -19,6 +19,16 @@ window, which lift_identity proves happens within N + M_pi0 - 1 steps for
 every input (31 at the default profile).  That bound is the only budget;
 a solve that exceeds it raises NoConvergence, a fault of wachkit rather
 than of its input.
+
+One certificate checks a lift: commutation_residual compares
+C2*phi(F) with F*C1 on the user window, with ==, and names the first entry
+that differs.  The solvers run it on their result (lift_identity), and
+verify_wach_axioms on an artifact's (C, G) with C1 = gamma(C).  Each side
+is one packed sum per entry (kernels.commutation_sides): phi(F), and
+gamma(C) where C1 = gamma(C2), are formed over the images' packed power
+tables and never unpacked, so no substitution, series product or
+intermediate matrix is built.  G is unique by full faithfulness, so ==
+on the window is the whole check.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from .errors import (
     AxiomViolation,
     InvalidInput,
     NoConvergence,
+    ProfileMismatch,
     SingularBasis,
     SingularModP,
     ValidationFailed,
@@ -92,7 +103,8 @@ def solve_gamma_matrix(
     with C2 = C and C1 = gamma(C) (see lift_identity and the module
     docstring), reached from G = Id within lift_identity's proved bound; it
     is certified to satisfy C*phi(G) = G*gamma(C) on the user window before
-    it is returned.
+    it is returned.  A SeriesMat over the context's (p, N) is taken as it
+    is, and gamma(C) is formed only inside the certificate.
     """
     p, N = ctx.p, ctx.N
     d = len(weights)
@@ -104,13 +116,13 @@ def solve_gamma_matrix(
         raise InvalidInput("A has the wrong shape")
     if (A.p, A.N) != (p, N):
         raise ValidationFailed("A and context moduli differ")
-    C = SeriesMat(C, p, N)
+    if not (isinstance(C, SeriesMat) and (C.p, C.N) == (p, N)):
+        C = SeriesMat(C, p, N)
     if len(C) != d:
         raise InvalidInput("C has the wrong shape")
 
-    gamma_C = C.substitute(ctx.gamma_sub, ctx.profile.M_pi0)
     plan = ctx.plans.get(weights, lambda w: gamma_plan(ctx, w))
-    return lift_identity(plan, A, A, C, gamma_C, ctx)
+    return lift_identity(plan, A, A, C, None, ctx)
 
 
 def gamma_plan(ctx: CycloContext, weights: tuple[int, ...]) -> kernels.AffineMap:
@@ -182,16 +194,17 @@ def lift_identity(
     L: PMatrix,
     A: PMatrix,
     C2: SeriesMat,
-    C1: SeriesMat,
+    C1: SeriesMat | None,
     ctx: CycloContext,
 ) -> tuple[SeriesMat, int]:
     """The unique F = Id mod pi0 with C2*phi(F) = F*C1, and the steps taken.
 
     Both fixed-point solves lift an identity morphism, which is unique by
     full faithfulness (Berger, "Limites de representations cristallines",
-    Compositio 140, 2004): the Gamma-matrix G (C2 = C, C1 = gamma(C)) and
-    the normalizing base change P (C2 = C', C1 = A*Q).  Writing
-    F = Id + pi0*X, each caller rearranges its equation into
+    Compositio 140, 2004): the Gamma-matrix G (C2 = C, C1 = gamma(C),
+    passed as None) and the normalizing base change P (C2 = C',
+    C1 = A*Q).  Writing F = Id + pi0*X, each caller rearranges its
+    equation into
 
         X  <-  L*(K + Y)*A^(-1),
         Y_ij = sum over (k, f) in factors[i][j] of f * phi(pi0*X_kj)/(pi0*q^(r_j)),
@@ -233,7 +246,9 @@ def lift_identity(
     default profile).  The argument holds from any start and for any
     input, so that bound is the only budget, and exceeding it
     (NoConvergence) is a fault of the step, not of the input.  The result
-    is certified with == on the user window (AxiomViolation otherwise).
+    is certified with == on the user window by commutation_residual, the
+    one packed certificate (AxiomViolation otherwise); C1 = gamma(C2) is
+    formed there, packed, and never as a matrix.
     """
     p, N, M = ctx.p, ctx.N, ctx.profile.M_pi0
     X = [[[0] * (M - 1) for _ in range(A.rows)] for _ in range(A.rows)]
@@ -242,7 +257,7 @@ def lift_identity(
     F = SeriesMat._trusted(p, N, [
         [(int(i == j),) + tuple(e) for j, e in enumerate(row)] for i, row in enumerate(X)
     ])
-    if residual_entry(C2, F, C1, ctx) is not None:
+    if commutation_residual(C2, F, ctx, C1) is not None:
         raise AxiomViolation("fixed-point residual is nonzero at the user window")
     return F, iterations
 
@@ -275,33 +290,33 @@ def non_identity_entry(G: SeriesMat) -> tuple[int, int] | None:
     )
 
 
-def residual_entry(
-    L: SeriesMat, Y: SeriesMat, R: SeriesMat, ctx: CycloContext
+def commutation_residual(
+    C2: SeriesMat, F: SeriesMat, ctx: CycloContext, C1: SeriesMat | None = None
 ) -> tuple[int, int] | None:
-    """The first entry (i, j) at which L*phi(Y) and Y*R differ, or None.
+    """The first entry (i, j), row-major, at which C2*phi(F) and F*C1 differ, or None.
 
-    phi(Y) is taken at most at the user window, and a product is no longer
-    than its operands, so for Y at the window the two sides are compared on
-    exactly the window.
+    C1 defaults to gamma(C2).  The sides are compared on the user window
+    and on no more coefficients than every operand carries: phi(F) and
+    gamma(C2) are taken at most at the window, and a product is no longer
+    than its operands.  Each entry of each side is one packed sum and one
+    unpack (kernels.commutation_sides), over the power tables of phi(pi0)
+    and gamma(pi0) packed at the certificate's width and kept per context.
     """
-    lhs = L @ Y.substitute(ctx.phi_sub, ctx.profile.M_pi0)
-    rhs = Y @ R
-    n = min(lhs.order, rhs.order)
-    return next(
-        (
-            (i, j)
-            for i, (lrow, rrow) in enumerate(zip(lhs.rows, rhs.rows))
-            if lrow != rrow
-            for j, (a, b) in enumerate(zip(lrow, rrow))
-            if a[:n] != b[:n]
-        ),
-        None,
+    phi, gamma = ctx.phi_sub, ctx.gamma_sub
+    right = C2 if C1 is None else C1
+    for X in (C2, F, right):
+        if (X.p, X.N) != (ctx.p, ctx.N):
+            raise ProfileMismatch("series matrices over different moduli")
+    n = min(C2.order, F.order, right.order, ctx.profile.M_pi0, phi.image.order)
+    if C1 is None:
+        n = min(n, gamma.image.order)
+    d, pn = len(F), ctx.pn
+    width = kernels.certificate_width(pn, d, n)
+    gamma_table = gamma.wide_table(n, width) if C1 is None else None
+    sides = kernels.commutation_sides(
+        C2.rows, F.rows, right.rows, phi.wide_table(n, width), gamma_table, width, pn, n
     )
-
-
-def commutation_entry(C: SeriesMat, G: SeriesMat, ctx: CycloContext) -> tuple[int, int] | None:
-    """The first entry at which C*phi(G) - G*gamma(C) is nonzero on the user window."""
-    return residual_entry(C, G, C.substitute(ctx.gamma_sub, ctx.profile.M_pi0), ctx)
+    return next(((k // d, k % d) for k, (a, b) in enumerate(sides) if a != b), None)
 
 
 def solve_wach(m: FLModule, ctx: CycloContext) -> WachModule:
@@ -338,7 +353,10 @@ class CheckReport:
 def verify_wach_axioms(w: WachModule) -> CheckReport:
     """Check the three structural axioms, reporting each as pass/fail.
 
-    1. commutation C*phi(G) = G*gamma(C),
+    1. commutation C*phi(G) = G*gamma(C), by commutation_residual, the
+       certificate the solvers run: one packed sum per entry and side, with
+       gamma(C) formed packed; the detail names the first entry, row-major,
+       at which the sides differ,
     2. G = Id mod pi0,
     3. det(C) = unit * q^(sum of weights).
 
@@ -348,7 +366,7 @@ def verify_wach_axioms(w: WachModule) -> CheckReport:
     """
     checks: list[CheckResult] = []
 
-    bad = commutation_entry(w.C, w.G, w.ctx)
+    bad = commutation_residual(w.C, w.G, w.ctx)
     checks.append(
         CheckResult(
             "commutation",

@@ -264,6 +264,35 @@ def normalization_step_by_division(Cp, AQ, weights, A: PMatrix, ctx):
     return step
 
 
+def residual_entry(L, Y, R, ctx) -> tuple[int, int] | None:
+    """The first entry (i, j) at which L*phi(Y) and Y*R differ, or None.
+
+    The oracle of wach.commutation_residual, with every intermediate
+    unpacked: phi(Y) entry by entry through the context's Substitution, then
+    two series-matrix products.  phi(Y) is taken at most at the user window,
+    and a product is no longer than its operands, so for Y at the window the
+    two sides are compared on exactly the window.
+    """
+    lhs = L @ Y.substitute(ctx.phi_sub, ctx.profile.M_pi0)
+    rhs = Y @ R
+    n = min(lhs.order, rhs.order)
+    return next(
+        (
+            (i, j)
+            for i, (lrow, rrow) in enumerate(zip(lhs.rows, rhs.rows))
+            if lrow != rrow
+            for j, (a, b) in enumerate(zip(lrow, rrow))
+            if a[:n] != b[:n]
+        ),
+        None,
+    )
+
+
+def commutation_entry(C, G, ctx) -> tuple[int, int] | None:
+    """The first entry at which C*phi(G) - G*gamma(C) is nonzero on the user window."""
+    return residual_entry(C, G, C.substitute(ctx.gamma_sub, ctx.profile.M_pi0), ctx)
+
+
 def difference_valuations(step, X, window: int, p: int, N: int, max_iter: int) -> list[int]:
     """Weighted valuations min_k (k + v_p(c_k)) of successive differences of
     the iterates of step from X, on the first `window` coefficients, up to

@@ -62,7 +62,8 @@ def test_compose_matches_horner(p):
                 if out_len > 1 and k != N % 4:
                     continue  # one guard-order shape per N keeps the oracle quick
                 g = [0] + g[1:]
-                width, table = kernels.power_table(g, pn, out_len)
+                width = kernels.slot_width(pn, out_len)
+                table = kernels.power_table(g, pn, out_len, width)
                 got = kernels.compose_table(f, table, width, pn, out_len)
                 assert got == horner_compose(f, g, pn, out_len)
 
@@ -74,7 +75,8 @@ def test_large_slot_carry():
         a = [pn - 1] * n
         assert kernels.series_mul(a, a, pn, n) == schoolbook_mul(a, a, pn, n)
         g = [0] + [pn - 1] * (n - 1)
-        width, table = kernels.power_table(g, pn, n)
+        width = kernels.slot_width(pn, n)
+        table = kernels.power_table(g, pn, n, width)
         assert kernels.compose_table(a, table, width, pn, n) == horner_compose(a, g, pn, n)
 
 
@@ -341,6 +343,58 @@ def test_sandwich_largest_slot_sums(p):
             affine = kernels.AffineMap(ones, _gamma_terms(ones, basis), pn, n).bind(full, unit)
             expect = [d * d * (1 + L * (k + 1)) % pn for k in range(n)]
             assert affine(coords) == [[expect] * d] * d
+
+
+def _sides(L, F, R, phi, gamma, pn, n):
+    """commutation_sides at its own width, as a list of pairs."""
+    width = kernels.certificate_width(pn, len(F), n)
+    tables = [None if g is None else kernels.power_table(g, pn, n, width) for g in (phi, gamma)]
+    return list(kernels.commutation_sides(L, F, R, *tables, width, pn, n))
+
+
+@pytest.mark.parametrize("p", MATRIX_PRIMES)
+def test_commutation_sides_match_schoolbook(p):
+    # L*phi(F) and F*gamma(R), or F*R, entry by entry in row-major order,
+    # against Horner compositions and schoolbook products; operands longer
+    # than n are read only below n
+    rng = random.Random(520 + p)
+    for N in (1, 8, 16):
+        pn = p**N
+        for d, n in ((1, 1), (1, 16), (2, 9), (3, 16)):
+            L, F, R = (
+                [[[rng.randrange(pn) for _ in range(n + 2)] for _ in range(d)] for _ in range(d)]
+                for _ in range(3)
+            )
+            phi, gamma = ([0] + [rng.randrange(pn) for _ in range(n)] for _ in range(2))
+            phiF = [[horner_compose(e, phi, pn, n) for e in row] for row in F]
+            gammaR = [[horner_compose(e, gamma, pn, n) for e in row] for row in R]
+            lhs = oracle_matmul(L, phiF, pn, n)
+            for table, right in ((gamma, gammaR), (None, R)):
+                rhs = oracle_matmul(F, right, pn, n)
+                expect = [(a, b) for lrow, rrow in zip(lhs, rhs) for a, b in zip(lrow, rrow)]
+                assert _sides(L, F, R, phi, table, pn, n) == expect
+
+
+@pytest.mark.parametrize("p", MATRIX_PRIMES)
+def test_commutation_sides_largest_slot_sums(p):
+    # every coefficient p^N - 1 = -1, and every member of both power tables
+    # too (n members of n slots, more than an image of valuation 1 has
+    # nonzero): phi(F_kj) holds n*(pn - 1)^2 in every slot, unreduced, and
+    # slot s of a side sums d*(s+1) of its products with a third residue,
+    # up to d*n^2*(pn - 1)^3 in the top slot.  Each side is then
+    # -d*n*(s+1), and F*R is d*(s+1).
+    for N in range(1, 17):
+        pn = p**N
+        for n, d in itertools.product((1, guard_order(p, N, 16)), (1, 4)):
+            width = kernels.certificate_width(pn, d, n)
+            full = [pn - 1] * n
+            table = [kernels.pack(full, width)] * n
+            ones = [[full] * d] * d
+            sides = list(kernels.commutation_sides(ones, ones, ones, table, table, width, pn, n))
+            expect = [-d * n * (s + 1) % pn for s in range(n)]
+            assert sides == [(expect, expect)] * (d * d)
+            sides = list(kernels.commutation_sides(ones, ones, ones, table, None, width, pn, n))
+            assert sides == [(expect, [d * (s + 1) % pn for s in range(n)])] * (d * d)
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)

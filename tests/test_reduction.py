@@ -15,7 +15,7 @@ from wachkit.errors import (
 )
 from wachkit.flmod import make_fl, unit_fl
 from wachkit.padic import PMatrix, howell_kernel, pval
-from wachkit import reduction, wach
+from wachkit import kernels, reduction, wach
 from wachkit.reduction import (
     _divided_frobenius,
     normalize_basis,
@@ -25,7 +25,7 @@ from wachkit.reduction import (
 )
 from wachkit.series import PI, PI0, SeriesMat, Substitution, TruncSeries, constant_series, pad, q_powers, q_steps, series_scale
 from wachkit.suite import generate_suite, random_unit_matrix
-from wachkit.wach import WachModule, phi_matrix, solve_wach
+from wachkit.wach import WachModule, phi_matrix, solve_wach, verify_wach_axioms
 
 
 def planted_perturbation(ctx, m, seed):
@@ -364,6 +364,34 @@ class TestNormalize:
         normalize_basis(w.C, m, ctx)
         assert len(builds) == before
 
+    def test_certificate_keeps_its_wide_tables(self, monkeypatch):
+        # the certificate packs phi(pi0)'s and gamma(pi0)'s powers at a width
+        # that follows the rank, kept apart from the library's own orders:
+        # over verify, normalize_basis and the Gamma-solve at ranks 1-3 (two
+        # widths at p = 3) the first round builds tables and later rounds
+        # build none, of either kind
+        builds = []
+        power_table = kernels.power_table
+
+        def counted(g, pn, n, width):
+            builds.append((n, width))
+            return power_table(g, pn, n, width)
+
+        monkeypatch.setattr(kernels, "power_table", counted)
+        ctx = pickle.loads(pickle.dumps(get_context(3)))  # no tables yet
+        rng = random.Random(16)
+        modules = [make_fl(3, 16, w, random_unit_matrix(rng, len(w), 3, 16)) for w in ((1,), (0, 1), (0, 1, 1))]
+        counts = []
+        for _ in range(3):
+            before = len(builds)
+            for m in modules:
+                w = solve_wach(m, ctx)
+                assert verify_wach_axioms(w).ok
+                normalize_basis(phi_matrix(m.A, m.weights, ctx.work.q), m, ctx)
+            counts.append(len(builds) - before)
+        assert counts[0] > 0 and counts[1:] == [0, 0]
+        assert len({width for n, width in builds if n == ctx.profile.M_pi0}) >= 2
+
     def test_successive_differences_contract(self, solver_step):
         # as for the Gamma-solve: over the planted perturbations of the
         # golden suite, the weighted valuation min(k + v_p(c_k)) of
@@ -412,7 +440,7 @@ class TestRoundtrip:
             assert roundtrip_check(m, ctx, seed=1).ok
 
     def test_normalize_failures_reported_programming_errors_raised(self, ctx3, monkeypatch):
-        from wachkit import reduction, wach
+        from wachkit import kernels, reduction, wach
         from wachkit.errors import NotDivisible
 
         m = unit_fl(3, 16, 1, 1)

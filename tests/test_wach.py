@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from oracles import difference_valuations, horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_pow, shift_multiply
+from oracles import commutation_entry, difference_valuations, residual_entry, horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_pow, shift_multiply
 from wachkit.cyclo import build_context, get_context
 from wachkit.errors import (
     AxiomViolation,
@@ -30,7 +30,7 @@ from wachkit.wach import (
     WachModule,
     build_phi_matrix,
     check_lattice_stability,
-    commutation_entry,
+    commutation_residual,
     direct_sum_wach,
     iterate_to_window,
     phi_matrix,
@@ -282,6 +282,70 @@ class TestSolver:
             w2 = solve_wach(m, ctx2)
             expected = w.G @ w.G.substitute(ctx.gamma_sub, 16)
             assert w2.G == expected
+
+
+# The certificate's grid: 6 primes x 4 profiles x ranks 1-3 x 7 artifacts.
+GRID_PRIMES = (3, 5, 7, 11, 13, 17)
+GRID_PROFILES = ((16, 16), (4, 9), (2, 2), (6, 12))
+GRID_MOVES = ("genuine", "G", "C", "G G", "C C", "C G", "C G, one entry")
+
+
+def _moved(rows, spots, rng, pn):
+    """Rows with coefficient k of entry (i, j) moved by a nonzero amount, for each spot (i, j, k)."""
+    out = [[list(e) for e in row] for row in rows]
+    for i, j, k in spots:
+        out[i][j][k] = (out[i][j][k] + rng.randrange(1, pn)) % pn
+    return out
+
+
+class TestCertificate:
+    """commutation_residual, the one packed certificate, against its oracle."""
+
+    @pytest.mark.parametrize("p", GRID_PRIMES)
+    def test_first_residual_matches_the_oracle(self, p):
+        # genuine artifacts, one coefficient of G or of C moved, and two
+        # moved (in G, in C, in both, and in the same entry of both): the
+        # same verdict and the same first (i, j) as the unpacked oracle,
+        # for C1 = gamma(C) formed packed and for C1 given as a matrix.
+        # A moved coefficient of G is never its constant term, so G stays
+        # Id mod pi0 and, G being unique, a move of G alone must be caught
+        # at the default profile.  (At the small ones a weight r >= N makes
+        # C vanish mod p^N on the window, and then no G is pinned down.)
+        rng = random.Random(2000 + p)
+        cases = 0
+        for N, M in GRID_PROFILES:
+            ctx = get_context(p, N, M)
+            pn = ctx.pn
+            for d in (1, 2, 3):
+                weights = tuple(sorted(rng.randint(0, p - 2) for _ in range(d)))
+                w = solve_wach(make_fl(p, N, weights, random_unit_matrix(rng, d, p, N)), ctx)
+                for move in GRID_MOVES:
+                    names = [] if move == "genuine" else move.split(",")[0].split()
+                    spots = [(rng.randrange(d), rng.randrange(d)) for _ in names]
+                    if move.endswith("one entry"):
+                        spots[1] = spots[0]
+                    spots = [(i, j, rng.randrange(name == "G", M)) for name, (i, j) in zip(names, spots)]
+                    C = SeriesMat._trusted(p, N, _moved(w.C.rows, [s for n, s in zip(names, spots) if n == "C"], rng, pn))
+                    G = SeriesMat._trusted(p, N, _moved(w.G.rows, [s for n, s in zip(names, spots) if n == "G"], rng, pn))
+                    bad = commutation_entry(C, G, ctx)
+                    assert commutation_residual(C, G, ctx) == bad, (N, M, weights, move)
+                    gamma_C = C.substitute(ctx.gamma_sub, M)
+                    assert commutation_residual(C, G, ctx, gamma_C) == residual_entry(C, G, gamma_C, ctx)
+                    if move == "genuine" or N == 16 and "C" not in names:
+                        assert (bad is None) == (move == "genuine"), (N, M, weights, spots, move)
+                    cases += 1
+        assert cases == 84
+
+    def test_verify_reports_the_first_residual(self, ctx5):
+        # verify's detail names the entry the certificate returns, the
+        # oracle's first entry in row-major order
+        rng = random.Random(31)
+        w = solve_wach(make_fl(5, 16, (0, 3), random_unit_matrix(rng, 2, 5, 16)), ctx5)
+        G = SeriesMat._trusted(5, 16, _moved(w.G.rows, [(1, 1, 4), (1, 0, 2)], rng, ctx5.pn))
+        bad = commutation_entry(w.C, G, ctx5)
+        assert bad is not None and commutation_residual(w.C, G, ctx5) == bad
+        check = verify_wach_axioms(WachModule(ctx5, w.weights, w.C, G)).checks[0]
+        assert check == ("commutation", False, f"nonzero residual at entry {bad}")
 
 
 class TestVerify:
