@@ -59,14 +59,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _context_for(data: dict, args, read):
-    """The input read at the context's N, and the context; --prec-p may lower N, never raise it.
+def _context_for(value, args):
+    """The input at the context's N, and the context; --prec-p may lower N, never raise it.
 
-    read is fl_from_dict, or perturbed_from_dict for a file whose FL module
-    is its "fl" part; at a lowered N the input is read again with that N.
+    value is an FLModule, or the (FLModule, C) of a perturbed file, read once
+    at the file's N.  A lowered N reduces it mod p^N, which is what reading
+    the file at that N gives.
     """
-    perturbed = read is perturbed_from_dict
-    value = read(data)
+    perturbed = isinstance(value, tuple)
     m = value[0] if perturbed else value
     N = m.N
     if args.prec_p is not None:
@@ -75,13 +75,14 @@ def _context_for(data: dict, args, read):
                 f"--prec-p {args.prec_p} exceeds the input's precision N = {N}"
             )
         N = args.prec_p
-        value = read({**data, "fl": {**data["fl"], "N": N}} if perturbed else {**data, "N": N})
+        low = m.at_precision(N)
+        value = (low, value[1].at_precision(N)) if perturbed else low
     m_pi0 = N if args.prec_pi0 is None else args.prec_pi0
     return value, get_context(m.p, N, m_pi0, args.chi_gamma)
 
 
 def _cmd_build(args) -> int:
-    m, ctx = _context_for(load_json(args.input), args, fl_from_dict)
+    m, ctx = _context_for(fl_from_dict(load_json(args.input)), args)
     w = solve_wach(m, ctx)
     _emit(dumps_canonical(wach_to_dict(w)), args.out)
     return EXIT_OK
@@ -98,7 +99,7 @@ def _cmd_reduce(args) -> int:
     data = load_json(args.input)
     kind = data.get("kind")
     if kind == "fl":
-        m, ctx = _context_for(data, args, fl_from_dict)
+        m, ctx = _context_for(fl_from_dict(data), args)
         w = solve_wach(m, ctx)
         h_max = m.h
     elif kind == "wach":
@@ -136,7 +137,7 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    (m, C_pert), ctx = _context_for(load_json(args.input), args, perturbed_from_dict)
+    (m, C_pert), ctx = _context_for(perturbed_from_dict(load_json(args.input)), args)
     P = normalize_basis(C_pert, m, ctx)
     _emit(dumps_canonical(base_change_to_dict(P)), args.out)
     return EXIT_OK

@@ -9,7 +9,7 @@ matrix by the recorded permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InvalidInput, ValidationFailed, WeightOverflow
 from .padic import PMatrix, matrix_inverse_mod
@@ -61,6 +61,12 @@ class FLModule:
     @property
     def h(self) -> int:
         return max(self.weights, default=0)
+
+    def at_precision(self, N: int) -> "FLModule":
+        """The module mod p^N for N <= self.N, as its data read at N gives it (InvalidInput above)."""
+        if N > self.N:
+            raise InvalidInput(f"precision N = {N} exceeds the module's N = {self.N}")
+        return replace(self, N=N, A=PMatrix(self.rank, self.rank, self.A.entries, self.p, N))
 
 
 def make_fl(

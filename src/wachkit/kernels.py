@@ -20,6 +20,11 @@ output entry costs one unpack however many terms it sums; only this module
 knows the slot layout.  The certificate's slots are the widest: a side's
 entry sums d*n^2 products of three residues (:func:`certificate_width`),
 as a substituted entry stays packed and unreduced before its product.
+
+The triangular solve of :func:`graded_solve`, which splits a pi-series into
+pi0-coordinates, runs on a power table as it stands: its residual is one
+packed int in the table's slots, and each solved degree adds one product
+of two residues to a slot below n, so slot_width(pn, n) holds every sum.
 """
 
 from __future__ import annotations
@@ -94,6 +99,34 @@ def compose_table(f, table: list[int], width: int, pn: int, n: int) -> list[int]
     """f(g) truncated at order n from g's power table at order n."""
     # a generator, not a list: one product of n slots is alive at a time
     return unpack(sum(c * t for c, t in zip(f, table) if c), width, n, pn)
+
+
+def graded_solve(f, table: list[int], width: int, pn: int, step: int, n: int) -> list[list[int]]:
+    """Coordinates c[j][k] with f = sum_jk c[j][k]*X^j*g^k mod X^n, for 0 <= j < step.
+
+    table is g's power table at order n, at `width` >= slot_width(pn, n),
+    and each g^k must have exact valuation k*step with a unit leading
+    coefficient; c[j] lists the coordinates of the degrees d = k*step + j < n.
+    The degrees are solved upwards, and the residual stays one packed int,
+    shifted down one slot per degree so that its slot 0 is the degree being
+    solved: c is that slot over g^k's leading coefficient, and
+    (pn - c)*X^j*g^k is added, never subtracted, so no slot borrows.  A slot
+    below n gains at most one product of two residues per solved degree, on
+    top of f's residue, so it never holds more than slot_width(pn, n) allows
+    and no carry crosses into a slot that is read.
+    """
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    coords: list[list[int]] = [[] for _ in range(step)]
+    residual = pack(f[:n], width)
+    for k, gk in enumerate(table):
+        gk >>= bits * k * step  # g^k / X^(k*step): slot 0 is the leading coefficient
+        inv = pow(gk & mask, -1, pn)
+        for j in range(min(step, n - k * step)):
+            c = (residual & mask) * inv % pn
+            coords[j].append(c)
+            residual = (residual + (pn - c) * gk if c else residual) >> bits
+    return coords
 
 
 def mat_mul(X, Y, pn: int, n: int) -> list[list[list[int]]]:

@@ -248,6 +248,14 @@ class SeriesMat:
         rows = [[(e + ext)[:order] for e in row] for row in self.rows]
         return SeriesMat._trusted(self.p, self.N, rows)
 
+    def at_precision(self, N: int) -> "SeriesMat":
+        """The matrix mod p^N for N <= self.N (InvalidInput above), at the same order."""
+        check_modulus(self.p, N)
+        if N > self.N:
+            raise InvalidInput(f"precision N = {N} exceeds the matrix's N = {self.N}")
+        pn = self.p**N
+        return SeriesMat._trusted(self.p, N, [[[c % pn for c in e] for e in row] for row in self.rows])
+
     def constant_terms(self) -> list[list[int]]:
         return [[e[0] if e else 0 for e in row] for row in self.rows]
 
@@ -505,11 +513,13 @@ def binomial_power(c, p: int, N: int, order: int) -> TruncSeries:
     ``c`` may be a plain int (an exact exponent) or a :class:`PScalar` given
     mod p^K, which must satisfy K >= N + ceil(log_p order): C(n, k) mod p^N
     for k < order depends only on n mod p^K then.  Coefficient k is the
-    binomial C(n, k) of the nonnegative integer representative n, built by the
-    recurrence C(n, k) = C(n, k-1) * (n-k+1) / k on C(n, k) = p^v * unit:
-    each factor's power of p moves v, and its unit part multiplies (or, by
-    its inverse mod p^N, divides) the unit, so every step is exact mod p^N
-    on small integers.
+    binomial C(n, k) of the nonnegative integer representative n, written as
+    p^v_k * num_k / den_k from C(n, k) = prod_(i<=k) (n-i+1)/i: each factor's
+    power of p moves v_k, and num_k and den_k are the prefix products mod
+    p^N of the factors' unit parts.  Only the last den_k is inverted; walking
+    k back down, that inverse times the unit part of k is the inverse of
+    den_(k-1).  So the series takes one modular inversion, and every step is
+    exact mod p^N on small integers.
     """
     if isinstance(c, PScalar):
         if c.p != p:
@@ -527,10 +537,13 @@ def binomial_power(c, p: int, N: int, order: int) -> TruncSeries:
     if order < 1:
         raise InvalidInput("order must be positive")
     pn = p**N
-    coeffs = [0] * order
-    coeffs[0] = 1
-    unit, v = 1, 0  # C(n, k) = p^v * unit
-    for k in range(1, min(order, n + 1)):
+    top = min(order, n + 1)
+    # C(n, k) = p^v * num_k / den_k: scaled[k] = p^v * num_k, or 0 once
+    # v >= N, and dens[k] the unit part of k
+    scaled, dens = [1], [1]
+    num_k = den_k = 1
+    v = 0
+    for k in range(1, top):
         num, den = n - k + 1, k
         while num % p == 0:
             num //= p
@@ -538,10 +551,17 @@ def binomial_power(c, p: int, N: int, order: int) -> TruncSeries:
         while den % p == 0:
             den //= p
             v -= 1
-        unit = unit * num * pow(den, -1, pn) % pn
-        if v < N:
-            coeffs[k] = unit * p**v % pn
-    return TruncSeries(PI, p, N, tuple(coeffs))
+        num_k = num_k * num % pn
+        den_k = den_k * den % pn
+        scaled.append(num_k * p**v % pn if v < N else 0)
+        dens.append(den)
+    coeffs = [0] * order
+    coeffs[0] = 1
+    inv = pow(den_k, -1, pn)  # 1/den_(top-1)
+    for k in range(top - 1, 0, -1):
+        coeffs[k] = scaled[k] * inv % pn
+        inv = inv * dens[k] % pn  # 1/den_(k-1)
+    return TruncSeries._trusted(PI, p, N, tuple(coeffs))
 
 
 def cut_table(table: list[list[int]], m: int) -> list[list[int]]:
@@ -662,27 +682,19 @@ def pi0_coordinates(f: TruncSeries, pi0_in_pi: Substitution, out_order: int) -> 
     along the grading d = j + k(p-1): pi^j * pi0_in_pi^k has exact
     pi-valuation d with unit leading coefficient, so each residual
     coefficient determines one unknown with no division by p.  Only residual
-    degrees below (p-1)*out_order are read, so the powers of pi0_in_pi are
-    taken from its table at that order.
+    degrees below d_limit = min(order of f, (p-1)*out_order) are read, so
+    the packed powers of pi0_in_pi are read as they stand from its table at
+    that order, and :func:`kernels.graded_solve` keeps the residual packed
+    in the table's slots: each solved degree adds at most one product of two
+    residues to a slot below d_limit, the d_limit products that
+    slot_width(pn, d_limit) sizes the table for.
     """
     if f.var != PI:
         raise VariableMismatch("expected a pi-series")
     p, pn = f.p, f.pn
     d_limit = min(f.order, (p - 1) * out_order)
-    residual = list(f.coeffs)
-    out = [[0] * out_order for _ in range(p - 1)]
-    # degree d = k(p-1) + j is solved with the k-th power; one is unpacked
-    # at a time
-    for k, pk in enumerate(pi0_in_pi.powers(d_limit)):
-        for j in range(p - 1):
-            d = k * (p - 1) + j
-            if d >= d_limit:
-                break
-            if residual[d] == 0:
-                continue
-            c = (residual[d] * pow(pk[k * (p - 1)], -1, pn)) % pn
-            out[j][k] = c
-            for s in range(k * (p - 1), d_limit - j):
-                if pk[s]:
-                    residual[j + s] = (residual[j + s] - c * pk[s]) % pn
-    return tuple(TruncSeries._trusted(PI0, f.p, f.N, tuple(row)) for row in out)
+    width, table = pi0_in_pi._table(d_limit)
+    coords = kernels.graded_solve(f.coeffs, table, width, pn, p - 1, d_limit)
+    return tuple(
+        TruncSeries._trusted(PI0, p, f.N, tuple(c) + (0,) * (out_order - len(c))) for c in coords
+    )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wachkit import cyclo, wach
+from wachkit import cli, cyclo, serialize, wach
 from wachkit.cli import main
 from wachkit.cyclo import get_context
 from wachkit.flmod import make_fl
@@ -402,6 +402,28 @@ class TestCommands:
             assert main(["build", "-i", src, "--prec-p", "2", "--out", artifact]) == 0
             assert main(["reduce", "-i", artifact]) == 0
             assert lowered == capsys.readouterr().out
+
+    @pytest.mark.parametrize("prec_p", [[], ["--prec-p", "2"], ["--prec-p", "4"]], ids=["N", "prec-p-2", "prec-p-4"])
+    @pytest.mark.parametrize("command", ["build", "reduce", "normalize"])
+    def test_the_input_is_parsed_once(self, tmp_path, monkeypatch, command, prec_p):
+        # a lowered precision reduces what was read, it does not read the
+        # file again: one FL module parse, and one of a perturbed file's C
+        calls = []
+
+        def counted(name, parse):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return parse(*args, **kwargs)
+
+            return wrapper
+
+        fl = counted("fl", serialize.fl_from_dict)
+        monkeypatch.setattr(serialize, "fl_from_dict", fl)
+        monkeypatch.setattr(cli, "fl_from_dict", fl)
+        monkeypatch.setattr(serialize, "_matrix_from_json", counted("C", serialize._matrix_from_json))
+        src = write(tmp_path, "m.json", PERTURBED_SIMPLE if command == "normalize" else FL_SIMPLE)
+        assert main([command, "-i", src, *prec_p, "--out", str(tmp_path / "out.json")]) == 0
+        assert calls == (["fl", "C"] if command == "normalize" else ["fl"])
 
     @pytest.mark.parametrize("labels", [[], ["x"], ["x", "y", "z"]])
     def test_labels_of_the_wrong_length_are_a_parse_error(self, tmp_path, capsys, labels):

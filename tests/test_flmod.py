@@ -190,6 +190,20 @@ class TestMakeFL:
             assert m.A == P.mul(A).mul(P.transpose())
             assert [m.labels[m.sort_perm[k]] for k in range(4)] == ["a", "b", "c", "d"]
 
+    def test_at_precision_is_the_data_read_at_that_precision(self):
+        # unsorted weights with labels and entries above 5^4: lowering the
+        # sorted module is sorting the data lowered
+        rng = random.Random(41)
+        for _ in range(10):
+            entries = tuple(rng.randrange(5**6) for _ in range(9))
+            m = make_fl(5, 4, [2, 0, 1], PMatrix(3, 3, entries, 5, 4), ["x", "y", "z"])
+            for N in (1, 2, 4):
+                assert m.at_precision(N) == make_fl(5, N, [2, 0, 1], PMatrix(3, 3, entries, 5, N), ["x", "y", "z"])
+        with pytest.raises(InvalidInput, match="exceeds"):
+            m.at_precision(5)
+        with pytest.raises(InvalidInput, match="N >= 1"):
+            m.at_precision(0)
+
     @pytest.mark.parametrize("labels", [[], ["x"], ["x", "y", "z"]])
     def test_labels_of_the_wrong_length_are_invalid_input(self, labels):
         with pytest.raises(InvalidInput):

@@ -397,6 +397,30 @@ def test_commutation_sides_largest_slot_sums(p):
             assert sides == [(expect, [d * (s + 1) % pn for s in range(n)])] * (d * d)
 
 
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17))
+def test_graded_solve_largest_slot_sums(p):
+    # table members X^(k*step)*(pn - 1)*(1 + X + X^2 + ...) and every
+    # coordinate 1, so f_s = -(s + 1): each solved degree adds the product
+    # (pn - 1)*(pn - 1) to every slot above it, and slot s holds s + 1 of
+    # them on top of f_s, up to n*(pn - 1)^2 + pn - 1 below n.  Orders up to
+    # the bootstrap's (p - 1)*guard_order; at one byte less, some slot below
+    # n carries into the next
+    step, short = p - 1, 0
+    for N in (1, 2, 3, 5, 8, 16):
+        pn = p**N
+        for n in (1, step, 2 * step + 1, step * guard_order(p, N, 16)):
+            f = [-(s + 1) % pn for s in range(n)]
+            members = [[0] * (k * step) + [pn - 1] * (n - k * step) for k in range(-(-n // step))]
+            ones = [[1] * len(range(j, n, step)) for j in range(step)]
+            width = kernels.slot_width(pn, n)
+            table = [kernels.pack(m, width) for m in members]
+            assert kernels.graded_solve(f, table, width, pn, step, n) == ones
+            if 8 * (width - 1) >= pn.bit_length():
+                table = [kernels.pack(m, width - 1) for m in members]
+                short += kernels.graded_solve(f, table, width - 1, pn, step, n) != ones
+    assert short
+
+
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
 def test_affine_product_matches_schoolbook(p):
     # the normalization's shape L*(K + F*E)*R with E_kl = sum_t X_kl[t]*H_l[t]

@@ -1,5 +1,7 @@
+import math
 import random
 import re
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from wachkit.padic import PScalar, teichmueller_lift
 from wachkit.series import (
     PI,
     PI0,
+    SeriesMat,
     Substitution,
     TruncationProfile,
     binomial_power,
@@ -226,6 +229,40 @@ class TestBinomialPower:
         with pytest.raises(InsufficientExponentPrecision):
             binomial_power(PScalar(omega.value, p, K - 1), p, N, order)
 
+    @pytest.mark.parametrize("p", (11, 13, 17))
+    def test_bootstrap_exponents_match_sampled_math_comb(self, p):
+        # the exponents build_context expands at its guard pi order, omega_a,
+        # p*omega_a and chi*omega_a, for four a; C(n, k) by math.comb at
+        # every k where C(n, k) starts or stops vanishing mod p^N, that is
+        # where v_p(C(n, k)) crosses N (by Legendre's formula) or k passes n,
+        # and at random k, as the full oracle takes seconds per prime
+        rng = random.Random(p)
+        chi = 1 + p
+        crossed = 0
+        for N in (2, 16):
+            order = default_pi_order(p, guard_order(p, N, 16))
+            K = N
+            while p ** (K - N) < order:
+                K += 1
+            pn = p**N
+            digits_k = [_digit_sum(k, p) for k in range(order)]
+            for a in (1, *rng.sample(range(2, p - 1), 2), p - 1):
+                omega = teichmueller_lift(a, p, K)
+                for c in (omega, p * omega.value, chi * omega.value % p**K):
+                    n = c if isinstance(c, int) else c.value
+                    got = binomial_power(c, p, N, order).coeffs
+                    digits_n = _digit_sum(n, p)
+                    high = [
+                        k > n or digits_k[k] + _digit_sum(n - k, p) - digits_n >= N * (p - 1)
+                        for k in range(order)
+                    ]
+                    crossings = {k for k in range(1, order) if high[k] != high[k - 1]}
+                    sample = crossings | {0, order - 1} | {rng.randrange(order) for _ in range(10)}
+                    for k in sorted(sample):
+                        assert got[k] == math.comb(n, k) % pn, (a, n, k)
+                    crossed += len(crossings)
+        assert crossed
+
     def test_padic_exponent_consistency(self):
         # representatives agreeing mod p^K give the same expansion
         p, N, order = 3, 4, 6
@@ -233,6 +270,28 @@ class TestBinomialPower:
         a = binomial_power(PScalar(7, p, K), p, N, order)
         b = binomial_power(7 + 2 * 3**K, p, N, order)
         assert a == b
+
+
+def _digit_sum(x: int, p: int) -> int:
+    """Sum of the base-p digits of x >= 0; v_p(x!) = (x - digit sum)/(p - 1)."""
+    total = 0
+    while x:
+        x, r = divmod(x, p)
+        total += r
+    return total
+
+
+def test_series_mat_at_precision():
+    # every coefficient reduced mod p^N at the same order; N never rises
+    rng = random.Random(43)
+    X = SeriesMat([[rand_series(rng, PI0, 5, 6, 4) for _ in range(2)] for _ in range(2)], 5, 6)
+    low = X.at_precision(2)
+    assert low == SeriesMat([[make_series(PI0, e.coeffs, 5, 2) for e in row] for row in X], 5, 2)
+    assert X.at_precision(6) == X
+    with pytest.raises(InvalidInput, match="exceeds"):
+        X.at_precision(7)
+    with pytest.raises(InvalidInput, match="N >= 1"):
+        X.at_precision(0)
 
 
 class TestWeierstrass:
@@ -396,3 +455,56 @@ class TestChangeCoordinates:
                 term = pi0.apply(part, self.ORDER)
                 rec = series_add(rec, shift_multiply(term, j).truncate(self.ORDER))
             assert rec.coeffs[:window] == f.coeffs[:window]
+
+
+@cache
+def teichmueller_pi0(p: int, N: int, M: int) -> Substitution:
+    """pi0 = 1 - p + sum_a (1+pi)^(omega_a) at the pi-order of (p, M), as build_context defines it."""
+    order = default_pi_order(p, M)
+    K = N
+    while p ** (K - N) < order:
+        K += 1
+    pi0 = constant_series(PI, 1 - p, p, N, order)
+    for a in range(1, p):
+        pi0 = series_add(pi0, binomial_power(teichmueller_lift(a, p, K), p, N, order))
+    return Substitution(pi0)
+
+
+def from_pi0_coordinates(parts, pi0: Substitution):
+    """sum_j pi^j parts[j](pi0) at pi0's order."""
+    g = pi0.image
+    f = zero_series(PI, g.p, g.N, g.order)
+    for j, part in enumerate(parts):
+        f = series_add(f, shift_multiply(pi0.apply(part, g.order), j).truncate(g.order))
+    return f
+
+
+@pytest.mark.parametrize("p", (11, 13, 17))
+class TestChangeCoordinatesLargePrimes:
+    """pi0_coordinates at the default profile, over the Teichmueller pi0 of build_context."""
+
+    N = M = 16
+
+    def test_roundtrip_from_components(self, p):
+        pi0 = teichmueller_pi0(p, self.N, self.M)
+        rng = random.Random(p)
+        for _ in range(3):
+            parts = tuple(rand_series(rng, PI0, p, self.N, self.M) for _ in range(p - 1))
+            assert pi0_coordinates(from_pi0_coordinates(parts, pi0), pi0, self.M) == parts
+
+    def test_roundtrip_to_pi(self, p):
+        pi0 = teichmueller_pi0(p, self.N, self.M)
+        rng = random.Random(100 + p)
+        window = (p - 1) * self.M  # degrees determined by components of order M
+        for _ in range(3):
+            f = rand_series(rng, PI, p, self.N, pi0.image.order)
+            rebuilt = from_pi0_coordinates(pi0_coordinates(f, pi0, self.M), pi0)
+            assert rebuilt.coeffs[:window] == f.coeffs[:window]
+
+    def test_pi_is_not_in_s0(self, p):
+        pi0 = teichmueller_pi0(p, self.N, self.M)
+        pi = x_series(PI, p, self.N, pi0.image.order)
+        with pytest.raises(NotInS0, match="component at pi\\^1 is nonzero"):
+            _in_s0(pi, pi0, self.M)
+        # while pi0 itself is in S0, with the single coordinate X
+        assert _in_s0(pi0.image, pi0, self.M).coeffs == (0, 1) + (0,) * (self.M - 2)
