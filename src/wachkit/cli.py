@@ -3,9 +3,11 @@
 Subcommands: build, verify, reduce, tensor, normalize, roundtrip.  Inputs are
 the JSON formats of :mod:`wachkit.serialize`; outputs are canonical JSON
 (identical inputs and flags give byte-identical files).  Exit codes: 0 all
-checks pass, 1 parse/schema error, 2 validation error, 3 convergence failure
-(a solve past its proved iteration bound: a fault of wachkit, not of the
-input), 4 axiom or check failure.
+checks pass, 1 parse/schema error (an input file that cannot be read or is
+not UTF-8 among them), 2 validation error (an --out path that cannot be
+written among them), 3 convergence failure (a solve past its proved
+iteration bound: a fault of wachkit, not of the input), 4 axiom or check
+failure.
 """
 
 from __future__ import annotations
@@ -52,11 +54,15 @@ EXIT_CHECK = 4
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    """Write text to the --out path, or to stdout; an unwritable path is invalid input."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"--out {out}: cannot write: {exc.strerror or exc}") from exc
 
 
 def _context_for(value, args):

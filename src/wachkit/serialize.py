@@ -220,12 +220,16 @@ def report_to_dict(checks, seed: int | None = None) -> dict:
 
 
 def load_json(path: str) -> dict:
-    """The JSON object in a file; SchemaError for a missing file, bad JSON or another top level."""
+    """The JSON object in a file; SchemaError for an unreadable file, bad JSON or another top level."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError(f"{path}: no such file") from exc
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     if not isinstance(data, dict):

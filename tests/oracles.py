@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library code paths they check: kernels are
-enumerated exhaustively, series products and compositions are recomputed by
+enumerated exhaustively, packed slots are read by plain shifts and
+remainders, series products and compositions are recomputed by
 schoolbook convolution and Horner's rule on plain ints, and lattice
 membership is decided by plain Z/p^N linear algebra on stacked coefficient
 vectors.  The series constructors and the binary power below are test
@@ -89,6 +90,11 @@ def span_of_rows(K: PMatrix) -> set[tuple[int, ...]]:
                 v[j] = (v[j] + c * r[j]) % pn
         out.add(tuple(v))
     return out
+
+
+def slots(x: int, width: int, n: int, pn: int) -> list[int]:
+    """Slots 0..n-1 of a packed int by plain arithmetic, each reduced mod pn."""
+    return [(x >> (8 * width * k)) % 2 ** (8 * width) % pn for k in range(n)]
 
 
 def schoolbook_mul(a: list[int], b: list[int], pn: int, out_len: int) -> list[int]:

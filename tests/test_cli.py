@@ -31,6 +31,10 @@ FL_SIMPLE = {"kind": "fl", "p": 3, "N": 4, "weights": [0, 1], "A": [["1", "0"], 
 PERTURBED_SIMPLE = {"kind": "perturbed", "fl": FL_SIMPLE, "C": [[["1"], ["0"]], [["0"], ["3", "1"]]]}
 
 
+# every command that reads a file; roundtrip reads one with -i
+FILE_COMMANDS = ["build", "verify", "reduce", "tensor", "normalize", "roundtrip"]
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(dumps_canonical(payload), encoding="utf-8")
@@ -226,6 +230,34 @@ class TestCommands:
         err = capsys.readouterr().err
         expect = "no such file" if kind is None else "kind must be"
         assert err.startswith("error: ") and expect in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    @pytest.mark.parametrize("case", ["directory", "latin-1"])
+    def test_unreadable_input_is_a_parse_error(self, tmp_path, capsys, command, case):
+        # a directory and a file that is not UTF-8 ended in IsADirectoryError
+        # and UnicodeDecodeError tracebacks
+        if case == "directory":
+            src = str(tmp_path)
+        else:
+            src = str(tmp_path / "latin.json")
+            Path(src).write_bytes('{"kind": "fl", "label": "\u00e9"}'.encode("latin-1"))
+        argv = [command, src, src] if command == "tensor" else [command, "-i", src]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    @pytest.mark.parametrize("case", ["missing directory", "directory"])
+    def test_unwritable_out_is_a_validation_error(self, wach_p5, tmp_path, capsys, command, case):
+        # the output was opened after the solve, and a missing directory or
+        # a directory as --out ended in a traceback
+        inputs = {"verify": wach_p5, "normalize": PERTURBED_SIMPLE, "tensor": FL_SIMPLE | {"weights": [0, 0]}}
+        src = write(tmp_path, "in.json", inputs.get(command, FL_SIMPLE))
+        out = str(tmp_path / "absent" / "x.json") if case == "missing directory" else str(tmp_path)
+        argv = [command, src, src] if command == "tensor" else [command, "-i", src]
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "flags",

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import horner_compose, scalar_matmul, schoolbook_mul
+from oracles import horner_compose, scalar_matmul, schoolbook_mul, slots
 from oracles import schoolbook_matmul as oracle_matmul
 from wachkit import cyclo as cyclo_module
 from wachkit import kernels
@@ -87,6 +87,85 @@ def test_fallback_handles_any_modulus():
     out = kernels.series_mul(a, b, pn, 3)
     assert out == schoolbook_mul(a, b, pn, 3)
     assert out[0] == ((pn - 1) * (pn - 1)) % pn
+
+
+def _library_widths(p, N):
+    """The slot widths the library derives at p^N: products, certificates, affine maps."""
+    pn, n = p**N, 16
+    widths = {kernels.slot_width(pn, n), kernels.slot_width(pn, 3 * n)}
+    widths |= {kernels.certificate_width(pn, d, n) for d in (1, 3)}
+    for d in (1, 3):
+        K = [[[0] * n for _ in range(d)] for _ in range(d)]
+        basis = [[0] * n for _ in range(n - 1)]
+        widths.add(kernels.AffineMap(K, _gamma_terms(K, basis), pn, n).width)
+    return sorted(widths)
+
+
+def _slot_words(rng, width, n):
+    """Packed ints of n slots: random, every slot 0, every slot full, and junk above slot n."""
+    full = 2 ** (8 * width) - 1
+    yield rng.getrandbits(8 * width * n)
+    yield 0
+    yield kernels.pack([full] * n, width)
+    yield rng.getrandbits(8 * width * (n + 2)) | full << (8 * width * n)
+
+
+def test_unpack_reads_every_length():
+    # every length 0..320 in 1-byte slots, and the p = 7 product width on
+    # both sides of the crossover between the shift loop and the bytes
+    rng = random.Random(23)
+    cross = kernels._SHIFT_SLOTS
+    for width, pn, lengths in (
+        (1, 5, range(321)),
+        (24, 7**16, (0, 1, 15, 16, cross - 1, cross, cross + 1, 288, 320)),
+    ):
+        for n in lengths:
+            for x in _slot_words(rng, width, n):
+                assert kernels.unpack(x, width, n, pn) == slots(x, width, n, pn)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 17))
+def test_unpack_at_library_widths(p):
+    rng = random.Random(230 + p)
+    cross = kernels._SHIFT_SLOTS
+    for N in (1, 16):
+        pn = p**N
+        for width in _library_widths(p, N):
+            for n in (1, 15, 16, cross - 1, cross, cross + 1):
+                for x in _slot_words(rng, width, n):
+                    assert kernels.unpack(x, width, n, pn) == slots(x, width, n, pn)
+
+
+def test_unpack_branch_at_the_crossover(monkeypatch):
+    # the shift loop reads up to _SHIFT_SLOTS slots, the bytes path the rest;
+    # every entry of the solvers (15 or 16 slots) takes the loop, and the
+    # bootstrap's long repacks (288 slots at p = 7) the bytes
+    calls = []
+
+    def from_bytes(buf, order):
+        calls.append(len(buf))
+        return int.from_bytes(buf, order)
+
+    monkeypatch.setattr(kernels, "_from_bytes", from_bytes)
+    cross = kernels._SHIFT_SLOTS
+    assert 16 <= cross < 288
+    for n in (1, 16, cross - 1, cross, cross + 1, 288):
+        calls.clear()
+        x = (1 << (8 * 3 * n)) - 1
+        assert kernels.unpack(x, 3, n, 7) == slots(x, 3, n, 7)
+        assert len(calls) == (n if n > cross else 0)
+
+
+@pytest.mark.parametrize("width", (1, 8, 15, 24))
+def test_pack_round_trips_and_rejects_overflow(width):
+    rng = random.Random(width)
+    full = 2 ** (8 * width) - 1
+    for n in (0, 1, 16, 33, 100):
+        for coeffs in ([0] * n, [full] * n, [rng.randrange(full + 1) for _ in range(n)]):
+            assert kernels.unpack(kernels.pack(coeffs, width), width, n, full + 1) == coeffs
+    for bad in (-1, full + 1):
+        with pytest.raises(OverflowError):
+            kernels.pack([0, bad, 0], width)
 
 
 def _check_every_order(sub, var, f, top):

@@ -452,6 +452,48 @@ class TestFunctoriality:
         with pytest.raises(WeightOverflow):
             tensor_wach(w, w)
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("N, M_pi0", [(16, 16), (4, 9)])
+    def test_extension_is_block_triangular(self, p, N, M_pi0):
+        # A = [[A1, B], [0, A2]] with weights r1 ++ r2 is an extension of M2
+        # by M1.  By uniqueness of the lift its G, in the unsorted basis, is
+        # block upper triangular with the G of M1 and of M2 on the diagonal,
+        # and the equation of the corner is linear in B with no constant
+        # term, so the corner of B1 + B2 is the sum of the corners
+        ctx = get_context(p, N, M_pi0)
+        pn = p**N
+        rng = random.Random(1300 + 10 * p + N)
+        d1, d2 = rng.randint(1, 2), rng.randint(1, 2)
+        r1 = [rng.randint(0, p - 2) for _ in range(d1)]
+        r2 = [rng.randint(0, p - 2) for _ in range(d2)]
+        A1, A2 = random_unit_matrix(rng, d1, p, N), random_unit_matrix(rng, d2, p, N)
+
+        def G_unsorted(weights, A):
+            m = make_fl(p, N, weights, A)
+            rows, perm = solve_wach(m, ctx).G.rows, m.sort_perm
+            return [[rows[perm[k]][perm[l]] for l in range(len(perm))] for k in range(len(perm))]
+
+        def extension(B):
+            top = [[A1.at(i, j) for j in range(d1)] + B[i] for i in range(d1)]
+            bottom = [[0] * d1 + [A2.at(i, j) for j in range(d2)] for i in range(d2)]
+            return G_unsorted(r1 + r2, PMatrix.from_lists(top + bottom, p, N))
+
+        B1, B2 = ([[rng.randrange(pn) for _ in range(d2)] for _ in range(d1)] for _ in range(2))
+        G1, G2 = G_unsorted(r1, A1), G_unsorted(r2, A2)
+        zero = (0,) * M_pi0
+        corners = []
+        for B in (B1, B2, [[(a + b) % pn for a, b in zip(x, y)] for x, y in zip(B1, B2)]):
+            G = extension(B)
+            assert [row[:d1] for row in G[d1:]] == [[zero] * d1] * d2
+            assert [row[:d1] for row in G[:d1]] == G1
+            assert [row[d1:] for row in G[d1:]] == G2
+            corners.append([row[d1:] for row in G[:d1]])
+        total = [
+            [tuple((a + b) % pn for a, b in zip(x, y)) for x, y in zip(row1, row2)]
+            for row1, row2 in zip(corners[0], corners[1])
+        ]
+        assert corners[2] == total
+
 
     @pytest.mark.parametrize("combine", [tensor_wach, direct_sum_wach])
     def test_different_contexts_are_invalid_input(self, ctx5, combine):
