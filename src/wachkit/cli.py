@@ -205,7 +205,7 @@ def _parser() -> argparse.ArgumentParser:
         return sp
 
     command("build", "solve the (phi, Gamma)-matrices of a module", _SOLVE_FLAGS)
-    command("verify", "check the structural axioms of a solved file", ("input", "out"))
+    command("verify", "check that a solved file is the canonical (C, G) of its data", ("input", "out"))
     rp = command("reduce", "reduce mod pi0 and recover the filtration", _SOLVE_FLAGS)
     rp.add_argument("--h-max", type=int, help="largest filtration step to recover")
     tp = command("tensor", "tensor two modules", ("out",))

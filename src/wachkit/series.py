@@ -290,26 +290,6 @@ class SeriesMat:
         right = [(zero,) * len(self) + row for row in other.pad(n).rows]
         return SeriesMat._trusted(self.p, self.N, left + right)
 
-    def det(self) -> TruncSeries:
-        """Determinant by minor expansion, memoized on column subsets."""
-        X, d, n, pn = self.rows, len(self.rows), self.order, self.pn
-        memo: dict[int, list[int]] = {0: [1] + [0] * (n - 1)}
-
-        def rec(cols_mask: int, row: int) -> list[int]:
-            if cols_mask not in memo:
-                acc = [0] * n
-                sign = 1 if row % 2 == 0 else -1  # expansion along row index `row`
-                for j in range(d):
-                    if cols_mask & (1 << j):
-                        minor = rec(cols_mask & ~(1 << j), row - 1)
-                        term = kernels.series_mul(X[row][j], minor, pn, n)
-                        acc = [(a + sign * t) % pn for a, t in zip(acc, term)]
-                        sign = -sign
-                memo[cols_mask] = acc
-            return memo[cols_mask]
-
-        return TruncSeries._trusted(PI0, self.p, self.N, tuple(rec((1 << d) - 1, d - 1)))
-
     def unipotent_inverse(self) -> "SeriesMat":
         """Inverse of a matrix congruent to Id mod pi0, by the Neumann series."""
         ident = SeriesMat.identity(len(self), self.p, self.N, self.order)
@@ -622,20 +602,6 @@ def q_divide_exact(coeffs, p: int, pn: int, r: int) -> list[int]:
     if any(rem):
         raise NotDivisible(f"nonzero remainder {rem} dividing by (X+p)^{r}")
     return quot
-
-
-def weierstrass_divide_q_power(
-    f: TruncSeries, r: int
-) -> tuple[TruncSeries, tuple[int, ...]]:
-    """Divide a pi0-series by (X + p)^r with remainder of degree < r (:func:`q_divmod`).
-
-    Reconstruction f = (X+p)^r * quotient + remainder holds exactly at the
-    truncation.
-    """
-    if f.var != PI0:
-        raise VariableMismatch("Weierstrass division expects a pi0-series")
-    quot, rem = q_divmod(f.coeffs, f.p, f.pn, r)
-    return TruncSeries._trusted(PI0, f.p, f.N, tuple(quot)), rem
 
 
 def weierstrass_divide_exact(f: TruncSeries, r: int) -> TruncSeries:

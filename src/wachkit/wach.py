@@ -22,13 +22,13 @@ than of its input.
 
 One certificate checks a lift: commutation_residual compares
 C2*phi(F) with F*C1 on the user window, with ==, and names the first entry
-that differs.  The solvers run it on their result (lift_identity), and
-verify_wach_axioms on an artifact's (C, G) with C1 = gamma(C).  Each side
-is one packed sum per entry (kernels.commutation_sides): phi(F), and
+that differs; the solvers run it on their result (lift_identity).  Each
+side is one packed sum per entry (kernels.commutation_sides): phi(F), and
 gamma(C) where C1 = gamma(C2), are formed over the images' packed power
 tables and never unpacked, so no substitution, series product or
-intermediate matrix is built.  G is unique by full faithfulness, so ==
-on the window is the whole check.
+intermediate matrix is built.  verify_wach_axioms instead recomputes an
+artifact with build's own code, phi_matrix and the Gamma-step: G is unique
+by full faithfulness, so == on the window decides it.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .errors import (
 )
 from .flmod import FLModule, LatticeSub, require_valid
 from .padic import PMatrix, matrix_inverse_mod, pval
-from .series import SeriesMat, TruncSeries, cut_table, q_divide_exact, q_powers, weierstrass_divide_q_power
+from .series import SeriesMat, TruncSeries, cut_table, q_divide_exact, q_powers
 
 
 # ---------------------------------------------------------------------------
@@ -351,54 +351,54 @@ class CheckReport:
 
 
 def verify_wach_axioms(w: WachModule) -> CheckReport:
-    """Check the three structural axioms, reporting each as pass/fail.
+    """Decide an artifact by recomputing it, reporting three checks.
 
-    1. commutation C*phi(G) = G*gamma(C), by commutation_residual, the
-       certificate the solvers run: one packed sum per entry and side, with
-       gamma(C) formed packed; the detail names the first entry, row-major,
-       at which the sides differ,
-    2. G = Id mod pi0,
-    3. det(C) = unit * q^(sum of weights).
+    1. phi_canonical: C = phi_matrix(A, weights, q), A a unit mod p.  The
+       pi0^r coefficient of q^r = (p + pi0)^r is 1, so A_ij is coefficient
+       r_j of C_ij, which the window carries only when every r_j < M_pi0;
+       a larger weight fails with that detail.  A forged weight list or a
+       wrong height fails here.
+    2. gamma_trivial_mod_pi0: G = Id mod pi0.
+    3. gamma_fixed_point: X = (G - Id)/pi0, on M_pi0 - 1 coefficients, is
+       a fixed point of the Gamma-step (the context's gamma_plan bound to
+       A and A^(-1)).  The step has exactly one fixed point on the window
+       (lift_identity's Budget), so this holds exactly when G is the G the
+       solve returns.  It fails, naming the earlier check, when 1 or 2 did.
 
     Invariance under the torsion subgroup is not checked: C and G are
     pi0-series, and pi0 is torsion-invariant, so every entry is invariant by
     construction.
     """
-    checks: list[CheckResult] = []
-
-    bad = commutation_residual(w.C, w.G, w.ctx)
-    checks.append(
-        CheckResult(
-            "commutation",
-            bad is None,
-            "" if bad is None else f"nonzero residual at entry {bad}",
-        )
-    )
-
+    ctx, weights, M = w.ctx, w.weights, w.ctx.profile.M_pi0
+    top = max(weights)
+    if top >= M:
+        phi = f"the window pi0^{M} cannot carry weight {top}"
+    else:
+        A = PMatrix.from_lists([[e[r] for e, r in zip(row, weights)] for row in w.C.rows], ctx.p, ctx.N)
+        try:
+            Ainv = matrix_inverse_mod(A)
+        except SingularModP:
+            phi = "A, read from C, is not a unit mod p"
+        else:
+            canonical = w.C.rows == phi_matrix(A, weights, ctx.q).rows
+            phi = "" if canonical else "C differs from A*diag(q^r) for the A it carries"
     bad = non_identity_entry(w.G)
-    checks.append(
+    if phi or bad is not None:
+        fixed = "not decided: " + ("phi_canonical" if phi else "gamma_trivial_mod_pi0") + " failed"
+    else:
+        plan = ctx.plans.get(weights, lambda r: gamma_plan(ctx, r))
+        X = [[list(e[1:M]) for e in row] for row in w.G.rows]
+        step = plan.bind(A.to_lists(), Ainv.to_lists())
+        fixed = "" if step(X) == X else "G - Id over pi0 is not the fixed point of the Gamma-step"
+    return CheckReport((
+        CheckResult("phi_canonical", not phi, phi),
         CheckResult(
             "gamma_trivial_mod_pi0",
             bad is None,
             "" if bad is None else f"G mod pi0 differs from Id at entry {bad}",
-        )
-    )
-
-    total = sum(w.weights)
-    det = w.C.det()
-    if total > det.order:
-        checks.append(
-            CheckResult("det_q_height", False, f"window too small for q^{total}")
-        )
-    else:
-        quot, rem = weierstrass_divide_q_power(det, total)
-        ok = not any(rem) and quot.is_unit()
-        detail = "" if ok else (
-            f"remainder {rem}" if any(rem) else "quotient is not a unit"
-        )
-        checks.append(CheckResult("det_q_height", ok, detail))
-
-    return CheckReport(tuple(checks))
+        ),
+        CheckResult("gamma_fixed_point", not fixed, fixed),
+    ))
 
 
 def tensor_wach(w1: WachModule, w2: WachModule) -> WachModule:

@@ -5,8 +5,9 @@ enumerated exhaustively, packed slots are read by plain shifts and
 remainders, series products and compositions are recomputed by
 schoolbook convolution and Horner's rule on plain ints, and lattice
 membership is decided by plain Z/p^N linear algebra on stacked coefficient
-vectors.  The series constructors and the binary power below are test
-helpers only: the library itself has no use for them.
+vectors.  The series constructors, the binary power, the division by
+(X + p)^r with remainder and the determinant below are test helpers only:
+the library itself has no use for them.
 """
 
 from __future__ import annotations
@@ -15,16 +16,17 @@ import itertools
 import math
 
 from wachkit import kernels
-from wachkit.errors import InvalidInput
+from wachkit.errors import InvalidInput, VariableMismatch
 from wachkit.padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval
 from wachkit.series import (
+    PI0,
     TruncSeries,
     constant_series,
     pad,
     q_divide_exact,
+    q_divmod,
     q_powers,
     series_multiply,
-    weierstrass_divide_q_power,
 )
 
 
@@ -56,6 +58,38 @@ def series_pow(f: TruncSeries, e: int) -> TruncSeries:
         base = series_multiply(base, base) if e > 1 else base
         e >>= 1
     return result
+
+
+def weierstrass_divide_q_power(f: TruncSeries, r: int) -> tuple[TruncSeries, tuple[int, ...]]:
+    """Divide a pi0-series by (X + p)^r with remainder of degree < r (series.q_divmod).
+
+    Reconstruction f = (X+p)^r * quotient + remainder holds exactly at the
+    truncation.
+    """
+    if f.var != PI0:
+        raise VariableMismatch("Weierstrass division expects a pi0-series")
+    quot, rem = q_divmod(f.coeffs, f.p, f.pn, r)
+    return TruncSeries(PI0, f.p, f.N, tuple(quot)), rem
+
+
+def series_det(X) -> TruncSeries:
+    """Determinant of a SeriesMat by minor expansion along the last row, memoized on column subsets."""
+    rows, d, n, pn = X.rows, len(X.rows), X.order, X.pn
+    memo = {0: [1] + [0] * (n - 1)}
+
+    def minor(cols: int, row: int) -> list[int]:
+        if cols not in memo:
+            acc = [0] * n
+            sign = 1 if row % 2 == 0 else -1
+            for j in range(d):
+                if cols & (1 << j):
+                    term = schoolbook_mul(rows[row][j], minor(cols & ~(1 << j), row - 1), pn, n)
+                    acc = [(a + sign * t) % pn for a, t in zip(acc, term)]
+                    sign = -sign
+            memo[cols] = acc
+        return memo[cols]
+
+    return TruncSeries(PI0, X.p, X.N, tuple(minor((1 << d) - 1, d - 1)))
 
 
 def brute_kernel(A: PMatrix) -> set[tuple[int, ...]]:

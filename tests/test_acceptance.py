@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from oracles import commutation_entry, lattice_membership_oracle, make_series, repeated_binomial, series_pow, shift_multiply, x_series
+from oracles import commutation_entry, lattice_membership_oracle, make_series, repeated_binomial, series_pow, shift_multiply, weierstrass_divide_q_power, x_series
 from wachkit.cli import main as cli_main
 from wachkit.cyclo import apply_operator, build_context, get_context, projector
 from wachkit.flmod import LatticeSub, direct_sum_fl, make_fl, tensor_fl, unit_fl
@@ -35,7 +35,6 @@ from wachkit.series import (
     series_invert_unit,
     series_multiply,
     series_scale,
-    weierstrass_divide_q_power,
     zero_series,
 )
 from wachkit.suite import generate_suite, random_unit_matrix

@@ -181,7 +181,27 @@ class TestCommands:
         assert main(["verify", "-i", bad, "--out", rep]) == 4
         checks = json.loads(Path(rep).read_text(encoding="utf-8"))["checks"]
         failed = [c["name"] for c in checks if not c["pass"]]
-        assert "commutation" in failed
+        assert failed == ["gamma_fixed_point"]
+
+    def test_tensor_of_valid_modules_verifies(self, tmp_path):
+        # weights (0, 1, 2) twice: the product has sum of weights 18 > M_pi0 = 16
+        rng = random.Random(3)
+        files = []
+        for name in ("a", "b"):
+            m = make_fl(7, 16, (0, 1, 2), random_unit_matrix(rng, 3, 7, 16))
+            out = str(tmp_path / f"{name}.wach.json")
+            assert main(["build", "-i", write(tmp_path, f"{name}.json", fl_to_dict(m)), "--out", out]) == 0
+            files.append(out)
+        product = str(tmp_path / "ab.json")
+        assert main(["tensor", *files, "--out", product]) == 0
+        assert main(["verify", "-i", product, "--out", str(tmp_path / "rep.json")]) == 0
+
+    def test_forged_weights_with_the_same_sum_fail_verify(self, tmp_path_factory, tmp_path):
+        bad = write(tmp_path, "forged.json", replaced(build_p5(tmp_path_factory, [0, 2]), ("meta", "weights"), [1, 1]))
+        rep = str(tmp_path / "rep.json")
+        assert main(["verify", "-i", bad, "--out", rep]) == 4
+        checks = json.loads(Path(rep).read_text(encoding="utf-8"))["checks"]
+        assert [c["name"] for c in checks if not c["pass"]] == ["phi_canonical", "gamma_fixed_point"]
 
     def test_reduce_wach_input(self, tmp_path):
         src = write(tmp_path, "m.json", FL_SIMPLE)

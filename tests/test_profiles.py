@@ -3,7 +3,9 @@
 A solve at the profile (N, M_pi0) must give the truncation of the solve at
 (N + 4, M_pi0 + 6) of any lift of its input, and recover_filtration must give
 the same recovered data or a typed PrecisionExhausted where the coarse window
-cannot carry the weights; it never returns other weights.  direct_sum_wach of
+cannot carry the weights; it never returns other weights.  verify_wach_axioms
+gives the same verdict at both profiles, or refuses with a typed detail where
+the coarse window cannot carry the largest weight.  direct_sum_wach of
 coarse solves is the truncation of that of fine ones, and normalize_basis of
 a perturbed C' is the truncation of that of a lift of C' by multiples of p^N.
 The inputs are the golden suite's shapes (prime, weights), with A drawn at
@@ -27,7 +29,7 @@ from wachkit.padic import PMatrix
 from wachkit.reduction import normalize_basis, recover_filtration
 from wachkit.series import PI0, TruncSeries
 from wachkit.suite import generate_suite, random_unit_matrix
-from wachkit.wach import direct_sum_wach, iterate_to_window, solve_wach
+from wachkit.wach import direct_sum_wach, iterate_to_window, solve_wach, verify_wach_axioms
 
 SHAPES = [(m.p, m.weights) for m in generate_suite(7, count=33)]
 PROFILES = [(2, 2), (3, 5), (4, 9), (8, 8), (6, 12)]
@@ -95,6 +97,25 @@ def test_direct_sum_at_a_coarse_profile_is_the_truncation_of_a_finer_one(N, M):
             assert coarse.weights == fine.weights
             assert coarse.C.rows == _cut(fine.C.rows, pn, M)
             assert coarse.G.rows == _cut(fine.G.rows, pn, M)
+            assert verify_wach_axioms(coarse).ok == (max(coarse.weights) < M), (p, coarse.weights)
+
+
+@pytest.mark.parametrize("N, M", PROFILES)
+def test_verify_at_a_coarse_profile_agrees_with_a_finer_one(N, M):
+    # a genuine module gets the fine profile's verdict at the coarse one,
+    # except where the coarse window cannot carry its largest weight: there
+    # verify refuses with that detail, a typed refusal to vouch for the
+    # module and not a different verdict on a module it can vouch for
+    refused = 0
+    for (p, weights), (_, coarse, fine) in zip(SHAPES, _solved(N, M)):
+        got, want = verify_wach_axioms(coarse), verify_wach_axioms(fine)
+        assert want.ok == (max(weights) < M + 6), (p, weights)
+        if max(weights) >= M:
+            refused += 1
+            assert got.checks[0] == ("phi_canonical", False, f"the window pi0^{M} cannot carry weight {max(weights)}")
+        else:
+            assert got == want, (p, weights)
+    assert refused < len(SHAPES)
 
 
 def _perturbed(A: PMatrix, weights, S, pn) -> list:

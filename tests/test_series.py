@@ -14,6 +14,7 @@ from oracles import (
     schoolbook_mul,
     series_pow,
     shift_multiply,
+    weierstrass_divide_q_power,
     x_series,
 )
 from wachkit.errors import (
@@ -46,7 +47,6 @@ from wachkit.series import (
     series_scale,
     shift_divide_exact,
     weierstrass_divide_exact,
-    weierstrass_divide_q_power,
     zero_series,
 )
 

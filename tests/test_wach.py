@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from oracles import commutation_entry, difference_valuations, residual_entry, horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_pow, shift_multiply
+from oracles import commutation_entry, difference_valuations, residual_entry, horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_det, series_pow, shift_multiply
 from wachkit.cyclo import build_context, get_context
 from wachkit.errors import (
     AxiomViolation,
@@ -299,7 +299,7 @@ def _moved(rows, spots, rng, pn):
 
 
 class TestCertificate:
-    """commutation_residual, the one packed certificate, against its oracle."""
+    """commutation_residual, the one packed certificate, against its oracle, and verify on the same artifacts."""
 
     @pytest.mark.parametrize("p", GRID_PRIMES)
     def test_first_residual_matches_the_oracle(self, p):
@@ -333,19 +333,26 @@ class TestCertificate:
                     assert commutation_residual(C, G, ctx, gamma_C) == residual_entry(C, G, gamma_C, ctx)
                     if move == "genuine" or N == 16 and "C" not in names:
                         assert (bad is None) == (move == "genuine"), (N, M, weights, spots, move)
+                    # verify decides where commutation cannot: it accepts
+                    # only genuine artifacts, each with no residual, and
+                    # refuses a weight the window cannot carry
+                    report = verify_wach_axioms(WachModule(ctx, weights, C, G))
+                    assert report.ok == (move == "genuine" and max(weights) < M), (N, M, weights, spots, move)
+                    assert not report.ok or bad is None
+                    if move == "genuine" and not report.ok:
+                        assert report.checks[0].detail == f"the window pi0^{M} cannot carry weight {max(weights)}"
                     cases += 1
         assert cases == 84
 
     def test_verify_reports_the_first_residual(self, ctx5):
-        # verify's detail names the entry the certificate returns, the
-        # oracle's first entry in row-major order
+        # the certificate names the oracle's first entry in row-major order,
+        # and verify rejects the same artifact: its G is not the fixed point
         rng = random.Random(31)
         w = solve_wach(make_fl(5, 16, (0, 3), random_unit_matrix(rng, 2, 5, 16)), ctx5)
         G = SeriesMat._trusted(5, 16, _moved(w.G.rows, [(1, 1, 4), (1, 0, 2)], rng, ctx5.pn))
         bad = commutation_entry(w.C, G, ctx5)
         assert bad is not None and commutation_residual(w.C, G, ctx5) == bad
-        check = verify_wach_axioms(WachModule(ctx5, w.weights, w.C, G)).checks[0]
-        assert check == ("commutation", False, f"nonzero residual at entry {bad}")
+        assert verify_wach_axioms(WachModule(ctx5, w.weights, w.C, G)).failed() == ("gamma_fixed_point",)
 
 
 class TestVerify:
@@ -358,9 +365,9 @@ class TestVerify:
     def test_reports_the_three_axioms(self, ctx5):
         w = solve_wach(make_fl(5, 16, (0, 3), random_unit_matrix(random.Random(2), 2, 5, 16)), ctx5)
         names = [c.name for c in verify_wach_axioms(w).checks]
-        assert names == ["commutation", "gamma_trivial_mod_pi0", "det_q_height"]
+        assert names == ["phi_canonical", "gamma_trivial_mod_pi0", "gamma_fixed_point"]
 
-    def test_tampered_gamma_fails_commutation(self, ctx3):
+    def test_tampered_gamma_fails_the_fixed_point(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 1, 1), ctx3)
         bad_entry = series_add(
             w.G[0][0], shift_multiply(constant_series(PI0, 1, 3, 16, 15), 1)
@@ -373,7 +380,7 @@ class TestVerify:
             iterations_used=w.iterations_used,
         )
         rep = verify_wach_axioms(tampered)
-        assert not rep.ok and "commutation" in rep.failed()
+        assert rep.failed() == ("gamma_fixed_point",)
 
     def test_tampered_constant_fails_mod_pi0(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 1, 1), ctx3)
@@ -386,18 +393,19 @@ class TestVerify:
         rep = verify_wach_axioms(tampered)
         assert "gamma_trivial_mod_pi0" in rep.failed()
 
-    def test_wrong_height_fails_det(self, ctx3):
+    def test_wrong_height_fails_phi_canonical(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 1, 1), ctx3)
         q_sq = series_pow(w.C[0][0], 2)  # height 2 but declared weight 1
         tampered = WachModule(ctx=ctx3, weights=(1,), C=SeriesMat([[q_sq]], 3, 16), G=w.G)
         rep = verify_wach_axioms(tampered)
-        assert "det_q_height" in rep.failed()
+        assert rep.failed() == ("phi_canonical", "gamma_fixed_point")
+        assert rep.checks[2].detail == "not decided: phi_canonical failed"
 
     def test_det_helper(self, ctx3):
         rng = random.Random(7)
         m = make_fl(3, 16, (0, 1, 1), random_unit_matrix(rng, 3, 3, 16))
         C = build_phi_matrix(m, ctx3)
-        det = C.det()
+        det = series_det(C)
         # oracle: det(A*diag(q^r)) = det(A) * q^(sum r)
         detA = (
             m.A.at(0, 0) * (m.A.at(1, 1) * m.A.at(2, 2) - m.A.at(1, 2) * m.A.at(2, 1))
@@ -439,6 +447,7 @@ class TestFunctoriality:
         ws = solve_wach(ms, ctx3)
         G_sorted = perm_conjugate(s.G, list(ms.sort_perm), 3, 16)
         assert ws.G == G_sorted
+        assert verify_wach_axioms(s).ok
 
     def test_tensor_unit(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 1, 2), ctx3)
@@ -608,4 +617,8 @@ class TestLargePrime:
         assert elapsed < 10.0, f"p = 17 bootstrap took {elapsed:.2f}s"
         m = make_fl(17, 16, (0, 15), random_unit_matrix(random.Random(17), 2, 17, 16))
         w = solve_wach(m, ctx)
+        assert verify_wach_axioms(w).ok
+        # sum of weights 21 > M_pi0: q^21 does not fit the window, but C and
+        # G are decided without it
+        w = solve_wach(make_fl(17, 16, (6, 15), PMatrix.identity(2, 17, 16)), ctx)
         assert verify_wach_axioms(w).ok
