@@ -227,12 +227,14 @@ class AffineMap:
     and the slot width.  :meth:`bind` adds the scalars L_ik*R_lj and returns
     the map, so one fixed part serves every L and R a caller brings: the
     Gamma-solve keeps its fixed part per (context, weights) and binds each
-    A to it.  An output entry sums at most one scalar per entry of K, so the
-    width is sized from K's shape, never from the zero pattern of L and R,
-    which changes with every L and R.  A call sums each entry's terms as one
-    packed combination of the products, adds K, combines the entries by the
-    nonzero scalars and unpacks each output entry once: no series product
-    and no other unpack.
+    A to it.  Output entry (i, j) gets its scalars as one dense list, zeros
+    included, in the order k*m + l of the entries (k, l) of Y, so it sums
+    exactly one scalar per entry of K and the width is sized from K's
+    shape, never from the zero pattern of L and R, which changes with every
+    L and R.  A call sums each entry's terms as one packed combination of
+    the products, adds K, combines the entries with each output entry's
+    scalars and unpacks each output entry once: no series product and no
+    other unpack.
     """
 
     def __init__(self, K, terms, pn: int, n: int):
@@ -241,7 +243,7 @@ class AffineMap:
         reads = max((sum(len(H) for _, _, H in t) for row in terms for t in row), default=0)
         m = len(K[0])
         width = slot_width(pn, len(K) * m * (reads * n + 1), factors=4)
-        self.width, self.m, self.n, self.pn = width, m, n, pn
+        self.width, self.n, self.pn = width, n, pn
         mask = (1 << (8 * width * n)) - 1
         # each f, each H's members and each product f*H[t] packed once;
         # while terms holds them, distinct objects have distinct ids
@@ -268,16 +270,10 @@ class AffineMap:
 
     def bind(self, L, R):
         """The map X |-> L*(K + Y)*R: this fixed part with the scalars of L and R."""
-        m, pn = self.m, self.pn
+        pn = self.pn
         cols = list(zip(*R))
-        # scalars[i][j] lists (k*m + l, L_ik*R_lj) for the nonzero scalars
-        scalars = []
-        for row in L:
-            srow = []
-            for col in cols:
-                s = [(k * m + l, a * b % pn) for k, a in enumerate(row) if a for l, b in enumerate(col)]
-                srow.append([(kl, c) for kl, c in s if c])
-            scalars.append(srow)
+        # scalars[i][j][k*m + l] = L_ik*R_lj, in the order of Y
+        scalars = [[[a * b % pn for a in row for b in col] for col in cols] for row in L]
         width, n, offset, terms = self.width, self.n, self.offset, self.terms
 
         def affine(X) -> list[list[list[int]]]:
@@ -287,7 +283,7 @@ class AffineMap:
                 for c, t in zip(offset, terms)
             ]
             return [
-                [unpack(sum([c * Y[kl] for kl, c in s]), width, n, pn) for s in srow]
+                [unpack(sum(map(mul, s, Y)), width, n, pn) for s in srow]
                 for srow in scalars
             ]
 

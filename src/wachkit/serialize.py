@@ -5,6 +5,16 @@ consumers; series are degree-ascending coefficient arrays; matrices are
 row-major nested arrays.  Canonical output (sorted keys, two-space indent,
 trailing newline) makes identical inputs produce byte-identical artifacts.
 
+The canonical text is json.dumps(obj, indent=2, sort_keys=True) plus a
+newline, but CPython runs its pure-Python encoder whenever indent is set, so
+dumps_canonical writes the same bytes itself: objects with their keys sorted,
+one member per line at two spaces per level, empty containers as [] and {},
+tuples as lists.  A list of strings that need no escaping, as every series
+and matrix row of an artifact is, is written with one str.join; any other
+string goes through json's C escaper, encode_basestring_ascii, and any other
+value (a number, true, false, null, a dict with non-string keys) through
+json.dumps itself.
+
 Schemas:
 
 * FLModule:   {"kind": "fl", "p": int, "N": int, "weights": [int, ...],
@@ -31,6 +41,7 @@ A series matrix is loaded into one SeriesMat over the file's (p, N).
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cyclo import check_profile, get_context
 from .errors import SchemaError
@@ -42,7 +53,38 @@ from .wach import WachModule
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\\n", written without the pure-Python encoder."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(x, nl: str) -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it; nl opens a line at x's own indent."""
+    if isinstance(x, str):
+        return _quote(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    inner = nl + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if isinstance(x[0], str):
+            try:
+                raw = "".join(x)
+            except TypeError:  # not every member is a string
+                pass
+            else:
+                # escaping lengthens what it changes, so this holds only when nothing is escaped
+                if len(_quote(raw)) == len(raw) + 2:
+                    return "[" + inner + '"' + ('",' + inner + '"').join(x) + '"' + nl + "]"
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in x]) + nl + "]"
+    if isinstance(x, dict) and all(isinstance(k, str) for k in x):
+        if not x:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(x.items())]
+        ) + nl + "}"
+    # its own text has no raw newline: json escapes every newline inside a string
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _need(data: dict, field: str, where: str):

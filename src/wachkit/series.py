@@ -633,10 +633,10 @@ def q_powers(q: TruncSeries, up_to: int) -> list[TruncSeries]:
     p, pn, n = q.p, q.pn, q.order
     if q.coeffs != ((p % pn, 1) + (0,) * n)[:n]:
         raise ValueError("q must be p + pi0")
-    pows = []
+    pows, zeros = [], (0,) * n
     for e in range(up_to + 1):
-        c = tuple(comb(e, k) * p ** (e - k) % pn for k in range(min(e + 1, n)))
-        pows.append(TruncSeries._trusted(PI0, p, q.N, c + (0,) * (n - len(c))))
+        c = tuple([comb(e, k) * p ** (e - k) % pn for k in range(min(e + 1, n))])
+        pows.append(TruncSeries._trusted(PI0, p, q.N, c + zeros[len(c):]))
     return pows
 
 

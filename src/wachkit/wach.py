@@ -73,11 +73,18 @@ class WachModule:
 
 
 def phi_matrix(A: PMatrix, weights: tuple[int, ...], q: TruncSeries) -> SeriesMat:
-    """A*diag(q^(r_j)) at q's order."""
+    """A*diag(q^(r_j)) at q's order.
+
+    q^r = (p + pi0)^r has r + 1 coefficients, so entry (i, j) multiplies
+    A_ij into the first r_j + 1 coefficients of q^(r_j), cut at the order,
+    and pads the rest with zeros.
+    """
     qpow = q_powers(q, max(weights, default=0))
-    pn = q.pn
+    n, pn = q.order, q.pn
+    heads = [qpow[r].coeffs[: r + 1] for r in weights]
+    pads = [(0,) * (n - len(h)) for h in heads]
     return SeriesMat._trusted(q.p, q.N, [
-        [[A.at(i, j) * c % pn for c in qpow[r].coeffs] for j, r in enumerate(weights)]
+        [tuple([a * c % pn for c in h]) + z for a, h, z in zip(A.row(i), heads, pads)]
         for i in range(A.rows)
     ])
 

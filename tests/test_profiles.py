@@ -5,8 +5,10 @@ A solve at the profile (N, M_pi0) must give the truncation of the solve at
 the same recovered data or a typed PrecisionExhausted where the coarse window
 cannot carry the weights; it never returns other weights.  verify_wach_axioms
 gives the same verdict at both profiles, or refuses with a typed detail where
-the coarse window cannot carry the largest weight.  direct_sum_wach of
-coarse solves is the truncation of that of fine ones, and normalize_basis of
+the coarse window cannot carry the largest weight.  direct_sum_wach and
+tensor_wach of coarse solves are the truncations of those of fine ones (or,
+for tensor_wach, the same typed refusal where the coarse window cannot carry
+a weight r + s), and normalize_basis of
 a perturbed C' is the truncation of that of a lift of C' by multiples of p^N.
 The inputs are the golden suite's shapes (prime, weights), with A drawn at
 the fine modulus and reduced.  Coarse and fine solves alternate, so
@@ -17,19 +19,20 @@ N + M_pi0 - 1 is nearly tight, so each test also runs it close to its edge.
 
 import random
 from functools import cache
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from oracles import schoolbook_mul
 from wachkit.cyclo import get_context
-from wachkit.errors import PrecisionExhausted
+from wachkit.errors import AxiomViolation, PrecisionExhausted, WeightOverflow
 from wachkit.flmod import make_fl
 from wachkit.padic import PMatrix
 from wachkit.reduction import normalize_basis, recover_filtration
 from wachkit.series import PI0, TruncSeries
 from wachkit.suite import generate_suite, random_unit_matrix
-from wachkit.wach import direct_sum_wach, iterate_to_window, solve_wach, verify_wach_axioms
+from wachkit.wach import direct_sum_wach, iterate_to_window, solve_wach, tensor_wach, verify_wach_axioms
 
 SHAPES = [(m.p, m.weights) for m in generate_suite(7, count=33)]
 PROFILES = [(2, 2), (3, 5), (4, 9), (8, 8), (6, 12)]
@@ -98,6 +101,36 @@ def test_direct_sum_at_a_coarse_profile_is_the_truncation_of_a_finer_one(N, M):
             assert coarse.C.rows == _cut(fine.C.rows, pn, M)
             assert coarse.G.rows == _cut(fine.G.rows, pn, M)
             assert verify_wach_axioms(coarse).ok == (max(coarse.weights) < M), (p, coarse.weights)
+
+
+@pytest.mark.parametrize("N, M", PROFILES)
+def test_tensor_at_a_coarse_profile_is_the_truncation_of_a_finer_one(N, M):
+    # tensor_wach verifies its product: where the coarse window cannot
+    # carry the largest weight r + s, it refuses with verify's window check,
+    # and where r + s > p - 2 both profiles refuse alike
+    by_p = {}
+    for _, coarse, fine in _solved(N, M):
+        by_p.setdefault(coarse.ctx.p, []).append((coarse, fine))
+    built = 0
+    for p, solved in by_p.items():
+        for (coarse1, fine1), (coarse2, fine2) in combinations(solved, 2):
+            weights = tuple(r + s for r in fine1.weights for s in fine2.weights)
+            if max(weights) > p - 2:
+                for w1, w2 in ((coarse1, coarse2), (fine1, fine2)):
+                    with pytest.raises(WeightOverflow):
+                        tensor_wach(w1, w2)
+                continue
+            fine = tensor_wach(fine1, fine2)
+            if max(weights) >= M:
+                with pytest.raises(AxiomViolation, match="phi_canonical"):
+                    tensor_wach(coarse1, coarse2)
+                continue
+            coarse = tensor_wach(coarse1, coarse2)
+            built += 1
+            assert coarse.weights == fine.weights == weights
+            assert coarse.C.rows == _cut(fine.C.rows, p**N, M), (p, weights)
+            assert coarse.G.rows == _cut(fine.G.rows, p**N, M), (p, weights)
+    assert built > 0
 
 
 @pytest.mark.parametrize("N, M", PROFILES)

@@ -75,6 +75,24 @@ class TestPhiMatrix:
         with pytest.raises(ValueError):
             q_powers(series_add(q, q), 1)
 
+    @pytest.mark.parametrize(
+        "p, N, M, weights",
+        [(3, 16, 16, (0, 1, 1)), (5, 16, 16, (3, 0)), (7, 16, 16, (0, 2, 5)), (7, 2, 2, (5, 0, 2)), (3, 1, 1, (1, 0))],
+    )
+    def test_entries_are_a_times_the_q_power(self, p, N, M, weights):
+        # at the user order, at the guard order, and at an order below
+        # r + 1 (profiles (2, 2) and (1, 1)), where q^r is cut
+        ctx, d, pn = get_context(p, N, M), len(weights), p**N
+        A = random_unit_matrix(random.Random(100 * p + M), d, p, N)
+        for q in (ctx.q, ctx.work.q):
+            want = tuple(
+                tuple(tuple(A.at(i, j) * c % pn for c in q_powers(q, r)[r].coeffs) for j, r in enumerate(weights))
+                for i in range(d)
+            )
+            C = phi_matrix(A, weights, q)
+            assert (C.p, C.N, C.rows) == (p, N, want), q.order
+        assert phi_matrix(PMatrix(0, 0, (), p, N), (), ctx.q).rows == ()
+
     def test_validation(self, ctx3):
         bad = make_fl(3, 16, (2,), PMatrix(1, 1, (1,), 3, 16))
         with pytest.raises(ValidationFailed):
