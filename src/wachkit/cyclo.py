@@ -33,7 +33,7 @@ from .series import (
     TruncationProfile,
     TruncSeries,
     _ceil_log,
-    binomial_power,
+    binomial_powers,
     constant_series,
     default_pi_order,
     pi0_coordinates,
@@ -207,16 +207,15 @@ def build_context(
     pi0_in_pi_w = constant_series(PI, 1 - p, p, N, mpw)
     phi_pi0_in_pi = gamma_pi0_in_pi = pi0_in_pi_w
     torsion_w = []
-    for omega in teich_K:
-        pw = binomial_power(omega, p, N, mpw)
+    # one batch shares the binomials' denominators and forms each series as
+    # it is read, here three at a time: omega_a, p*omega_a, chi*omega_a
+    exponents = [e for omega in teich_K for e in (omega, p * omega.value, chi * omega.value % p**K)]
+    series = binomial_powers(exponents, p, N, mpw)
+    for pw, phi_pw, gamma_pw in zip(series, series, series):
         pi0_in_pi_w = series_add(pi0_in_pi_w, pw)
         torsion_w.append(series_sub(pw, one))
-        phi_pi0_in_pi = series_add(
-            phi_pi0_in_pi, binomial_power(p * omega.value, p, N, mpw)
-        )
-        gamma_pi0_in_pi = series_add(
-            gamma_pi0_in_pi, binomial_power(chi * omega.value % p**K, p, N, mpw)
-        )
+        phi_pi0_in_pi = series_add(phi_pi0_in_pi, phi_pw)
+        gamma_pi0_in_pi = series_add(gamma_pi0_in_pi, gamma_pw)
     if pi0_in_pi_w.constant_term() != 0:
         raise AssertionError("pi0 bootstrap: nonzero constant term")
     if any(pi0_in_pi_w.coeffs[1 : p - 1]):

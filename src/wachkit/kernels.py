@@ -30,9 +30,11 @@ Every product, step and certificate ends in :func:`unpack`.  Up to
 _SHIFT_SLOTS = 32 slots it reads the int itself by shift and mask, which
 is the case for every entry of the solvers, the certificate and the
 products at the default order (15 or 16 slots); longer series, which only
-the context bootstrap's power tables unpack, go through one conversion to
-bytes, since each shift copies the rest of the int and the loop is
-quadratic in the length.  unpack's docstring has the measured crossover.
+the quotient tables at a context's guard order unpack, go through one
+conversion to bytes, since each shift copies the rest of the int and the
+loop is quadratic in the length.  unpack's docstring has the measured
+crossover.  A power table, whose members run to hundreds of slots in the
+bootstrap, reduces each new member in one bytes round trip and never unpacks.
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ def unpack(x: int, width: int, n: int, pn: int) -> list[int]:
     15 slots of 15 bytes (a p = 3 step) 4.3 -> 2.4, of 24 bytes (p = 7)
     7.3 -> 4.6; 16 slots of a 31-slot product 6.7 -> 5.1; 32 slots 8.3 ->
     6.0, but 11.0 -> 13.8 when x carries 32 more; 288 slots of a 576-slot
-    product (the p = 7 bootstrap) 133 -> 891.  The context bootstrap, the
-    one caller past 16 slots at the default order, took the same time with
-    the crossover anywhere from 16 to 48 slots, and 20% longer with no
-    bytes path.
+    product (the p = 7 bootstrap) 133 -> 891.  The context bootstrap, which
+    then unpacked every power it formed, took the same time with the
+    crossover anywhere from 16 to 48 slots, and 20% longer with no bytes
+    path.
     """
     if n > _SHIFT_SLOTS:
         size = n * width
@@ -95,36 +97,44 @@ def series_mul(a: list, b: list, pn: int, out_len: int) -> list:
     return unpack(prod, width, out_len, pn)
 
 
-def _powers(g, pn: int, n: int, width: int):
-    """Yield packed g^0, g^1, ... truncated at order n, up to the first that vanishes.
-
-    With g = X^v * u, g^k = X^(kv) * u^k and only u^k mod X^(n-kv) is
-    needed, so each product is taken on operands cut to the shrinking order
-    n - kv and shifted into place.
-    """
-    yield 1
-    v = next((i for i, c in enumerate(g[:n]) if c), n)
-    if v == 0 < n:  # g^k would never vanish: no truncation ends the loop
-        raise ValueError("substitution argument has nonzero constant term")
-    u = pack(g[v:n], width)
-    cur, k, m = u, 1, n - v
-    while m > 0 and cur:
-        yield cur << (8 * width * k * v)
-        k, m = k + 1, m - v
-        if m > 0:
-            mask = (1 << (8 * width * m)) - 1
-            cur = pack(unpack((cur & mask) * (u & mask), width, m, pn), width)
-
-
 def power_table(g, pn: int, n: int, width: int) -> list[int]:
     """Packed g^0, g^1, ... truncated at order n, in slots of `width` bytes; requires g[0] == 0.
 
     slot_width(pn, n) is enough to compose with the table; the certificate
     asks for wider slots (certificate_width).  The table stops at the first
     power that vanishes mod X^n, so an image of valuation v holds at most
-    about n/v powers.
+    about n/v powers.  With g = X^v * u, g^k = X^(kv) * u^k and only u^k mod
+    X^(n-kv) is needed, so each product is taken on operands cut to the
+    shrinking order n - kv and shifted into place: an odd power is
+    u^(k-1) * u, an even one the square of u^(k/2), read back from its
+    member by a shift, which CPython multiplies as a square.  A slot of
+    either sums at most n products of two residues, and the kept slots are
+    reduced mod pn in one bytes round trip before the next product.
     """
-    return list(_powers(g, pn, n, width))
+    table = [1]
+    v = next((i for i, c in enumerate(g[:n]) if c), n)
+    if v == 0 < n:  # g^k would never vanish: no truncation ends the loop
+        raise ValueError("substitution argument has nonzero constant term")
+    bits = 8 * width
+    u = pack(g[v:n], width)
+    cur, k, m = u, 1, n - v
+    while m > 0 and cur:
+        table.append(cur << (bits * k * v))
+        k, m = k + 1, m - v
+        if m > 0:
+            mask = (1 << (bits * m)) - 1
+            if k % 2:
+                prod = (cur & mask) * (u & mask)
+            else:
+                half = (table[k // 2] >> (bits * (k // 2) * v)) & mask
+                prod = half * half
+            buf = (prod & mask).to_bytes(m * width, "little")
+            reduced = [
+                (_from_bytes(buf[i : i + width], "little") % pn).to_bytes(width, "little")
+                for i in range(0, m * width, width)
+            ]
+            cur = _from_bytes(b"".join(reduced), "little")
+    return table
 
 
 def compose_table(f, table: list[int], width: int, pn: int, n: int) -> list[int]:

@@ -27,6 +27,7 @@ determine pi0-coordinates to order M_pi0).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -487,61 +488,75 @@ def _ceil_log(p: int, m: int) -> int:
     return k
 
 
-def binomial_power(c, p: int, N: int, order: int) -> TruncSeries:
-    """(1 + pi)^c truncated at the given order.
+def binomial_powers(exponents, p: int, N: int, order: int) -> Iterator[TruncSeries]:
+    """An iterator over (1 + pi)^c truncated at the given order, for each c of ``exponents``.
 
-    ``c`` may be a plain int (an exact exponent) or a :class:`PScalar` given
-    mod p^K, which must satisfy K >= N + ceil(log_p order): C(n, k) mod p^N
-    for k < order depends only on n mod p^K then.  Coefficient k is the
+    Each ``c`` may be a plain int (an exact exponent) or a :class:`PScalar`
+    given mod p^K, which must satisfy K >= N + ceil(log_p order): C(n, k)
+    mod p^N for k < order depends only on n mod p^K then.  Every exponent is
+    checked before the first series is formed.  Coefficient k is the
     binomial C(n, k) of the nonnegative integer representative n, written as
-    p^v_k * num_k / den_k from C(n, k) = prod_(i<=k) (n-i+1)/i: each factor's
-    power of p moves v_k, and num_k and den_k are the prefix products mod
-    p^N of the factors' unit parts.  Only the last den_k is inverted; walking
-    k back down, that inverse times the unit part of k is the inverse of
-    den_(k-1).  So the series takes one modular inversion, and every step is
-    exact mod p^N on small integers.
+    p^(v_k - w_k) * num_k / den_k from C(n, k) = prod_(i<=k) (n-i+1)/i, where
+    w_k and den_k are the p-valuation of k! and the prefix product mod p^N of
+    the unit parts of 1..k, and v_k and num_k the same for n(n-1)...(n-k+1).
+    The denominators do not depend on n, so the batch forms them once: the
+    last den_k is inverted, and walking k back down, that inverse times the
+    unit part of k is the inverse of den_(k-1).  So a batch takes one
+    modular inversion, and each series, formed as the iterator is read, only
+    its numerators, exact mod p^N on small integers.
     """
-    if isinstance(c, PScalar):
-        if c.p != p:
-            raise ProfileMismatch("exponent lives over a different prime")
-        need = N + _ceil_log(p, order)
-        if c.N < need:
-            raise InsufficientExponentPrecision(
-                f"exponent precision {c.N} below required {need}"
-            )
-        n = c.value
-    else:
-        n = int(c)
-        if n < 0:
-            raise InvalidInput("negative exponent; invert the unit instead")
+    ns = []
+    for c in exponents:
+        if isinstance(c, PScalar):
+            if c.p != p:
+                raise ProfileMismatch("exponent lives over a different prime")
+            need = N + _ceil_log(p, order)
+            if c.N < need:
+                raise InsufficientExponentPrecision(
+                    f"exponent precision {c.N} below required {need}"
+                )
+            n = c.value
+        else:
+            n = int(c)
+            if n < 0:
+                raise InvalidInput("negative exponent; invert the unit instead")
+        ns.append(n)
     if order < 1:
         raise InvalidInput("order must be positive")
     pn = p**N
-    top = min(order, n + 1)
-    # C(n, k) = p^v * num_k / den_k: scaled[k] = p^v * num_k, or 0 once
-    # v >= N, and dens[k] the unit part of k
-    scaled, dens = [1], [1]
-    num_k = den_k = 1
-    v = 0
-    for k in range(1, top):
-        num, den = n - k + 1, k
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        num_k = num_k * num % pn
-        den_k = den_k * den % pn
-        scaled.append(num_k * p**v % pn if v < N else 0)
-        dens.append(den)
-    coeffs = [0] * order
-    coeffs[0] = 1
-    inv = pow(den_k, -1, pn)  # 1/den_(top-1)
-    for k in range(top - 1, 0, -1):
-        coeffs[k] = scaled[k] * inv % pn
-        inv = inv * dens[k] % pn  # 1/den_(k-1)
-    return TruncSeries._trusted(PI, p, N, tuple(coeffs))
+    units, vals = [], []  # for k = 1, ..., order-1: the unit part of k, and w_k
+    den, w = 1, 0
+    for k in range(1, order):
+        unit = k
+        while unit % p == 0:
+            unit //= p
+            w += 1
+        units.append(unit)
+        vals.append(w)
+        den = den * unit % pn
+    inv = pow(den, -1, pn)  # 1/den_(order-1)
+    inv_dens = []
+    for unit in reversed(units):
+        inv_dens.append(inv)
+        inv = inv * unit % pn  # 1/den_(k-1)
+    inv_dens.reverse()
+    ppow = [p**e for e in range(N)]
+
+    def expand(n: int) -> TruncSeries:
+        coeffs = [1]
+        num_k, v = 1, 0
+        # k = 1, ..., min(order - 1, n): C(n, k) = 0 past n
+        for num, w_k, inv_k in zip(range(n, max(n - order + 1, 0), -1), vals, inv_dens):
+            while num % p == 0:
+                num //= p
+                v += 1
+            num_k = num_k * num % pn
+            e = v - w_k
+            coeffs.append(num_k * inv_k * ppow[e] % pn if e < N else 0)
+        coeffs += [0] * (order - len(coeffs))
+        return TruncSeries._trusted(PI, p, N, tuple(coeffs))
+
+    return map(expand, ns)
 
 
 def cut_table(table: list[list[int]], m: int) -> list[list[int]]:

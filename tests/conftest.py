@@ -1,6 +1,21 @@
+import warnings
+
 import pytest
 
 from wachkit.cyclo import get_context
+
+# Hypothesis's pytest plugin imports hypothesis.extra._patching while it
+# reports a failing example, and that import warns (mypy_extensions.TypedDict
+# is deprecated).  Under filterwarnings = error the warning escapes the
+# plugin's report hook, pytest stops with INTERNALERROR, and no later test
+# runs or is counted.  Importing the module once here, with that warning
+# ignored, leaves the report nothing to import.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -80,6 +80,27 @@ def test_large_slot_carry():
         assert kernels.compose_table(a, table, width, pn, n) == horner_compose(a, g, pn, n)
 
 
+@pytest.mark.parametrize("p", (3, 7))
+@pytest.mark.parametrize("n", (20, 45))  # both sides of unpack's 32-slot crossover
+def test_power_table_members_match_schoolbook_powers(p, n):
+    # odd members are u^(k-1)*u and even ones squares of u^(k/2), so every
+    # member is checked; pn - 1 everywhere makes a square's slot sums the
+    # largest, and a unit part divisible by p ends the table at g^N = 0
+    rng = random.Random(n * p)
+    N = 4
+    pn = p**N
+    width = kernels.slot_width(pn, n)
+    for v in (1, p - 1):
+        units = ([pn - 1] * n, [rng.randrange(1, pn) for _ in range(n)], [p * rng.randrange(1, pn // p) for _ in range(n)])
+        for unit in units:
+            g = [0] * v + unit[: n - v]
+            expect, gk = [], [1] + [0] * (n - 1)
+            while any(gk):
+                expect.append(kernels.pack(gk, width))
+                gk = schoolbook_mul(gk, g, pn, n)
+            assert kernels.power_table(g, pn, n, width) == expect, (v, unit[0])
+
+
 def test_fallback_handles_any_modulus():
     pn = 17**16  # wider than a machine word
     a = [pn - 1, pn - 2]

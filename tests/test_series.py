@@ -24,6 +24,7 @@ from wachkit.errors import (
     NonzeroConstant,
     NotDivisible,
     NotInS0,
+    ProfileMismatch,
     VariableMismatch,
 )
 from wachkit.cyclo import _in_s0, guard_order
@@ -34,7 +35,7 @@ from wachkit.series import (
     SeriesMat,
     Substitution,
     TruncationProfile,
-    binomial_power,
+    binomial_powers,
     constant_series,
     default_pi_order,
     pi0_coordinates,
@@ -175,22 +176,22 @@ class TestCompose:
 
 class TestBinomialPower:
     def test_zero(self):
-        assert binomial_power(0, 5, 2, 4).coeffs == (1, 0, 0, 0)
+        assert next(binomial_powers([0], 5, 2, 4)).coeffs == (1, 0, 0, 0)
 
     def test_two(self):
-        assert binomial_power(2, 5, 2, 4).coeffs == (1, 2, 1, 0)
+        assert next(binomial_powers([2], 5, 2, 4)).coeffs == (1, 2, 1, 0)
 
     def test_eight_mod_nine(self):
         # oracle: repeated multiplication with integer exponent 8
         expect = repeated_binomial(8, 9, 3)
         assert expect == [1, 8, 1]  # C(8,2) = 28 = 1 mod 9
-        assert list(binomial_power(8, 3, 2, 3).coeffs) == expect
+        assert list(next(binomial_powers([8], 3, 2, 3)).coeffs) == expect
 
     @pytest.mark.parametrize("c", range(21))
     def test_matches_repeated_multiplication(self, c):
         p, N, order = 3, 16, 10
         expect = repeated_binomial(c, p**N, order)
-        assert list(binomial_power(c, p, N, order).coeffs) == expect
+        assert list(next(binomial_powers([c], p, N, order)).coeffs) == expect
 
     def test_additive_in_exponent(self):
         p, N, order = 5, 6, 12
@@ -198,15 +199,15 @@ class TestBinomialPower:
         for _ in range(10):
             c1, c2 = rng.randrange(5**8), rng.randrange(5**8)
             lhs = series_multiply(
-                binomial_power(c1, p, N, order), binomial_power(c2, p, N, order)
+                next(binomial_powers([c1], p, N, order)), next(binomial_powers([c2], p, N, order))
             )
-            assert lhs == binomial_power(c1 + c2, p, N, order)
+            assert lhs == next(binomial_powers([c1 + c2], p, N, order))
 
     def test_precision_guard(self):
         # order 10 at p = 3 needs K >= N + 3
         with pytest.raises(InsufficientExponentPrecision):
-            binomial_power(PScalar(4, 3, 4), 3, 4, 10)
-        binomial_power(PScalar(4, 3, 7), 3, 4, 10)
+            next(binomial_powers([PScalar(4, 3, 4)], 3, 4, 10))
+        next(binomial_powers([PScalar(4, 3, 7)], 3, 4, 10))
 
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_bootstrap_exponents_match_math_comb(self, p):
@@ -221,13 +222,13 @@ class TestBinomialPower:
         pn = p**N
         for a in range(1, p):
             omega = teichmueller_lift(a, p, K)
-            got = binomial_power(omega, p, N, order)
+            got = next(binomial_powers([omega], p, N, order))
             assert list(got.coeffs) == comb_binomial(omega.value, pn, order)
             for n in (p * omega.value, (1 + p) * omega.value):
-                got = binomial_power(n, p, N, order)
+                got = next(binomial_powers([n], p, N, order))
                 assert list(got.coeffs) == comb_binomial(n, pn, order)
         with pytest.raises(InsufficientExponentPrecision):
-            binomial_power(PScalar(omega.value, p, K - 1), p, N, order)
+            next(binomial_powers([PScalar(omega.value, p, K - 1)], p, N, order))
 
     @pytest.mark.parametrize("p", (11, 13, 17))
     def test_bootstrap_exponents_match_sampled_math_comb(self, p):
@@ -250,7 +251,7 @@ class TestBinomialPower:
                 omega = teichmueller_lift(a, p, K)
                 for c in (omega, p * omega.value, chi * omega.value % p**K):
                     n = c if isinstance(c, int) else c.value
-                    got = binomial_power(c, p, N, order).coeffs
+                    got = next(binomial_powers([c], p, N, order)).coeffs
                     digits_n = _digit_sum(n, p)
                     high = [
                         k > n or digits_k[k] + _digit_sum(n - k, p) - digits_n >= N * (p - 1)
@@ -263,12 +264,38 @@ class TestBinomialPower:
                     crossed += len(crossings)
         assert crossed
 
+    def test_batch_shares_its_denominators(self):
+        # one batch mixing ints, PScalars and exponents below the order (where
+        # C(n, k) = 0 past n) gives each series in turn, as math.comb does
+        p, N, order = 5, 3, 40
+        K = N + 3  # 5^3 >= 40
+        pn = p**N
+        batch = [7, PScalar(123, p, K), 0, 5**4 + 3, PScalar(5**K - 1, p, K + 2), 39, 40, 123456789]
+        series = binomial_powers(batch, p, N, order)
+        for c in batch:
+            n = c.value if isinstance(c, PScalar) else c
+            assert list(next(series).coeffs) == comb_binomial(n, pn, order), n
+        assert next(series, None) is None
+
+    def test_batch_checks_every_exponent_first(self):
+        # a bad exponent anywhere in the batch raises before any series is formed
+        p, N, order = 3, 4, 10
+        with pytest.raises(InvalidInput, match="^negative exponent; invert the unit instead$"):
+            binomial_powers([1, 2, -1], p, N, order)
+        with pytest.raises(InsufficientExponentPrecision, match="^exponent precision 6 below required 7$"):
+            binomial_powers([PScalar(4, 3, 7), PScalar(4, 3, 6)], p, N, order)
+        with pytest.raises(ProfileMismatch, match="^exponent lives over a different prime$"):
+            binomial_powers([1, PScalar(4, 5, 9)], p, N, order)
+        for order in (0, -1):
+            with pytest.raises(InvalidInput, match="^order must be positive$"):
+                binomial_powers([1, 2], p, N, order)
+
     def test_padic_exponent_consistency(self):
         # representatives agreeing mod p^K give the same expansion
         p, N, order = 3, 4, 6
         K = N + 2
-        a = binomial_power(PScalar(7, p, K), p, N, order)
-        b = binomial_power(7 + 2 * 3**K, p, N, order)
+        a = next(binomial_powers([PScalar(7, p, K)], p, N, order))
+        b = next(binomial_powers([7 + 2 * 3**K], p, N, order))
         assert a == b
 
 
@@ -466,7 +493,7 @@ def teichmueller_pi0(p: int, N: int, M: int) -> Substitution:
         K += 1
     pi0 = constant_series(PI, 1 - p, p, N, order)
     for a in range(1, p):
-        pi0 = series_add(pi0, binomial_power(teichmueller_lift(a, p, K), p, N, order))
+        pi0 = series_add(pi0, next(binomial_powers([teichmueller_lift(a, p, K)], p, N, order)))
     return Substitution(pi0)
 
 

@@ -301,6 +301,25 @@ class TestSolver:
             expected = w.G @ w.G.substitute(ctx.gamma_sub, 16)
             assert w2.G == expected
 
+    @pytest.mark.parametrize("p", (3, 5, 7, 11))
+    @pytest.mark.parametrize("N, M", ((16, 16), (4, 9)))
+    def test_cocycle_for_powers_of_the_generator(self, p, N, M):
+        # gamma' = gamma^a: G' = G * gamma(G) * ... * gamma^(a-1)(G) on the
+        # user window, which runs the bootstrap's chi*omega_a binomials at
+        # other generators; p | a makes chi^a = 1 mod p^2, no generator
+        ctx = get_context(p, N, M)
+        rng = random.Random(p * N)
+        m = make_fl(p, N, (0, p - 2), random_unit_matrix(rng, 2, p, N))
+        G = solve_wach(m, ctx).G
+        for a in (2, 3):
+            if a % p == 0:
+                continue
+            expected, image = G, G
+            for _ in range(a - 1):
+                image = image.substitute(ctx.gamma_sub, M)
+                expected = expected @ image
+            assert solve_wach(m, get_context(p, N, M, chi_gamma=(1 + p) ** a)).G == expected, a
+
 
 # The certificate's grid: 6 primes x 4 profiles x ranks 1-3 x 7 artifacts.
 GRID_PRIMES = (3, 5, 7, 11, 13, 17)
