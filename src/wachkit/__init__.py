@@ -11,7 +11,7 @@ normalization).
 from .errors import WachkitError
 from .padic import PMatrix, PScalar, howell_kernel, matrix_inverse_mod, scalar_inverse, teichmueller_lift
 from .series import PI, PI0, TruncationProfile, TruncSeries
-from .cyclo import CycloContext, OperatorTag, apply_operator, build_context, decompose_gamma_f
+from .cyclo import CycloContext, OperatorTag, apply_operator, build_context
 from .flmod import FLModule, LatticeSub, direct_sum_fl, dual_twist_fl, tensor_fl, validate_fl
 from .wach import (
     WachModule,
@@ -49,7 +49,6 @@ __all__ = [
     "OperatorTag",
     "build_context",
     "apply_operator",
-    "decompose_gamma_f",
     "FLModule",
     "LatticeSub",
     "validate_fl",

@@ -8,15 +8,14 @@ of Gamma-generator character value chi(gamma), the distinguished data:
   Teichmueller sum is fixed by the torsion substitutions),
 * the images phi(pi0), gamma(pi0) in pi0-coordinates,
 * q = p + pi0 and the unit certificates u = phi(pi0)/(pi0 q^(p-1)) and
-  v_gamma = gamma(q)/q, with v_gamma(0) = 1.
+  v_gamma = gamma(q)/q, with v_gamma(0) = 1 (kept as its inverse).
 
-All fields exposed on the context are truncated to the user profile.
-Internally everything is computed at a guard order M_pi0 + N + p: the
-canonical quotient of a Weierstrass division carries noise in its top
-coefficients, and the guard keeps every coefficient in the user window exact
-(see the valuation argument of guard_order).  The guard data
-rides along on ``ctx.work`` for the solver modules, with the pi-images
-phi(pi), gamma(pi) and the torsion images (1+pi)^(omega_a) - 1.
+Everything is computed, and kept on ``ctx.work``, at the guard order
+M_pi0 + N + 2p + 2: the canonical quotient of a Weierstrass division carries
+noise in its top coefficients, and the guard keeps every coefficient in the
+user window exact (see the valuation argument of guard_order).  ``ctx.work``
+also holds the torsion images (1+pi)^(omega_a) - 1.  The solvers read these
+guard-order twins; the context exposes only q at the user profile.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidInput, NotInS0, VariableMismatch
-from .padic import inv_mod, teichmueller_lift
+from .padic import teichmueller_lift
 from .series import (
     PI,
     PI0,
@@ -39,17 +38,15 @@ from .series import (
     pi0_coordinates,
     series_add,
     series_invert_unit,
-    series_scale,
     series_sub,
     shift_divide_exact,
     weierstrass_divide_exact,
-    zero_series,
 )
 
 
 @dataclass(frozen=True)
 class OperatorTag:
-    """Which semilinear operator to apply: phi, gamma, torsion(a), projector(i)."""
+    """Which semilinear operator to apply: phi, gamma or torsion(a), a = index."""
 
     kind: str
     index: int = 0
@@ -57,19 +54,6 @@ class OperatorTag:
     PHI = "phi"
     GAMMA = "gamma"
     TORSION = "torsion"
-    PROJECTOR = "projector"
-
-
-PHI = OperatorTag(OperatorTag.PHI)
-GAMMA = OperatorTag(OperatorTag.GAMMA)
-
-
-def torsion(a: int) -> OperatorTag:
-    return OperatorTag(OperatorTag.TORSION, a)
-
-
-def projector(i: int) -> OperatorTag:
-    return OperatorTag(OperatorTag.PROJECTOR, i)
 
 
 @dataclass(frozen=True)
@@ -93,13 +77,6 @@ class CycloContext:
 
     profile: TruncationProfile
     chi_gamma: int
-    teich: tuple[int, ...]  # omega_a mod p^N, a = 1..p-1
-    pi0_in_pi: TruncSeries
-    phi_pi0: TruncSeries
-    gamma_pi0: TruncSeries
-    q: TruncSeries
-    u: TruncSeries
-    v_gamma: TruncSeries
     work: CycloWork
     # substitutions of the guard-order images phi(pi0), gamma(pi0) and each
     # torsion image; their power tables are a cache, so they take no part in
@@ -122,17 +99,10 @@ class CycloContext:
     def pn(self) -> int:
         return self.profile.pn
 
-    def primitive_root(self) -> int:
-        """Smallest generator of (Z/p)^*; its torsion substitution generates all."""
-        p = self.p
-        for g in range(2, p):
-            x, order = g, 1
-            while x != 1:
-                x = (x * g) % p
-                order += 1
-            if order == p - 1:
-                return g
-        raise AssertionError("no primitive root found")
+    @property
+    def q(self) -> TruncSeries:
+        """q = p + pi0 at the user window."""
+        return self.work.q.truncate(self.profile.M_pi0)
 
 
 # Gamma-solve plans kept per context.  A plan holds T packed products per
@@ -157,7 +127,9 @@ def guard_order(p: int, N: int, M_pi0: int) -> int:
 def check_profile(p: int, N: int, M_pi0: int, chi_gamma: int | None) -> tuple[TruncationProfile, int]:
     """The profile and chi(gamma) of a context, checked before any bootstrap (InvalidInput)."""
     profile = TruncationProfile(p, N, M_pi0)  # checks p first
-    chi = (1 + p) if chi_gamma is None else int(chi_gamma)
+    chi = (1 + p) if chi_gamma is None else chi_gamma
+    if type(chi) is not int:  # a float would be truncated, a str or bool misread
+        raise InvalidInput(f"chi(gamma) must be an integer, got {chi!r}")
     if (chi - 1) % p != 0:
         raise InvalidInput("chi(gamma) must be congruent to 1 mod p")
     if (chi - 1) % (p * p) == 0:
@@ -189,12 +161,10 @@ def build_context(
 
     mw = guard_order(p, N, M_pi0)
     mpw = default_pi_order(p, mw)
-    pn = p**N
 
     # Teichmueller exponents at enough precision for order-mpw binomials
     K = N + _ceil_log(p, mpw)
     teich_K = tuple(teichmueller_lift(a, p, K) for a in range(1, p))
-    teich_N = tuple(t.value % pn for t in teich_K)
 
     # pi0 = -p + 1 + sum_a (1+pi)^(omega_a).  phi and gamma send 1+pi to
     # (1+pi)^p and (1+pi)^chi, so their images of pi0 are the same sum over
@@ -260,17 +230,9 @@ def build_context(
         v_gamma_inv=v_inv_w,
     )
 
-    t_pi, t_pi0 = profile.M_pi, profile.M_pi0
     return CycloContext(
         profile=profile,
         chi_gamma=chi,
-        teich=teich_N,
-        pi0_in_pi=pi0_in_pi_w.truncate(t_pi),
-        phi_pi0=phi_pi0_w.truncate(t_pi0),
-        gamma_pi0=gamma_pi0_w.truncate(t_pi0),
-        q=q_w.truncate(t_pi0),
-        u=u_w.truncate(t_pi0),
-        v_gamma=v_w.truncate(t_pi0),
         work=work,
         phi_sub=Substitution(phi_pi0_w),
         gamma_sub=Substitution(gamma_pi0_w),
@@ -286,7 +248,7 @@ def get_context(
     p: int, N: int = 16, M_pi0: int = 16, chi_gamma: int | None = None
 ) -> CycloContext:
     """Memoized build_context; contexts are immutable and shareable."""
-    chi = (1 + p) if chi_gamma is None else int(chi_gamma)
+    _, chi = check_profile(p, N, M_pi0, chi_gamma)
     key = (p, N, M_pi0, chi)
     ctx = _CONTEXT_CACHE.get(key)
     if ctx is None:
@@ -296,12 +258,12 @@ def get_context(
 
 
 def apply_operator(ctx: CycloContext, tag: OperatorTag, f: TruncSeries) -> TruncSeries:
-    """Apply phi, gamma, a torsion substitution, or an eigenspace projector.
+    """Apply phi, gamma or a torsion substitution.
 
     phi and gamma act on pi0-series (substitution of the stored image of
-    pi0); torsion and projectors act on pi-series.  Coefficients are fixed by
-    the operators (the residue field is F_p), so the action is substitution
-    in the variable only.
+    pi0); torsion acts on pi-series.  Coefficients are fixed by the operators
+    (the residue field is F_p), so the action is substitution in the variable
+    only.
     """
     kind = tag.kind
     if kind in (OperatorTag.PHI, OperatorTag.GAMMA):
@@ -315,53 +277,4 @@ def apply_operator(ctx: CycloContext, tag: OperatorTag, f: TruncSeries) -> Trunc
         if not 1 <= a <= ctx.p - 1:
             raise InvalidInput(f"torsion index {a} outside [1, p-1]")
         return ctx.torsion_subs[a - 1].apply(f)
-    if kind == OperatorTag.PROJECTOR:
-        i = tag.index
-        if not 0 <= i <= ctx.p - 2:
-            raise InvalidInput(f"projector index {i} outside [0, p-2]")
-        return _projector(ctx, i, f)
     raise InvalidInput(f"unknown operator kind {kind!r}")
-
-
-def _torsion_images(ctx: CycloContext, f: TruncSeries) -> list[TruncSeries]:
-    if f.var != PI:
-        raise VariableMismatch("projectors act on pi-series")
-    return [sub.apply(f) for sub in ctx.torsion_subs]
-
-
-def _projector(ctx: CycloContext, i: int, f: TruncSeries) -> TruncSeries:
-    return _project_from_images(ctx, i, f, _torsion_images(ctx, f))
-
-
-def _project_from_images(
-    ctx: CycloContext, i: int, f: TruncSeries, images: list[TruncSeries]
-) -> TruncSeries:
-    pn = ctx.pn
-    norm = inv_mod(ctx.p - 1, ctx.p, ctx.N)
-    acc = zero_series(PI, ctx.p, ctx.N, images[0].order)
-    for a, img in enumerate(images, start=1):
-        w = pow(inv_mod(ctx.teich[a - 1], ctx.p, ctx.N), i, pn)
-        acc = series_add(acc, series_scale(img, w))
-    return series_scale(acc, norm)
-
-
-def decompose_gamma_f(ctx: CycloContext, f: TruncSeries) -> tuple[TruncSeries, ...]:
-    """Split a pi-series into its p-1 torsion-character eigencomponents.
-
-    The components sum to f exactly at the truncation.  Each component is
-    certified to transform by omega_a^i under a generating torsion
-    substitution, which pins its eigenspace.
-    """
-    images = _torsion_images(ctx, f)
-    comps = tuple(_project_from_images(ctx, i, f, images) for i in range(ctx.p - 1))
-    a = ctx.primitive_root()
-    sub = ctx.torsion_subs[a - 1]
-    omega = ctx.teich[a - 1]
-    pn = ctx.pn
-    for i, comp in enumerate(comps):
-        moved = sub.apply(comp)
-        scaled = series_scale(comp, pow(omega, i, pn)).truncate(moved.order)
-        if moved != scaled:
-            raise AssertionError(f"component {i} left its eigenspace")
-    return comps
-

@@ -50,6 +50,9 @@ def _is_prime(n: int) -> bool:
 
 
 def check_modulus(p: int, N: int) -> None:
+    # exact ints only: a float would be truncated, and a bool passes isinstance(_, int)
+    if type(p) is not int or type(N) is not int:
+        raise InvalidInput(f"p and N must be integers, got p={p!r}, N={N!r}")
     if p < 3 or N < 1 or not _is_prime(p):
         raise InvalidInput(f"need an odd prime p >= 3 and N >= 1, got p={p}, N={N}")
 
@@ -90,13 +93,6 @@ def scalar_inverse(a: PScalar) -> PScalar:
     if not a.is_unit():
         raise NonUnit(f"{a.value} is divisible by {a.p}")
     return PScalar(pow(a.value, -1, a.modulus), a.p, a.N)
-
-
-def inv_mod(x: int, p: int, N: int) -> int:
-    """Inverse of a unit residue, plain-int form."""
-    if x % p == 0:
-        raise NonUnit(f"{x} is divisible by {p}")
-    return pow(x, -1, p**N)
 
 
 def teichmueller_lift(a: int, p: int, N: int) -> PScalar:

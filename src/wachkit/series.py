@@ -64,6 +64,8 @@ class TruncationProfile:
 
     def __post_init__(self) -> None:
         check_modulus(self.p, self.N)
+        if type(self.M_pi0) is not int:
+            raise InvalidInput(f"M_pi0 must be an integer, got {self.M_pi0!r}")
         if self.M_pi0 < self.N:
             raise InvalidInput(
                 f"M_pi0 = {self.M_pi0} must be >= N = {self.N} "
@@ -139,10 +141,6 @@ def _same_ring(f: TruncSeries, g: TruncSeries) -> None:
         raise ProfileMismatch("series over different moduli")
     if f.var != g.var:
         raise VariableMismatch(f"variable tags differ: {f.var} vs {g.var}")
-
-
-def zero_series(var: str, p: int, N: int, order: int) -> TruncSeries:
-    return TruncSeries(var, p, N, (0,) * order)
 
 
 def constant_series(var: str, c: int, p: int, N: int, order: int) -> TruncSeries:
@@ -318,11 +316,6 @@ def series_sub(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return TruncSeries._trusted(
         f.var, f.p, f.N, tuple([(a - b) % pn for a, b in zip(f.coeffs, g.coeffs)])
     )
-
-
-def series_scale(f: TruncSeries, c: int) -> TruncSeries:
-    pn = f.pn
-    return TruncSeries._trusted(f.var, f.p, f.N, tuple([c * x % pn for x in f.coeffs]))
 
 
 def series_multiply(f: TruncSeries, g: TruncSeries) -> TruncSeries:

@@ -6,19 +6,23 @@ remainders, series products and compositions are recomputed by
 schoolbook convolution and Horner's rule on plain ints, and lattice
 membership is decided by plain Z/p^N linear algebra on stacked coefficient
 vectors.  The series constructors, the binary power, the division by
-(X + p)^r with remainder and the determinant below are test helpers only:
-the library itself has no use for them.
+(X + p)^r with remainder, the determinant, the eigenspace projectors of the
+torsion subgroup Delta and the user-window view of a context below are test
+helpers only: the library itself has no use for them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 from wachkit import kernels
+from wachkit.cyclo import OperatorTag
 from wachkit.errors import InvalidInput, VariableMismatch
-from wachkit.padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval
+from wachkit.padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mod, pval, teichmueller_lift
 from wachkit.series import (
+    PI,
     PI0,
     TruncSeries,
     constant_series,
@@ -26,12 +30,29 @@ from wachkit.series import (
     q_divide_exact,
     q_divmod,
     q_powers,
+    series_add,
+    series_invert_unit,
     series_multiply,
 )
+
+PHI = OperatorTag(OperatorTag.PHI)
+GAMMA = OperatorTag(OperatorTag.GAMMA)
+
+
+def torsion(a: int) -> OperatorTag:
+    return OperatorTag(OperatorTag.TORSION, a)
 
 
 def make_series(var: str, coeffs, p: int, N: int) -> TruncSeries:
     return TruncSeries(var, p, N, tuple(coeffs))
+
+
+def zero_series(var: str, p: int, N: int, order: int) -> TruncSeries:
+    return TruncSeries(var, p, N, (0,) * order)
+
+
+def series_scale(f: TruncSeries, c: int) -> TruncSeries:
+    return TruncSeries(f.var, f.p, f.N, tuple(c * x for x in f.coeffs))
 
 
 def x_series(var: str, p: int, N: int, order: int) -> TruncSeries:
@@ -354,3 +375,73 @@ def difference_valuations(step, X, window: int, p: int, N: int, max_iter: int) -
         vals.append(min(diffs))
         X = nxt
     raise AssertionError(f"no vanishing difference within {max_iter} steps")
+
+
+def user_window(ctx) -> SimpleNamespace:
+    """The context's series at the user profile, from its guard-order twins.
+
+    teich holds omega_a mod p^N for a = 1..p-1; pi0_in_pi is cut to the
+    pi-order M_pi, phi_pi0, gamma_pi0 and u to M_pi0.  v_gamma = gamma(q)/q is
+    the inverse of the truncated v_gamma_inv: inversion at an order reads
+    only the coefficients below it, so this is v_gamma truncated.
+    """
+    w, M_pi0 = ctx.work, ctx.profile.M_pi0
+    return SimpleNamespace(
+        teich=tuple(teichmueller_lift(a, ctx.p, ctx.N).value for a in range(1, ctx.p)),
+        pi0_in_pi=w.pi0_in_pi.truncate(ctx.profile.M_pi),
+        phi_pi0=w.phi_pi0.truncate(M_pi0),
+        gamma_pi0=w.gamma_pi0.truncate(M_pi0),
+        u=w.u.truncate(M_pi0),
+        v_gamma=series_invert_unit(w.v_gamma_inv.truncate(M_pi0)),
+    )
+
+
+def primitive_root(p: int) -> int:
+    """Smallest generator of (Z/p)^*; its torsion substitution generates Delta."""
+    for g in range(2, p):
+        x, order = g, 1
+        while x != 1:
+            x = (x * g) % p
+            order += 1
+        if order == p - 1:
+            return g
+    raise AssertionError("no primitive root found")
+
+
+def _torsion_images(ctx, f: TruncSeries) -> list[TruncSeries]:
+    """[a]f for a = 1..p-1, by the context's torsion substitutions."""
+    if f.var != PI:
+        raise VariableMismatch("projectors act on pi-series")
+    return [sub.apply(f) for sub in ctx.torsion_subs]
+
+
+def _eigencomponent(ctx, i: int, images) -> TruncSeries:
+    """(1/(p-1)) sum_a omega_a^(-i) [a]f, with omega_a the Teichmueller lift of a."""
+    p, N, pn = ctx.p, ctx.N, ctx.pn
+    acc = zero_series(PI, p, N, images[0].order)
+    for a, image in enumerate(images, start=1):
+        acc = series_add(acc, series_scale(image, pow(teichmueller_lift(a, p, N).value, -i, pn)))
+    return series_scale(acc, pow(p - 1, -1, pn))
+
+
+def projector(ctx, i: int, f: TruncSeries) -> TruncSeries:
+    """The component of a pi-series on which Delta acts by omega^i, 0 <= i <= p-2."""
+    return _eigencomponent(ctx, i, _torsion_images(ctx, f))
+
+
+def decompose_gamma_f(ctx, f: TruncSeries) -> tuple[TruncSeries, ...]:
+    """Split a pi-series into its p-1 torsion-character eigencomponents.
+
+    The components sum to f exactly at the truncation.  Each component is
+    certified to transform by omega_a^i under a generating torsion
+    substitution, which pins its eigenspace.
+    """
+    images = _torsion_images(ctx, f)
+    comps = tuple(_eigencomponent(ctx, i, images) for i in range(ctx.p - 1))
+    a = primitive_root(ctx.p)
+    omega = teichmueller_lift(a, ctx.p, ctx.N).value
+    for i, comp in enumerate(comps):
+        moved = ctx.torsion_subs[a - 1].apply(comp)
+        if moved != series_scale(comp, pow(omega, i, ctx.pn)).truncate(moved.order):
+            raise AssertionError(f"component {i} left its eigenspace")
+    return comps

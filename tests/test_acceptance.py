@@ -14,9 +14,9 @@ import time
 
 import pytest
 
-from oracles import commutation_entry, lattice_membership_oracle, make_series, repeated_binomial, series_pow, shift_multiply, weierstrass_divide_q_power, x_series
+from oracles import commutation_entry, lattice_membership_oracle, make_series, projector, repeated_binomial, series_pow, series_scale, shift_multiply, user_window, weierstrass_divide_q_power, x_series, zero_series
 from wachkit.cli import main as cli_main
-from wachkit.cyclo import apply_operator, build_context, get_context, projector
+from wachkit.cyclo import build_context, get_context
 from wachkit.flmod import LatticeSub, direct_sum_fl, make_fl, tensor_fl, unit_fl
 from wachkit.padic import PMatrix
 from wachkit.reduction import roundtrip_check, normalize_basis
@@ -34,8 +34,6 @@ from wachkit.series import (
     series_add,
     series_invert_unit,
     series_multiply,
-    series_scale,
-    zero_series,
 )
 from wachkit.suite import generate_suite, random_unit_matrix
 from wachkit.wach import (
@@ -77,14 +75,15 @@ def test_c01_bootstrap_anchors():
     t0 = time.perf_counter()
     ctx = build_context(3, 16, 16)
     elapsed = time.perf_counter() - t0
-    order = ctx.pi0_in_pi.order
+    win = user_window(ctx)
+    order = win.pi0_in_pi.order
     # oracle: closed form from 1 + (1+pi) + (1+pi)^(-1) - 3 = pi^2/(1+pi)
     one_plus = make_series(PI, [1, 1] + [0] * (order - 2), 3, 16)
     closed = series_multiply(
         series_pow(x_series(PI, 3, 16, order), 2), series_invert_unit(one_plus)
     )
-    assert ctx.pi0_in_pi == closed
-    assert ctx.u == constant_series(PI0, 1, 3, 16, ctx.u.order)
+    assert win.pi0_in_pi == closed
+    assert win.u == constant_series(PI0, 1, 3, 16, win.u.order)
     assert ctx.q.coeffs == (3, 1) + (0,) * 14
     assert elapsed < 1.0, f"bootstrap took {elapsed:.2f}s"
     note(f"01 bootstrap anchors (p=3): PASS in {elapsed:.3f}s")
@@ -94,14 +93,15 @@ def test_c02_unit_identities():
     t0 = time.perf_counter()
     for p in PRIMES:
         ctx = build_context(p, 16, 16)
+        win = user_window(ctx)
         lhs = shift_multiply(
-            series_multiply(ctx.u, series_pow(ctx.q, p - 1)), 1
+            series_multiply(win.u, series_pow(ctx.q, p - 1)), 1
         ).truncate(16)
-        assert lhs.coeffs == ctx.phi_pi0.coeffs[:16]
-        gamma_q = series_add(constant_series(PI0, p, p, 16, 16), ctx.gamma_pi0)
-        assert series_multiply(ctx.v_gamma, ctx.q).coeffs == gamma_q.coeffs[:16]
-        assert ctx.u.coeffs[0] % p != 0
-        assert ctx.v_gamma.coeffs[0] == 1
+        assert lhs.coeffs == win.phi_pi0.coeffs[:16]
+        gamma_q = series_add(constant_series(PI0, p, p, 16, 16), win.gamma_pi0)
+        assert series_multiply(win.v_gamma, ctx.q).coeffs == gamma_q.coeffs[:16]
+        assert win.u.coeffs[0] % p != 0
+        assert win.v_gamma.coeffs[0] == 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"unit identities took {elapsed:.2f}s"
     note(f"02 unit identities (p in {PRIMES}): PASS in {elapsed:.3f}s")
@@ -302,8 +302,8 @@ def test_c09_ring_layer():
     for p in PRIMES:
         ctx = get_context(p)
         pn = ctx.pn
-        pi0 = Substitution(ctx.pi0_in_pi)
-        order = ctx.pi0_in_pi.order
+        pi0 = Substitution(user_window(ctx).pi0_in_pi)
+        order = ctx.profile.M_pi
         window = (p - 1) * 16
         # coordinate-change roundtrips on 100 random series each way
         for _ in range(100):
@@ -338,12 +338,12 @@ def test_c09_ring_layer():
 
         # projector identities
         f = make_series(PI, [rng.randrange(pn) for _ in range(order)], p, 16)
-        comps = [apply_operator(ctx, projector(i), f) for i in range(p - 1)]
+        comps = [projector(ctx, i, f) for i in range(p - 1)]
         total = zero_series(PI, p, 16, order)
         for i, comp in enumerate(comps):
             total = series_add(total, comp)
-            assert apply_operator(ctx, projector(i), comp) == comp
-            assert apply_operator(ctx, projector((i + 1) % (p - 1)), comp).is_zero()
+            assert projector(ctx, i, comp) == comp
+            assert projector(ctx, (i + 1) % (p - 1), comp).is_zero()
         assert total == f
     note("09 ring layer (binomials, coordinates, Weierstrass, projectors): PASS")
 

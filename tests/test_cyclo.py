@@ -3,40 +3,42 @@ import random
 
 import pytest
 
-from oracles import make_series, series_pow, shift_multiply, x_series
-from wachkit.cyclo import (
+from oracles import (
     GAMMA,
     PHI,
-    OperatorTag,
-    _in_s0,
-    apply_operator,
-    build_context,
     decompose_gamma_f,
-    get_context,
+    make_series,
+    primitive_root,
     projector,
+    series_pow,
+    series_scale,
+    shift_multiply,
     torsion,
+    user_window,
+    x_series,
+    zero_series,
 )
+from wachkit.cyclo import OperatorTag, _in_s0, apply_operator, build_context, get_context
 from wachkit.errors import InvalidInput, VariableMismatch
 from wachkit.flmod import make_fl
 from wachkit.series import (
     PI,
     PI0,
     Substitution,
+    TruncationProfile,
     binomial_powers,
     constant_series,
     series_add,
     series_invert_unit,
     series_multiply,
-    series_scale,
     series_sub,
-    zero_series,
 )
 from wachkit.suite import random_unit_matrix
 from wachkit.wach import solve_wach, verify_wach_axioms
 
 
 def closed_form_pi0_p3(ctx):
-    order = ctx.pi0_in_pi.order
+    order = ctx.profile.M_pi
     one_plus = make_series(PI, [1, 1] + [0] * (order - 2), 3, ctx.N)
     return series_multiply(
         series_pow(x_series(PI, 3, ctx.N, order), 2), series_invert_unit(one_plus)
@@ -45,10 +47,11 @@ def closed_form_pi0_p3(ctx):
 
 class TestBootstrapAnchors:
     def test_pi0_closed_form_p3(self, ctx3):
-        assert ctx3.pi0_in_pi == closed_form_pi0_p3(ctx3)
+        assert user_window(ctx3).pi0_in_pi == closed_form_pi0_p3(ctx3)
 
     def test_u_is_one_p3(self, ctx3):
-        assert ctx3.u == constant_series(PI0, 1, 3, 16, ctx3.u.order)
+        u = user_window(ctx3).u
+        assert u == constant_series(PI0, 1, 3, 16, u.order)
 
     def test_q(self, contexts):
         for p, ctx in contexts.items():
@@ -59,6 +62,27 @@ class TestBootstrapAnchors:
             build_context(5, 4, 4, chi_gamma=2)  # not 1 mod p
         with pytest.raises(InvalidInput):
             build_context(5, 4, 4, chi_gamma=26)  # 1 mod p^2
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (build_context, (3, 16, 16, "x")),
+            (get_context, (3, 16, 16, "x")),
+            (build_context, (3, "a")),
+            (build_context, (3, 16, 16, 4.7)),
+            (build_context, (3.0,)),
+            (build_context, (3, True, 16)),
+            (TruncationProfile, (3, 2.5, 3)),
+            (TruncationProfile, (3, 2, 2.5)),
+            (TruncationProfile, (3, 1, True)),
+        ],
+        ids=["chi-str", "chi-str-cached", "N-str", "chi-float", "p-float", "N-bool", "N-float", "M-float", "M-bool"],
+    )
+    def test_non_integer_profile_input_is_invalid(self, call, args):
+        # a str used to escape as ValueError or TypeError, a float to be
+        # truncated (chi = 4.7 built chi = 4) and a bool to be read as 0 or 1
+        with pytest.raises(InvalidInput, match="integer"):
+            call(*args)
 
     @pytest.mark.parametrize("p", [0, 1, 2, 4, 9])
     def test_invalid_prime_is_reported_before_chi(self, p):
@@ -73,22 +97,25 @@ class TestUnitIdentities:
     def test_phi_pi0_factorization(self, contexts):
         # phi(pi0) = u * pi0 * q^(p-1), exactly at the window
         for p, ctx in contexts.items():
+            win = user_window(ctx)
             lhs = shift_multiply(
-                series_multiply(ctx.u, series_pow(ctx.q, p - 1)), 1
+                series_multiply(win.u, series_pow(ctx.q, p - 1)), 1
             ).truncate(16)
-            assert lhs.coeffs == ctx.phi_pi0.coeffs[:16]
+            assert lhs.coeffs == win.phi_pi0.coeffs[:16]
 
     def test_gamma_q_factorization(self, contexts):
         for p, ctx in contexts.items():
+            win = user_window(ctx)
             gamma_q = series_add(
-                constant_series(PI0, p, p, 16, 16), ctx.gamma_pi0
+                constant_series(PI0, p, p, 16, 16), win.gamma_pi0
             )
-            assert series_multiply(ctx.v_gamma, ctx.q).coeffs == gamma_q.coeffs[:16]
+            assert series_multiply(win.v_gamma, ctx.q).coeffs == gamma_q.coeffs[:16]
 
     def test_units_normalized(self, contexts):
         for p, ctx in contexts.items():
-            assert ctx.u.coeffs[0] % p != 0
-            assert ctx.v_gamma.coeffs[0] == 1
+            win = user_window(ctx)
+            assert win.u.coeffs[0] % p != 0
+            assert win.v_gamma.coeffs[0] == 1
 
     @pytest.mark.parametrize("p", (3, 5))
     def test_closed_form_images_match_composition(self, contexts, p):
@@ -112,20 +139,22 @@ class TestUnitIdentities:
 
     def test_images_vanish_mod_pi0(self, contexts):
         for ctx in contexts.values():
-            assert ctx.phi_pi0.coeffs[0] == 0
-            assert ctx.gamma_pi0.coeffs[0] == 0
+            win = user_window(ctx)
+            assert win.phi_pi0.coeffs[0] == 0
+            assert win.gamma_pi0.coeffs[0] == 0
 
 
 class TestOperators:
     def test_phi_gamma_commute_on_pi0(self, contexts):
         for ctx in contexts.values():
-            a = apply_operator(ctx, PHI, ctx.gamma_pi0)
-            b = apply_operator(ctx, GAMMA, ctx.phi_pi0)
+            win = user_window(ctx)
+            a = apply_operator(ctx, PHI, win.gamma_pi0)
+            b = apply_operator(ctx, GAMMA, win.phi_pi0)
             assert a == b
 
     def test_phi_of_q(self, ctx3):
         lhs = apply_operator(ctx3, PHI, ctx3.q)
-        rhs = series_add(constant_series(PI0, 3, 3, 16, 16), ctx3.phi_pi0)
+        rhs = series_add(constant_series(PI0, 3, 3, 16, 16), user_window(ctx3).phi_pi0)
         assert lhs == rhs
 
     def test_variable_guard(self, ctx3):
@@ -135,23 +164,23 @@ class TestOperators:
             apply_operator(ctx3, torsion(1), x_series(PI0, 3, 16, 8))
 
     def test_operator_errors_are_typed(self, ctx3):
-        # p = 3: torsion indices lie in [1, 2] and projector indices in [0, 1]
+        # p = 3: torsion indices lie in [1, 2]; the projectors are test
+        # oracles, so "projector" is an unknown kind
         f = x_series(PI, 3, 16, 8)
-        for tag in (torsion(0), torsion(3), projector(-1), projector(2), OperatorTag("frobenius")):
+        for tag in (torsion(0), torsion(3), OperatorTag("projector"), OperatorTag("frobenius")):
             with pytest.raises(InvalidInput):
                 apply_operator(ctx3, tag, f)
-        with pytest.raises(VariableMismatch):
-            apply_operator(ctx3, projector(0), x_series(PI0, 3, 16, 8))
 
     def test_projector_fixes_invariants(self, contexts):
         for ctx in contexts.values():
-            assert apply_operator(ctx, projector(0), ctx.pi0_in_pi) == ctx.pi0_in_pi
+            pi0_in_pi = user_window(ctx).pi0_in_pi
+            assert projector(ctx, 0, pi0_in_pi) == pi0_in_pi
 
     def test_projector_kills_constants(self, contexts):
         for ctx in contexts.values():
             one = constant_series(PI, 1, ctx.p, ctx.N, 12)
-            assert apply_operator(ctx, projector(1), one).is_zero()
-            assert apply_operator(ctx, projector(0), one) == one
+            assert projector(ctx, 1, one).is_zero()
+            assert projector(ctx, 0, one) == one
 
     def test_projector_identities(self, contexts):
         # idempotence, orthogonality, partition of unity
@@ -163,9 +192,9 @@ class TestOperators:
             total = zero_series(PI, ctx.p, ctx.N, f.order)
             for i, c in enumerate(comps):
                 total = series_add(total, c)
-                assert apply_operator(ctx, projector(i), c) == c
+                assert projector(ctx, i, c) == c
                 other = (i + 1) % (ctx.p - 1)
-                assert apply_operator(ctx, projector(other), c).is_zero()
+                assert projector(ctx, other, c).is_zero()
             assert total == f
 
     def test_decompose_eigenspaces(self, ctx5):
@@ -174,15 +203,16 @@ class TestOperators:
         ctx = ctx5
         f = make_series(PI, [rng.randrange(ctx.pn) for _ in range(ctx.profile.M_pi)], 5, 16)
         comps = decompose_gamma_f(ctx, f)
-        a = ctx.primitive_root()
-        omega = ctx.teich[a - 1]
+        a = primitive_root(ctx.p)
+        omega = user_window(ctx).teich[a - 1]
         for i, c in enumerate(comps):
             image = apply_operator(ctx, torsion(a), c)
             assert image == series_scale(c, pow(omega, i, ctx.pn))
 
     def test_decompose_of_invariant(self, ctx3):
-        comps = decompose_gamma_f(ctx3, ctx3.pi0_in_pi)
-        assert comps[0] == ctx3.pi0_in_pi
+        pi0_in_pi = user_window(ctx3).pi0_in_pi
+        comps = decompose_gamma_f(ctx3, pi0_in_pi)
+        assert comps[0] == pi0_in_pi
         assert all(c.is_zero() for c in comps[1:])
 
     def test_decompose_pi_sums_back(self, ctx3):
@@ -199,11 +229,12 @@ class TestGeneratorIndependence:
         for p in (3, 5):
             chi2 = (1 + p) ** (1 + p)
             ctx = build_context(p, 16, 16, chi_gamma=chi2)
-            gamma_q = series_add(constant_series(PI0, p, p, 16, 16), ctx.gamma_pi0)
-            assert series_multiply(ctx.v_gamma, ctx.q).coeffs == gamma_q.coeffs[:16]
-            assert ctx.v_gamma.coeffs[0] == 1
-            a = apply_operator(ctx, PHI, ctx.gamma_pi0)
-            b = apply_operator(ctx, GAMMA, ctx.phi_pi0)
+            win = user_window(ctx)
+            gamma_q = series_add(constant_series(PI0, p, p, 16, 16), win.gamma_pi0)
+            assert series_multiply(win.v_gamma, ctx.q).coeffs == gamma_q.coeffs[:16]
+            assert win.v_gamma.coeffs[0] == 1
+            a = apply_operator(ctx, PHI, win.gamma_pi0)
+            b = apply_operator(ctx, GAMMA, win.phi_pi0)
             assert a == b
 
     @pytest.mark.parametrize("p", [3, 5, 7])

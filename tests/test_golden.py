@@ -17,14 +17,20 @@ field ``build_context`` computes, user window and guard-order ``work`` twins
 alike, as the canonical JSON of its coefficients in decimal strings.  They
 were recorded while ``pi0_coordinates`` still back-substituted one unpacked
 coefficient at a time and ``binomial_power`` inverted each denominator, before
-both moved to packed and batched arithmetic.
+both moved to packed and batched arithmetic, and while the context still
+stored its user-window fields.  A name is read from
+``oracles.user_window(ctx)`` when that view has it (teich, pi0_in_pi,
+phi_pi0, gamma_pi0, u, v_gamma: the work twins truncated to the user
+profile), and otherwise from the context by its dotted path (q, work.*).
 """
 
 import hashlib
 from functools import cache
+from operator import attrgetter
 
 import pytest
 
+from oracles import user_window
 from wachkit.cyclo import get_context
 from wachkit.reduction import recover_filtration
 from wachkit.serialize import dumps_canonical, reduction_to_dict, wach_from_dict, wach_to_dict
@@ -279,8 +285,7 @@ def _coefficients(value):
 @pytest.mark.parametrize("key", BOOTSTRAP, ids=lambda key: "p{}-N{}-M{}-chi{}".format(*key))
 def test_context_fields_are_unchanged(key):
     ctx = get_context(*key)
+    window = vars(user_window(ctx))
     for name, digest in BOOTSTRAP[key].items():
-        value = ctx
-        for attr in name.split("."):
-            value = getattr(value, attr)
+        value = window[name] if name in window else attrgetter(name)(ctx)
         assert _sha256(_coefficients(value)) == digest, (key, name)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import horner_compose, scalar_matmul, schoolbook_mul, slots
+from oracles import horner_compose, primitive_root, scalar_matmul, schoolbook_mul, series_scale, slots
 from oracles import schoolbook_matmul as oracle_matmul
 from wachkit import cyclo as cyclo_module
 from wachkit import kernels
@@ -23,7 +23,6 @@ from wachkit.series import (
     TruncSeries,
     series_add,
     series_multiply,
-    series_scale,
     q_divide_exact,
     series_sub,
 )
@@ -216,7 +215,7 @@ def test_context_tables_match_horner(contexts, p):
     cases = [
         (ctx.phi_sub, PI0, ctx.work.M_pi0),
         (ctx.gamma_sub, PI0, ctx.work.M_pi0),
-        (ctx.torsion_subs[ctx.primitive_root() - 1], PI, pi_top),
+        (ctx.torsion_subs[primitive_root(p) - 1], PI, pi_top),
         (Substitution(ctx.work.pi0_in_pi), PI0, pi_top),
     ]
     for sub, var, top in cases:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import difference_valuations, full_fil_lattice, normalization_step_by_division, schoolbook_mul, shift_multiply
+from oracles import difference_valuations, full_fil_lattice, normalization_step_by_division, schoolbook_mul, series_scale, shift_multiply
 from wachkit.cyclo import get_context
 from wachkit.errors import (
     AxiomViolation,
@@ -23,7 +23,7 @@ from wachkit.reduction import (
     reduce_mod_pi0,
     roundtrip_check,
 )
-from wachkit.series import PI, PI0, SeriesMat, Substitution, TruncSeries, constant_series, pad, q_powers, q_steps, series_scale
+from wachkit.series import PI, PI0, SeriesMat, Substitution, TruncSeries, constant_series, pad, q_powers, q_steps
 from wachkit.suite import generate_suite, random_unit_matrix
 from wachkit.wach import WachModule, phi_matrix, solve_wach, verify_wach_axioms
 

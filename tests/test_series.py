@@ -13,9 +13,11 @@ from oracles import (
     repeated_binomial,
     schoolbook_mul,
     series_pow,
+    series_scale,
     shift_multiply,
     weierstrass_divide_q_power,
     x_series,
+    zero_series,
 )
 from wachkit.errors import (
     InsufficientExponentPrecision,
@@ -45,10 +47,8 @@ from wachkit.series import (
     series_add,
     series_invert_unit,
     series_multiply,
-    series_scale,
     shift_divide_exact,
     weierstrass_divide_exact,
-    zero_series,
 )
 
 

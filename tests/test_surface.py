@@ -22,15 +22,16 @@ from pathlib import Path
 
 import wachkit
 from wachkit import cli
+from wachkit.cyclo import get_context
 
 SRC = Path(wachkit.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # public helpers with no library caller, and why they stay
 ALLOWED = {
-    "cyclo.torsion": "OperatorTag constructor for the exported apply_operator",
-    "cyclo.projector": "OperatorTag constructor for the exported apply_operator",
     "flmod.unit_fl": "the unit object of the FL category",
     "series.series_multiply": "the series product the benchmark's kernel probe times",
+    "series.TruncationProfile.M_pi": "the pi-order the benchmark's torsion probe reads",
 }
 
 
@@ -191,3 +192,14 @@ def test_no_kernel_parameter_defaults_to_none():
             f"{name}({a.arg})" for a, default in pairs if isinstance(default, ast.Constant) and default.value is None
         ]
     assert not optional, "kernel parameters that default to None: " + ", ".join(optional)
+
+
+def test_benchmark_kernel_probes_run(monkeypatch):
+    # the benchmark's --trace 1 probes read names outside wachkit.__all__
+    # (series_multiply, OperatorTag's kinds, the context's work twins and
+    # M_pi); running them here catches a deletion before a benchmark run does
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+
+    _, ok = run.kernel_probes({3: get_context(3)}, 1)
+    assert ok

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from oracles import commutation_entry, difference_valuations, residual_entry, horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_det, series_pow, shift_multiply
+from oracles import commutation_entry, difference_valuations, residual_entry, horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_det, series_pow, series_scale, shift_multiply
 from wachkit.cyclo import build_context, get_context
 from wachkit.errors import (
     AxiomViolation,
@@ -306,7 +306,9 @@ class TestSolver:
     def test_cocycle_for_powers_of_the_generator(self, p, N, M):
         # gamma' = gamma^a: G' = G * gamma(G) * ... * gamma^(a-1)(G) on the
         # user window, which runs the bootstrap's chi*omega_a binomials at
-        # other generators; p | a makes chi^a = 1 mod p^2, no generator
+        # other generators; p | a makes chi^a = 1 mod p^2, no generator.
+        # For a = -1 the context at chi^(-1) supplies gamma^(-1), and
+        # G_(gamma^-1) * gamma^(-1)(G) = Id; one moved coefficient of G breaks it
         ctx = get_context(p, N, M)
         rng = random.Random(p * N)
         m = make_fl(p, N, (0, p - 2), random_unit_matrix(rng, 2, p, N))
@@ -319,6 +321,12 @@ class TestSolver:
                 image = image.substitute(ctx.gamma_sub, M)
                 expected = expected @ image
             assert solve_wach(m, get_context(p, N, M, chi_gamma=(1 + p) ** a)).G == expected, a
+        inverse = get_context(p, N, M, chi_gamma=pow(1 + p, -1, p**60))
+        G_inv = solve_wach(m, inverse).G
+        identity = SeriesMat.identity(2, p, N, M)
+        assert G_inv @ G.substitute(inverse.gamma_sub, M) == identity
+        moved = SeriesMat._trusted(p, N, _moved(G.rows, [(0, 1, 1)], rng, ctx.pn))
+        assert G_inv @ moved.substitute(inverse.gamma_sub, M) != identity
 
 
 # The certificate's grid: 6 primes x 4 profiles x ranks 1-3 x 7 artifacts.
@@ -449,8 +457,6 @@ class TestVerify:
             - m.A.at(0, 1) * (m.A.at(1, 0) * m.A.at(2, 2) - m.A.at(1, 2) * m.A.at(2, 0))
             + m.A.at(0, 2) * (m.A.at(1, 0) * m.A.at(2, 1) - m.A.at(1, 1) * m.A.at(2, 0))
         ) % ctx3.pn
-        from wachkit.series import series_scale
-
         expect = series_scale(series_pow(ctx3.q, 2), detA)
         assert det == expect
 
