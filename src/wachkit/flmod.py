@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import InvalidInput, ValidationFailed, WeightOverflow
+from .errors import InvalidInput, SingularModP, ValidationFailed, WeightOverflow
 from .padic import PMatrix, matrix_inverse_mod
 
 
@@ -120,23 +120,36 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
-def validate_fl(m: FLModule) -> ValidationReport:
-    """Check the Fontaine-Laffaille bounds and invertibility; never raises."""
+def _validate(m: FLModule) -> tuple[ValidationReport, PMatrix | None]:
+    """validate_fl's report, and A^(-1) when A is a unit mod p: the inversion is the unit check."""
     failures: list[str] = []
     if m.h > m.p - 2:
         failures.append(f"max weight {m.h} exceeds p-2 = {m.p - 2}")
     for r in m.weights:
         if r < 0:
             failures.append(f"negative weight {r}")
-    if not m.A.is_unit_matrix():
+    try:
+        Ainv = matrix_inverse_mod(m.A)
+    except SingularModP:
+        Ainv = None
         failures.append("A is singular mod p")
-    return ValidationReport(ok=not failures, failures=tuple(failures))
+    return ValidationReport(ok=not failures, failures=tuple(failures)), Ainv
 
 
-def require_valid(m: FLModule) -> None:
-    report = validate_fl(m)
+def validate_fl(m: FLModule) -> ValidationReport:
+    """Check the Fontaine-Laffaille bounds, and that A is a unit mod p by inverting it; never raises."""
+    return _validate(m)[0]
+
+
+def require_valid(m: FLModule) -> PMatrix:
+    """A^(-1) of a valid module, from validate_fl's one inversion.
+
+    Raises ValidationFailed with validate_fl's failures, joined by "; ".
+    """
+    report, Ainv = _validate(m)
     if not report.ok:
         raise ValidationFailed("; ".join(report.failures))
+    return Ainv
 
 
 def tensor_fl(m1: FLModule, m2: FLModule) -> FLModule:

@@ -213,17 +213,6 @@ class PMatrix:
                 ents[(a.rows + i) * c + (a.cols + j)] = b.at(i, j)
         return PMatrix(r, c, tuple(ents), a.p, a.N)
 
-    def is_unit_matrix(self) -> bool:
-        """True iff the matrix is square and invertible mod p.
-
-        A matrix over Z/p^N is a unit iff it is one mod p, so this reads
-        the rank mod p (the row count of the Howell form at N = 1) and
-        forms no inverse.
-        """
-        if self.rows != self.cols:
-            return False
-        return len(_howell_rows(self.to_lists(), self.p, 1)) == self.rows
-
 
 def matrix_inverse_mod(A: PMatrix) -> PMatrix:
     """Inverse of a matrix with unit determinant mod p, exact mod p^N.

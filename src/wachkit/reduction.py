@@ -28,6 +28,8 @@ factors (k, C'_ik) for entry (i, j).  C'*phi(pi0*X) is a multiple of pi0*q^(p-1)
 pi0*q^(r_j), for every X, so the update is integral iff each column
 Delta_j is a multiple of q^(r_j); K is divided once per call, at the
 lift's table order and with that check (wach.divide_columns, NotDivisible).
+A^(-1) comes from the target's validation (flmod.require_valid), whose one
+inversion of A is its check that A is a unit mod p.
 """
 
 from __future__ import annotations
@@ -180,9 +182,11 @@ def normalize_basis(
     """Base change P = Id mod pi0 with P^(-1)*C_perturbed*phi(P) = A*Q.
 
     C_perturbed is any d x d nested sequence of pi0-series over the context;
-    each series is taken as exact at its stated truncation.  Raises
-    InvalidInput for a wrong shape, ValidationFailed if the target's
-    modulus is not the context's, NotCongruent if C_perturbed does not
+    each series is taken as exact at its stated truncation.  The target is
+    checked first (require_valid: its one inversion of A is the unit check
+    and gives the A^(-1) the lift binds).  Raises ValidationFailed for an
+    invalid target or one whose modulus is not the context's, InvalidInput
+    for a wrong shape, NotCongruent if C_perturbed does not
     reduce to A*diag(p^(r_j)) mod pi0, and NotDivisible if the perturbation
     is not realizable over the ring.  P is the lift of the identity of the
     module docstring, reached from P = Id within lift_identity's proved
@@ -190,7 +194,7 @@ def normalize_basis(
     C_perturbed*phi(P) = P*A*Q on the user window (AxiomViolation
     otherwise).
     """
-    require_valid(target)
+    Ainv = require_valid(target)
     p, N, pn = ctx.p, ctx.N, ctx.pn
     if (target.p, target.N) != (p, N):
         raise ValidationFailed("target and context moduli differ")
@@ -216,7 +220,7 @@ def normalize_basis(
     K = divide_columns(delta, weights, ctx)
     factors = [[list(enumerate(row))] * d for row in Cp.rows]
     fixed = lift_step(K, factors, weights, ctx)
-    P, _ = lift_identity(fixed, PMatrix.identity(d, p, N), target.A, Cp, AQ, ctx)
+    P, _ = lift_identity(fixed, PMatrix.identity(d, p, N), Ainv, Cp, AQ, ctx)
     return P
 
 
@@ -234,9 +238,10 @@ def _stabilizer_match(
     """Compare recovered data with the source up to the splitting stabilizer.
 
     The recovered adapted basis T must be filtration-compatible (T_{ij} = 0
-    whenever weight(e_i) < weight(b_j)), invertible, and satisfy the divided
-    Frobenius morphism identity A*D(T) = T*A_rec where
-    D(T)_{ij} = T_{ij} p^(r_i - r_j).
+    whenever weight(e_i) < weight(b_j)) and satisfy the divided Frobenius
+    morphism identity A*D(T) = T*A_rec where D(T)_{ij} = T_{ij} p^(r_i - r_j).
+    T is invertible: recover_filtration inverts it to form A_rec, and that
+    inversion raises on a singular T.
     """
     p, N = m.p, m.N
     pm = p**N
@@ -244,8 +249,6 @@ def _stabilizer_match(
     if red.weights_recovered != m.weights:
         return False, f"weights {red.weights_recovered} != {m.weights}"
     T = red.adapted_basis
-    if not T.is_unit_matrix():
-        return False, "adapted basis is singular mod p"
     for i in range(d):
         for j in range(d):
             if m.weights[i] < m.weights[j] and T.at(i, j) != 0:

@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import random
 
-from .errors import InvalidInput
+from .errors import InvalidInput, SingularModP
 from .flmod import FLModule, make_fl
-from .padic import PMatrix, check_modulus
+from .padic import PMatrix, check_modulus, matrix_inverse_mod
 
 
 def random_unit_matrix(rng: random.Random, d: int, p: int, N: int) -> PMatrix:
-    """Uniform entries, rejection-sampled until invertible mod p."""
+    """Uniform entries, rejection-sampled until invertible mod p (matrix_inverse_mod decides)."""
     pn = p**N
     while True:
         M = PMatrix(d, d, tuple(rng.randrange(pn) for _ in range(d * d)), p, N)
-        if M.is_unit_matrix():
-            return M
+        try:
+            matrix_inverse_mod(M)
+        except SingularModP:
+            continue
+        return M
 
 
 def random_fl(rng: random.Random, p: int, N: int, max_rank: int = 3) -> FLModule:

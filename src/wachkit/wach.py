@@ -20,6 +20,10 @@ every input (31 at the default profile).  That bound is the only budget;
 a solve that exceeds it raises NoConvergence, a fault of wachkit rather
 than of its input.
 
+A is a unit mod p exactly when it inverts, and the lift needs A^(-1), so
+solve_gamma_matrix's one inversion of A is the unit check; build_phi_matrix
+checks only the weights, and lift_identity re-checks nothing its callers decided.
+
 One certificate checks a lift: commutation_residual compares
 C2*phi(F) with F*C1 on the user window, with ==, and names the first entry
 that differs; the solvers run it on their result (lift_identity).  Each
@@ -42,7 +46,6 @@ from .errors import (
     AxiomViolation,
     InvalidInput,
     NoConvergence,
-    ProfileMismatch,
     SingularBasis,
     SingularModP,
     ValidationFailed,
@@ -90,8 +93,15 @@ def phi_matrix(A: PMatrix, weights: tuple[int, ...], q: TruncSeries) -> SeriesMa
 
 
 def build_phi_matrix(m: FLModule, ctx: CycloContext) -> SeriesMat:
-    """C = A*diag(q^(r_j)) at the user window; entries are exact polynomials."""
-    require_valid(m)
+    """C = A*diag(q^(r_j)) at the user window; entries are exact polynomials.
+
+    Only the weights are checked here: a weight outside [0, p-2] raises
+    ValidationFailed with validate_fl's full list of failures.  Forming A*Q
+    needs no inverse, so A is not checked, and a singular A gives its A*Q;
+    solve_gamma_matrix's inversion of A is the unit check of solve_wach.
+    """
+    if any(not 0 <= r <= m.p - 2 for r in m.weights):
+        require_valid(m)
     if (m.p, m.N) != (ctx.p, ctx.N):
         raise ValidationFailed("module and context moduli differ")
     return phi_matrix(m.A, m.weights, ctx.q)
@@ -111,7 +121,10 @@ def solve_gamma_matrix(
     docstring), reached from G = Id within lift_identity's proved bound; it
     is certified to satisfy C*phi(G) = G*gamma(C) on the user window before
     it is returned.  A SeriesMat over the context's (p, N) is taken as it
-    is, and gamma(C) is formed only inside the certificate.
+    is, and gamma(C) is formed only inside the certificate.  A is inverted
+    once, after the other arguments are checked, and that inversion is the
+    unit check: a singular A raises ValidationFailed("A is singular mod p"),
+    validate_fl's wording, and not SingularModP.
     """
     p, N = ctx.p, ctx.N
     d = len(weights)
@@ -127,9 +140,13 @@ def solve_gamma_matrix(
         C = SeriesMat(C, p, N)
     if len(C) != d:
         raise InvalidInput("C has the wrong shape")
+    try:
+        Ainv = matrix_inverse_mod(A)
+    except SingularModP:
+        raise ValidationFailed("A is singular mod p") from None
 
     plan = ctx.plans.get(weights, lambda w: gamma_plan(ctx, w))
-    return lift_identity(plan, A, A, C, None, ctx)
+    return lift_identity(plan, A, Ainv, C, None, ctx)
 
 
 def gamma_plan(ctx: CycloContext, weights: tuple[int, ...]) -> kernels.AffineMap:
@@ -160,23 +177,22 @@ def gamma_plan(ctx: CycloContext, weights: tuple[int, ...]) -> kernels.AffineMap
     return lift_step(K, factors, weights, ctx)
 
 
-def table_order(ctx: CycloContext, weights: tuple[int, ...]) -> int:
+def table_order(ctx: CycloContext) -> int:
     """u's order n, at which the lift divides by q^r: its tables and offsets.
 
     A canonical division by q^r at order n disturbs only coefficients from
     n - r - N on, so it is exact below m = M_pi0 - 1, the coefficients the
-    lift reads, when n >= m + N + r: true at every profile (n - m - N = p + 3).
+    lift reads, when n >= m + N + r: true at every profile for r <= p + 3
+    (n - m - N = p + 3).  Every caller has checked r <= p - 2, and past
+    p - 1 the quotient tables raise NotDivisible on their own.
     """
-    n = ctx.work.u.order
-    if n < ctx.profile.M_pi0 - 1 + ctx.N + max(weights):
-        raise AssertionError("quotient table too short for the solve window")
-    return n
+    return ctx.work.u.order
 
 
 def divide_columns(D: list, weights: tuple[int, ...], ctx: CycloContext) -> list:
     """D*diag(q^(-r_j)) at the table order: column j of D divided by q^(r_j), exactly (NotDivisible)."""
     p, pn = ctx.p, ctx.pn
-    n = table_order(ctx, weights)
+    n = table_order(ctx)
     return [[q_divide_exact(e[:n], p, pn, r) for e, r in zip(row, weights)] for row in D]
 
 
@@ -188,7 +204,7 @@ def lift_step(K: list, factors: list, weights: tuple[int, ...], ctx: CycloContex
     slots are sized from K's shape (kernels.AffineMap).
     """
     m = ctx.profile.M_pi0 - 1
-    n = table_order(ctx, weights)
+    n = table_order(ctx)
     bases = {r: cut_table(ctx.phi_sub.quotients(n, r), m)[1:] for r in set(weights)}
     terms = [
         [[(k, f, bases[r]) for k, f in fs] for fs, r in zip(row, weights)] for row in factors
@@ -199,7 +215,7 @@ def lift_step(K: list, factors: list, weights: tuple[int, ...], ctx: CycloContex
 def lift_identity(
     fixed: kernels.AffineMap,
     L: PMatrix,
-    A: PMatrix,
+    Ainv: PMatrix,
     C2: SeriesMat,
     C1: SeriesMat | None,
     ctx: CycloContext,
@@ -217,7 +233,9 @@ def lift_identity(
         Y_ij = sum over (k, f) in factors[i][j] of f * phi(pi0*X_kj)/(pi0*q^(r_j)),
 
     with scalar matrices L and A, a series matrix K, and r_j the weight of
-    column j; A is inverted here, once.  As phi(pi0) = u*pi0*q^(p-1),
+    column j.  The caller passes A^(-1), from the inversion that is its
+    check that A is a unit; nothing here re-checks A, the weights or the
+    moduli.  As phi(pi0) = u*pi0*q^(p-1),
 
         phi(pi0*X_kj)/(pi0*q^r) = sum_t X_kj[t] * Q_(t+1)^(r),
 
@@ -258,8 +276,8 @@ def lift_identity(
     formed there, packed, and never as a matrix.
     """
     p, N, M = ctx.p, ctx.N, ctx.profile.M_pi0
-    X = [[[0] * (M - 1) for _ in range(A.rows)] for _ in range(A.rows)]
-    step = fixed.bind(L.to_lists(), matrix_inverse_mod(A).to_lists())
+    X = [[[0] * (M - 1) for _ in range(Ainv.rows)] for _ in range(Ainv.rows)]
+    step = fixed.bind(L.to_lists(), Ainv.to_lists())
     X, iterations = iterate_to_window(step, X, N + M - 1)  # the bound proved under Budget
     F = SeriesMat._trusted(p, N, [
         [(int(i == j),) + tuple(e) for j, e in enumerate(row)] for i, row in enumerate(X)
@@ -302,18 +320,17 @@ def commutation_residual(
 ) -> tuple[int, int] | None:
     """The first entry (i, j), row-major, at which C2*phi(F) and F*C1 differ, or None.
 
-    C1 defaults to gamma(C2).  The sides are compared on the user window
-    and on no more coefficients than every operand carries: phi(F) and
-    gamma(C2) are taken at most at the window, and a product is no longer
-    than its operands.  Each entry of each side is one packed sum and one
-    unpack (kernels.commutation_sides), over the power tables of phi(pi0)
-    and gamma(pi0) packed at the certificate's width and kept per context.
+    C1 defaults to gamma(C2).  C2, F and C1 must be over the context's
+    (p, N), as lift_identity's callers have checked.  The sides are
+    compared on the user window and on no more coefficients than every
+    operand carries: phi(F) and gamma(C2) are taken at most at the window,
+    and a product is no longer than its operands.  Each entry of each side
+    is one packed sum and one unpack (kernels.commutation_sides), over the
+    power tables of phi(pi0) and gamma(pi0) packed at the certificate's
+    width and kept per context.
     """
     phi, gamma = ctx.phi_sub, ctx.gamma_sub
     right = C2 if C1 is None else C1
-    for X in (C2, F, right):
-        if (X.p, X.N) != (ctx.p, ctx.N):
-            raise ProfileMismatch("series matrices over different moduli")
     n = min(C2.order, F.order, right.order, ctx.profile.M_pi0, phi.image.order)
     if C1 is None:
         n = min(n, gamma.image.order)
@@ -364,7 +381,11 @@ def verify_wach_axioms(w: WachModule) -> CheckReport:
        pi0^r coefficient of q^r = (p + pi0)^r is 1, so A_ij is coefficient
        r_j of C_ij, which the window carries only when every r_j < M_pi0;
        a larger weight fails with that detail.  A forged weight list or a
-       wrong height fails here.
+       wrong height fails here.  Before A is read, it also fails, naming
+       the fault, for a weight outside [0, p-2], a weight count other than
+       C's rank, a G of another rank, and a C or G that is not over the
+       context's (p, N) at M_pi0 coefficients: the loader refuses such
+       files, and a module built in code gets a report, not an exception.
     2. gamma_trivial_mod_pi0: G = Id mod pi0.
     3. gamma_fixed_point: X = (G - Id)/pi0, on M_pi0 - 1 coefficients, is
        a fixed point of the Gamma-step (the context's gamma_plan bound to
@@ -377,24 +398,33 @@ def verify_wach_axioms(w: WachModule) -> CheckReport:
     construction.
     """
     ctx, weights, M = w.ctx, w.weights, w.ctx.profile.M_pi0
-    top = max(weights)
-    if top >= M:
+    p, N, C, G = ctx.p, ctx.N, w.C, w.G
+    top = max(weights, default=0)
+    if min(weights, default=0) < 0 or top > p - 2:
+        phi = f"weights {list(weights)} leave [0, p-2] = [0, {p - 2}]"
+    elif len(weights) != len(C):
+        phi = f"weights {list(weights)} do not match C of rank {len(C)}"
+    elif len(G) != len(C):
+        phi = f"G has rank {len(G)}, C has rank {len(C)}"
+    elif (C.p, C.N, C.order, G.p, G.N, G.order) != (p, N, M, p, N, M):
+        phi = f"C and G must be series mod {p}^{N} at {M} coefficients"
+    elif top >= M:
         phi = f"the window pi0^{M} cannot carry weight {top}"
     else:
-        A = PMatrix.from_lists([[e[r] for e, r in zip(row, weights)] for row in w.C.rows], ctx.p, ctx.N)
+        A = PMatrix.from_lists([[e[r] for e, r in zip(row, weights)] for row in C.rows], p, N)
         try:
             Ainv = matrix_inverse_mod(A)
         except SingularModP:
             phi = "A, read from C, is not a unit mod p"
         else:
-            canonical = w.C.rows == phi_matrix(A, weights, ctx.q).rows
+            canonical = C.rows == phi_matrix(A, weights, ctx.q).rows
             phi = "" if canonical else "C differs from A*diag(q^r) for the A it carries"
-    bad = non_identity_entry(w.G)
+    bad = non_identity_entry(G)
     if phi or bad is not None:
         fixed = "not decided: " + ("phi_canonical" if phi else "gamma_trivial_mod_pi0") + " failed"
     else:
         plan = ctx.plans.get(weights, lambda r: gamma_plan(ctx, r))
-        X = [[list(e[1:M]) for e in row] for row in w.G.rows]
+        X = [[list(e[1:M]) for e in row] for row in G.rows]
         step = plan.bind(A.to_lists(), Ainv.to_lists())
         fixed = "" if step(X) == X else "G - Id over pi0 is not the fixed point of the Gamma-step"
     return CheckReport((

@@ -6,9 +6,10 @@ remainders, series products and compositions are recomputed by
 schoolbook convolution and Horner's rule on plain ints, and lattice
 membership is decided by plain Z/p^N linear algebra on stacked coefficient
 vectors.  The series constructors, the binary power, the division by
-(X + p)^r with remainder, the determinant, the eigenspace projectors of the
-torsion subgroup Delta and the user-window view of a context below are test
-helpers only: the library itself has no use for them.
+(X + p)^r with remainder, the determinant, the second compound, the
+eigenspace projectors of the torsion subgroup Delta and the user-window
+view of a context below are test helpers only: the library itself has no
+use for them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from wachkit.padic import PMatrix, howell_form, howell_kernel, matrix_inverse_mo
 from wachkit.series import (
     PI,
     PI0,
+    SeriesMat,
     TruncSeries,
     constant_series,
     pad,
@@ -111,6 +113,19 @@ def series_det(X) -> TruncSeries:
         return memo[cols]
 
     return TruncSeries(PI0, X.p, X.N, tuple(minor((1 << d) - 1, d - 1)))
+
+
+def compound_2(X: SeriesMat) -> SeriesMat:
+    """Second compound of a SeriesMat: its 2x2 minors, rows and columns indexed by the pairs i < j, lexicographic."""
+    rows, pn, n = X.rows, X.pn, X.order
+    pairs = list(itertools.combinations(range(len(rows)), 2))
+
+    def minor(i: int, j: int, k: int, l: int) -> tuple[int, ...]:
+        a = schoolbook_mul(rows[i][k], rows[j][l], pn, n)
+        b = schoolbook_mul(rows[i][l], rows[j][k], pn, n)
+        return tuple((x - y) % pn for x, y in zip(a, b))
+
+    return SeriesMat._trusted(X.p, X.N, [[minor(i, j, k, l) for k, l in pairs] for i, j in pairs])
 
 
 def brute_kernel(A: PMatrix) -> set[tuple[int, ...]]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wachkit import cli, cyclo, serialize, wach
+from wachkit import cli, cyclo, errors, serialize, wach
 from wachkit.cli import main
 from wachkit.cyclo import get_context
 from wachkit.flmod import make_fl
@@ -22,6 +22,7 @@ from wachkit.serialize import (
     _matrix_to_json,
 )
 from wachkit.errors import NoConvergence, SchemaError, WachkitError
+from wachkit.series import SeriesMat
 from wachkit.suite import random_unit_matrix
 from wachkit.wach import WachModule, tensor_wach
 
@@ -168,6 +169,66 @@ class TestCommands:
             {"kind": "fl", "p": 5, "N": 4, "weights": [0, 4], "A": [["1", "0"], ["0", "1"]]},
         )
         assert main(["build", "-i", src]) == 2
+
+    @pytest.mark.parametrize("command", ["build", "reduce", "normalize", "roundtrip"])
+    def test_invalid_module_lists_every_failure(self, tmp_path, capsys, command):
+        # a weight above p-2 and a singular A: each command reports both,
+        # in validate_fl's order, the singular A found by its one inversion
+        fl = {"kind": "fl", "p": 5, "N": 4, "weights": [0, 4], "A": [["1", "0"], ["0", "5"]]}
+        failures = "max weight 4 exceeds p-2 = 3; A is singular mod p"
+        if command == "normalize":
+            fl = {"kind": "perturbed", "fl": fl, "C": [[["1"], ["0"]], [["0"], ["5"]]]}
+        src = write(tmp_path, "m.json", fl)
+        code = main([command, "-i", src])
+        out, err = capsys.readouterr()
+        if command == "roundtrip":
+            assert (code, err) == (4, "")
+            detail = {"detail": f"validate:FAIL {failures}", "name": "module_0_p5_d2", "pass": False}
+            assert json.loads(out)["checks"] == [detail]
+        else:
+            assert (code, out, err) == (2, "", f"error: {failures}\n")
+
+    def test_roundtrip_needs_an_input(self, capsys):
+        assert main(["roundtrip"]) == 1
+        assert capsys.readouterr().err == "error: roundtrip needs -i FILE or --generate\n"
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("N, M", [(16, 16), (4, 9)])
+    def test_chi_gamma_artifacts_satisfy_the_cocycle(self, tmp_path, p, N, M):
+        # gamma^a acts by G * gamma(G) * ... * gamma^(a-1)(G), so build at
+        # --chi-gamma (1+p)^a (p not dividing a) must write that matrix, and
+        # at (1+p)^(-1) mod p^60 a G_inv with G_inv * gamma^(-1)(G) = Id,
+        # with == on the files read back; one moved coefficient of G breaks
+        # both identities
+        m = make_fl(p, 16, (0, p - 2), random_unit_matrix(random.Random(p * N), 2, p, 16))
+        src = write(tmp_path, "m.json", fl_to_dict(m))
+
+        def build(*chi):
+            out = tmp_path / "w.json"
+            flags = ["--prec-p", str(N), "--prec-pi0", str(M), *chi]
+            assert main(["build", "-i", src, "--out", str(out), *flags]) == 0
+            return wach_from_dict(json.loads(out.read_text(encoding="utf-8")))
+
+        def cocycle(G, gamma, a):
+            product, image = G, G
+            for _ in range(a - 1):
+                image = image.substitute(gamma, M)
+                product = product @ image
+            return product
+
+        w = build()
+        rows = [[list(e) for e in row] for row in w.G.rows]
+        rows[0][1][1] = (rows[0][1][1] + 1) % p**N
+        moved = SeriesMat._trusted(p, N, rows)
+        for a in (2, 3):
+            if a % p:
+                G_a = build("--chi-gamma", str((1 + p) ** a)).G
+                assert G_a == cocycle(w.G, w.ctx.gamma_sub, a), a
+                assert G_a != cocycle(moved, w.ctx.gamma_sub, a), a
+        inverse = build("--chi-gamma", str(pow(1 + p, -1, p**60)))
+        identity = SeriesMat.identity(2, p, N, M)
+        assert inverse.G @ w.G.substitute(inverse.ctx.gamma_sub, M) == identity
+        assert inverse.G @ moved.substitute(inverse.ctx.gamma_sub, M) != identity
 
     def test_tampered_verify_exit(self, tmp_path):
         src = write(tmp_path, "m.json", FL_SIMPLE)
@@ -722,3 +783,37 @@ def test_build_exits_with_a_code_on_any_fl_file(tmp_path_factory, case):
 def test_roundtrip_exits_with_a_code_on_any_fl_file(tmp_path_factory, case):
     src = _write_case(tmp_path_factory, "roundtrip.json", FL_SIMPLE, case)
     _assert_typed_exit(["roundtrip", "-i", src])
+
+
+# README's exit codes: 1 parse/schema error, 2 validation error, 3 convergence
+# failure, 4 axiom/check failure; every other library error is a validation error
+EXIT_CODES = {
+    "SchemaError": 1,
+    "NoConvergence": 3,
+    **dict.fromkeys(("AxiomViolation", "NotCongruent", "NotDivisible", "PrecisionExhausted"), 4),
+    **dict.fromkeys(
+        (
+            "WachkitError", "ValidationFailed", "WeightOverflow", "InvalidInput", "NotInS0",
+            "NonUnit", "SingularModP", "SingularBasis", "ProfileMismatch", "VariableMismatch",
+            "NonUnitSeries", "NonzeroConstant", "InsufficientExponentPrecision",
+        ),
+        2,
+    ),
+}
+
+
+def test_every_error_class_has_an_exit_code():
+    classes = {n for n, c in vars(errors).items() if isinstance(c, type) and issubclass(c, WachkitError)}
+    assert classes == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_an_error_from_a_handler_exits_with_its_code(monkeypatch, capsys, name):
+    # main maps the class alone to the code, with one error: line and no
+    # traceback, whichever handler raised it
+    def handler(args):
+        raise getattr(errors, name)(f"planted {name}")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify", handler)
+    assert main(["verify", "-i", "unread.json"]) == EXIT_CODES[name]
+    assert capsys.readouterr() == ("", f"error: planted {name}\n")

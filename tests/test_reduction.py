@@ -1,5 +1,6 @@
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -457,6 +458,37 @@ class TestRoundtrip:
         monkeypatch.setattr(reduction, "normalize_basis", fail(TypeError("a bug")))
         with pytest.raises(TypeError):
             roundtrip_check(m, ctx3)
+
+    @pytest.mark.parametrize(
+        "tamper, detail",
+        [
+            ("weights", "weights (0, 3) != (0, 2)"),
+            ("T outside the filtration", "basis vector 1 is not in Fil^2"),
+            ("A_recovered moved", "A_recovered is not stabilizer-equivalent to A"),
+        ],
+    )
+    def test_stabilizer_match_names_what_differs(self, ctx5, monkeypatch, tamper, detail):
+        # weights_and_A compares the recovered data with the source; a
+        # recovery that returns other weights, an adapted basis with a
+        # vector outside its Fil^r, or another A_recovered fails it
+        m = make_fl(5, 16, (0, 2), random_unit_matrix(random.Random(12), 2, 5, 16))
+        real = reduction.recover_filtration
+
+        def tampered(w, h_max):
+            red = real(w, h_max)
+            if tamper == "weights":
+                return replace(red, weights_recovered=(0, 3))
+            if tamper == "T outside the filtration":
+                T = red.adapted_basis
+                return replace(red, adapted_basis=PMatrix(2, 2, (T.at(0, 0), 1, T.at(1, 0), T.at(1, 1)), 5, 16))
+            A = red.A_recovered
+            return replace(red, A_recovered=PMatrix(2, 2, (A.entries[0] + 1,) + A.entries[1:], 5, 16))
+
+        assert roundtrip_check(m, ctx5, seed=2).checks[3] == ("weights_and_A", True, "")
+        monkeypatch.setattr(reduction, "recover_filtration", tampered)
+        rep = roundtrip_check(m, ctx5, seed=2)
+        assert rep.checks[3] == ("weights_and_A", False, detail)
+        assert rep.failed() == ("weights_and_A",)
 
     def test_stabilizer_comparison_tied_weights(self, ctx5):
         # equal weights allow any unimodular block; recovery must still match

@@ -1,9 +1,11 @@
+import itertools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
-from oracles import commutation_entry, difference_valuations, residual_entry, horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_det, series_pow, series_scale, shift_multiply
+from oracles import commutation_entry, compound_2, difference_valuations, residual_entry, horner_compose, lattice_membership_oracle, scalar_matmul, schoolbook_mul, series_det, series_pow, series_scale, shift_multiply
 from wachkit.cyclo import build_context, get_context
 from wachkit.errors import (
     AxiomViolation,
@@ -97,6 +99,21 @@ class TestPhiMatrix:
         bad = make_fl(3, 16, (2,), PMatrix(1, 1, (1,), 3, 16))
         with pytest.raises(ValidationFailed):
             build_phi_matrix(bad, ctx3)
+
+    def test_a_singular_A_is_left_to_the_solve(self, ctx3):
+        # forming A*Q needs no inverse: build_phi_matrix checks the weights
+        # only, and the solve's one inversion of A is the unit check.  A
+        # weight fault still reports validate_fl's whole list.
+        A = PMatrix.from_lists([[1, 0], [0, 3]], 3, 16)
+        m = make_fl(3, 16, (0, 1), A)
+        C = build_phi_matrix(m, ctx3)
+        assert C == phi_matrix(A, (0, 1), ctx3.q)
+        for solve in (lambda: solve_wach(m, ctx3), lambda: solve_gamma_matrix(C, m.weights, A, ctx3)):
+            with pytest.raises(ValidationFailed, match="^A is singular mod p$"):
+                solve()
+        for weights, failures in [((0, 2), "max weight 2 exceeds p-2 = 1"), ((-1, 0), "negative weight -1")]:
+            with pytest.raises(ValidationFailed, match=f"^{failures}; A is singular mod p$"):
+                build_phi_matrix(make_fl(3, 16, weights, A), ctx3)
 
 
 class TestSolver:
@@ -446,6 +463,42 @@ class TestVerify:
         assert rep.failed() == ("phi_canonical", "gamma_fixed_point")
         assert rep.checks[2].detail == "not decided: phi_canonical failed"
 
+    MALFORMED = [
+        ("weight p-1", "weights [2] leave [0, p-2] = [0, 1]"),
+        ("weight p+1", "weights [4] leave [0, p-2] = [0, 1]"),
+        ("weight p+4", "weights [7] leave [0, p-2] = [0, 1]"),
+        ("three weights", "weights [0, 2, 2] do not match C of rank 2"),
+        ("one weight", "weights [2] do not match C of rank 2"),
+        ("G of rank 1", "G has rank 1, C has rank 2"),
+        ("C cut to 2 coefficients", "C and G must be series mod 5^16 at 16 coefficients"),
+        ("G mod 5^8", "C and G must be series mod 5^16 at 16 coefficients"),
+    ]
+
+    @pytest.mark.parametrize("case, detail", MALFORMED, ids=[case for case, _ in MALFORMED])
+    def test_malformed_module_is_reported_not_raised(self, ctx3, ctx5, case, detail):
+        # the loader refuses these files, but a module built in code must
+        # get a report whose phi_canonical names the fault, before A, its
+        # inverse or the Gamma-step's plan is formed from data that do not fit
+        if case.startswith("weight p"):
+            r = {"weight p-1": 2, "weight p+1": 4, "weight p+4": 7}[case]
+            w = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
+            w = replace(w, weights=(r,), C=phi_matrix(PMatrix(1, 1, (1,), 3, 16), (r,), ctx3.q))
+        else:
+            w = solve_wach(make_fl(5, 16, (0, 2), random_unit_matrix(random.Random(3), 2, 5, 16)), ctx5)
+            cut = SeriesMat._trusted(5, 16, [[e[:2] for e in row] for row in w.C.rows])
+            coarse = SeriesMat._trusted(5, 8, [[tuple(c % 5**8 for c in e) for e in row] for row in w.G.rows])
+            w = {
+                "three weights": replace(w, weights=(0, 2, 2)),
+                "one weight": replace(w, weights=(2,)),
+                "G of rank 1": replace(w, G=SeriesMat.identity(1, 5, 16, 16)),
+                "C cut to 2 coefficients": replace(w, C=cut),
+                "G mod 5^8": replace(w, G=coarse),
+            }[case]
+        rep = verify_wach_axioms(w)
+        assert not rep.ok
+        assert rep.checks[0] == ("phi_canonical", False, detail)
+        assert rep.checks[2].detail == "not decided: phi_canonical failed"
+
     def test_det_helper(self, ctx3):
         rng = random.Random(7)
         m = make_fl(3, 16, (0, 1, 1), random_unit_matrix(rng, 3, 3, 16))
@@ -497,6 +550,45 @@ class TestFunctoriality:
         unit = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
         t = tensor_wach(w, unit)
         assert t.C == w.C and t.G == w.G
+
+    @pytest.mark.parametrize("N, M", [(16, 16), (4, 9)])
+    def test_exterior_powers_commute_with_the_solve(self, N, M):
+        # Lambda^2 M has weights r_i + r_j over the pairs i < j and matrix
+        # compound_2(A).  The compound of a product is the product of the
+        # compounds and commutes with phi and gamma, so by uniqueness
+        # compound_2 of (C, G) is the solved (C, G) of Lambda^2 M, in
+        # make_fl's sorted basis.  The top power is the determinant: det G
+        # is the G of the rank-1 datum (sum r, det A).  Over the golden
+        # suite's shapes whose weights stay in [0, p-2].
+        rng = random.Random(N)
+        exterior = top = 0
+        for m in generate_suite(7, count=33):
+            p = m.p
+            pairs = list(itertools.combinations(m.weights, 2))
+            square_fits = m.rank > 1 and max(a + b for a, b in pairs) <= p - 2
+            det_fits = m.rank > 1 and sum(m.weights) <= p - 2
+            if not (square_fits or det_fits):
+                continue
+            ctx = get_context(p, N, M)
+            m = m.at_precision(N)
+            w = solve_wach(m, ctx)
+            A = SeriesMat._trusted(p, N, [[(a,) for a in row] for row in m.A.to_lists()])
+            if square_fits:
+                A2 = PMatrix.from_lists(compound_2(A).constant_terms(), p, N)
+                square = make_fl(p, N, [a + b for a, b in pairs], A2)
+                solved = solve_wach(square, ctx)
+                C2 = perm_conjugate(compound_2(w.C), square.sort_perm, p, N)
+                G2 = perm_conjugate(compound_2(w.G), square.sort_perm, p, N)
+                assert (solved.C, solved.G) == (C2, G2), (p, m.weights)
+                assert verify_wach_axioms(WachModule(ctx, square.weights, C2, G2)).ok
+                moved = SeriesMat._trusted(p, N, _moved(G2.rows, [(0, 0, 1)], rng, ctx.pn))
+                assert not verify_wach_axioms(WachModule(ctx, square.weights, C2, moved)).ok
+                exterior += 1
+            if det_fits:
+                det_A = series_det(A).coeffs[0]
+                assert series_det(w.G) == solve_wach(unit_fl(p, N, sum(m.weights), det_A), ctx).G[0][0], (p, m.weights)
+                top += 1
+        assert (exterior, top) == (11, 10)
 
     def test_tensor_weight_overflow(self, ctx5):
         # (0, 3) x (0, 3) has weight 6 > p - 2: its artifact would not load
@@ -615,6 +707,20 @@ class TestLatticeStability:
         assert [[e.order for e in row] for row in X] == [[8, 8], [8, 8]]
         assert X[0][1] == bad and X[1][0].is_zero()
 
+    def test_an_omitted_row_must_vanish(self, ctx3):
+        # X = G for F = Id.  Column 0 is p^a*e_0, and row 1 is omitted, so
+        # X[1][0]*p^a must vanish mod p^N: p^15*pi0 times p^1 does, times
+        # p^0 does not
+        p, N = 3, 16
+        one = constant_series(PI0, 1, p, N, 4)
+        low = TruncSeries(PI0, p, N, (0, p**15, 0, 0))
+        zero = constant_series(PI0, 0, p, N, 4)
+        ww = WachModule(ctx3, (0, 0), SeriesMat.identity(2, p, N, 4), SeriesMat([[one, zero], [low, one]], p, N))
+        basis = PMatrix.identity(2, p, N)
+        assert check_lattice_stability(ww, LatticeSub(2, basis, (1, None))).stable
+        report = check_lattice_stability(ww, LatticeSub(2, basis, (0, None)))
+        assert report.violations == ("column 0: row 1 is omitted but X[1][0]*p^0 != 0",)
+
     def test_other_ambient_rank_is_invalid_input(self, ctx3):
         w = solve_wach(unit_fl(3, 16, 0, 1), ctx3)
         with pytest.raises(InvalidInput, match="ambient rank"):
@@ -649,6 +755,29 @@ def test_other_modulus_is_a_validation_error(ctx5, entry):
         else:
             lattice = LatticeSub(2, PMatrix.identity(2, 3, 16), (0, 1))
             check_lattice_stability(solve_wach(m, ctx5), lattice)
+
+
+def test_each_solver_inverts_A_once(ctx5, monkeypatch):
+    # A is a unit mod p exactly when it inverts, and every solver needs
+    # A^(-1): one inversion, one Howell form, is the unit check on each path
+    from wachkit import padic
+    from wachkit.reduction import normalize_basis
+
+    m = make_fl(5, 16, (0, 2), random_unit_matrix(random.Random(1), 2, 5, 16))
+    w = solve_wach(m, ctx5)
+    AQ = phi_matrix(m.A, m.weights, ctx5.work.q)
+    forms = []
+    real = padic._howell_rows
+
+    def counted(rows, p, N):
+        forms.append(N)
+        return real(rows, p, N)
+
+    monkeypatch.setattr(padic, "_howell_rows", counted)
+    for run in (lambda: solve_wach(m, ctx5), lambda: normalize_basis(AQ, m, ctx5), lambda: verify_wach_axioms(w)):
+        forms.clear()
+        run()
+        assert forms == [16]
 
 
 class TestLargePrime:
